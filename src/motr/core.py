@@ -277,6 +277,18 @@ def solver_config_from_mapping(mapping: dict[str, str], strict: bool = True) -> 
                 kwargs[key] = int(mapping[key])
         if "exact_metrics" in mapping:
             kwargs["exact_metrics"] = _parse_bool(mapping["exact_metrics"])
+        kind = mapping.get("alpha_kind")
+        if kind is not None:
+            if kind == "fixed":
+                value = float(mapping.get("alpha_value", math.sqrt(0.5)))
+                kwargs["alpha_schedule"] = FixedAlpha(value)
+            elif kind == "summable":
+                offset = int(mapping.get("alpha_offset", 2))
+                kwargs["alpha_schedule"] = SummableToOneAlpha(offset)
+            else:
+                raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
+        elif "alpha_value" in mapping or "alpha_offset" in mapping:
+            raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if "hessian_mode" in mapping:
@@ -289,17 +301,6 @@ def solver_config_from_mapping(mapping: dict[str, str], strict: bool = True) -> 
             kwargs["hessian_combine"] = HessianCombine(mapping["hessian_combine"])
         except ValueError:
             raise ConfigError(f"bad hessian_combine: {mapping['hessian_combine']!r}")
-    kind = mapping.get("alpha_kind")
-    if kind is not None:
-        if kind == "fixed":
-            value = float(mapping.get("alpha_value", math.sqrt(0.5)))
-            kwargs["alpha_schedule"] = FixedAlpha(value)
-        elif kind == "summable":
-            kwargs["alpha_schedule"] = SummableToOneAlpha(int(mapping.get("alpha_offset", 2)))
-        else:
-            raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
-    elif "alpha_value" in mapping or "alpha_offset" in mapping:
-        raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
     return SolverConfig(**kwargs)
 
 
@@ -348,8 +349,12 @@ class Oracle(abc.ABC):
                  rng: np.random.Generator, need_hessians: bool = False) -> ObjectiveSample:
         """Return an ObjectiveSample targeted at accuracy radius ``delta``."""
 
-    def exact_evaluate(self, x):
-        """Exact (values, gradients, hessians-or-None); deterministic."""
+    def exact_evaluate(self, x, need_hessians: bool = False):
+        """Exact (values, gradients, hessians); deterministic.
+
+        Hessians are returned only on request (``need_hessians``); otherwise
+        the third element is None.
+        """
         raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
 
     def exact_cost(self) -> int:

@@ -232,8 +232,10 @@ def _run_smg(oracle: Oracle, spec: ExperimentSpec, sim: int,
     return x, rows
 
 
-def _run_one(spec: ExperimentSpec, sim: int) -> tuple[list[float], list[MetricRow]]:
-    oracle = spec.build_oracle()
+def _run_one(spec: ExperimentSpec, sim: int,
+             oracle: Oracle | None = None) -> tuple[list[float], list[MetricRow]]:
+    if oracle is None:          # a process-pool worker builds its own
+        oracle = spec.build_oracle()
     seed = spec.solver.seed + sim
     if spec.algorithm == "smg":
         x_final, rows = _run_smg(oracle, spec, sim, seed)
@@ -253,15 +255,17 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
     Exact marginal/scalar metrics are instrumentation: they consume no run
     randomness and never count toward scalar products. The summary reports
     per-simulation final points, their exact objective values, and the value
-    at the mean final point.
+    at the mean final point. The serial path builds one oracle (one dataset
+    parse) for all simulations and the summary.
     """
     workers = spec.parallelism or os.cpu_count() or 1
     sims = range(spec.num_simulations)
+    oracle = spec.build_oracle()
     if workers > 1 and spec.num_simulations > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [spec] * spec.num_simulations, sims))
     else:
-        results = [_run_one(spec, sim) for sim in sims]
+        results = [_run_one(spec, sim, oracle) for sim in sims]
 
     rows: list[MetricRow] = []
     finals: list[list[float]] = []
@@ -269,7 +273,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
         finals.append(x_final)
         rows.extend(sim_rows)
 
-    oracle = spec.build_oracle()
     final_f = []
     for x in finals:
         values, _, _ = oracle.exact_evaluate(np.array(x))

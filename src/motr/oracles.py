@@ -8,6 +8,7 @@ split into sensitive-attribute groups with adaptive subsampling.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,8 +127,9 @@ class AnalyticOracle(Oracle):
         self.stochastic = self.noise.sigma > 0
         self.exact_available = True
 
-    def exact_evaluate(self, x):
-        return self.problem.exact(x)
+    def exact_evaluate(self, x, need_hessians=False):
+        f, g, h = self.problem.exact(x)
+        return f, g, h if need_hessians else None
 
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
         if delta <= 0:
@@ -239,18 +241,37 @@ def _logistic_terms(x, A, y):
     return loss, s, w
 
 
-def _group_eval(problem: FiniteSumProblem, x, rows, lam, with_hessian):
-    A = problem.features[rows]
-    y = problem.labels[rows]
-    mask = problem.reg_mask()
+def _block_eval(A, y, mask, x, lam, with_hessian):
+    """Regularized logistic loss of one group on the rows (A, y): value,
+    gradient and, when ``with_hessian`` is set, Hessian."""
     xh = x * mask
     loss, s, w = _logistic_terms(x, A, y)
     f = float(loss.mean()) + 0.5 * lam * float(xh @ xh)
     g = -(A * (y * s)[:, None]).mean(axis=0) + lam * xh
     if not with_hessian:
         return f, g, None
-    H = (A.T * w) @ A / rows.size + lam * np.diag(mask)
+    H = (A.T * w) @ A / A.shape[0] + lam * np.diag(mask)
     return f, g, H
+
+
+def _group_sample_size(F: float, G: float, delta: float, alpha: float,
+                       group_size: int) -> int:
+    """One subsample serves values and gradients: the larger requirement."""
+    return max(required_sample_size("value", float(F), delta, alpha, group_size),
+               required_sample_size("gradient", float(G), delta, alpha, group_size))
+
+
+def _as_sample(parts, sizes, delta: float, need_hessians: bool) -> ObjectiveSample:
+    f, g, H = zip(*parts)
+    sizes = np.array(sizes, dtype=int)
+    return ObjectiveSample(values=np.array(f), gradients=np.array(g),
+                           delta=delta, sample_sizes=sizes, cost=int(sizes.sum()),
+                           hessians=np.array(H) if need_hessians else None)
+
+
+# A rejected iteration re-evaluates x, an accepted one moves to the last trial
+# point, and exact_evaluate(x) follows evaluate(x): four points cover reuse.
+_MEMO_POINTS = 4
 
 
 class FiniteSumOracle(Oracle):
@@ -259,6 +280,12 @@ class FiniteSumOracle(Oracle):
     ``constants_mode`` picks the sample-size bound constants: 'estimated'
     uses a fixed constant (default 1.0, the practical law), 'analytic' the
     closed-form value/gradient bounds which grow like e^||x||.
+
+    Each group's rows are stored once as a contiguous block in ascending row
+    order. A full-batch group evaluation draws no randomness, so its result
+    is memoised for the last few points; results are bit-identical to
+    ``subsampled_evaluate`` and costs count the rows requested, memo hits
+    included.
     """
 
     def __init__(self, problem: FiniteSumProblem, constants_mode: str = "estimated",
@@ -275,6 +302,12 @@ class FiniteSumOracle(Oracle):
         self.stochastic = True
         self.exact_available = True
         self._max_feature_norm = float(np.linalg.norm(problem.features, axis=1).max())
+        self._mask = problem.reg_mask()
+        self._blocks = []
+        for rows in problem.groups:
+            order = np.sort(rows)
+            self._blocks.append((order, problem.features[order], problem.labels[order]))
+        self._memo: OrderedDict = OrderedDict()
 
     def group_sizes(self) -> np.ndarray:
         return np.array([g.size for g in self.problem.groups], dtype=int)
@@ -282,15 +315,35 @@ class FiniteSumOracle(Oracle):
     def exact_cost(self) -> int:
         return self.problem.N
 
-    def exact_evaluate(self, x):
+    def _group(self, i: int, x: np.ndarray, m: int, rng, with_hessian: bool):
+        """(f, g, H) of group ``i`` on ``m`` rows: a uniform subsample drawn
+        from ``rng``, or the whole block, memoised, when ``m`` covers it."""
+        order, A, y = self._blocks[i]
+        lam = self.problem.regularizers[i]
+        if m < order.size:
+            sub = rng.choice(self.problem.groups[i], size=m, replace=False)
+            pos = np.searchsorted(order, np.sort(sub))
+            return _block_eval(A[pos], y[pos], self._mask, x, lam, with_hessian)
+        key = (i, x.tobytes())
+        hit = self._memo.get(key)
+        if hit is not None and (hit[2] is not None or not with_hessian):
+            self._memo.move_to_end(key)
+            return hit
+        f, g, H = _block_eval(A, y, self._mask, x, lam, with_hessian)
+        for a in (g, H):
+            if a is not None:
+                a.flags.writeable = False
+        self._memo[key] = (f, g, H)
+        self._memo.move_to_end(key)
+        if len(self._memo) > _MEMO_POINTS * self.q:
+            self._memo.popitem(last=False)
+        return f, g, H
+
+    def exact_evaluate(self, x, need_hessians=False):
         x = as_decision_vector(x, self.n)
-        vals, grads, hess = [], [], []
-        for rows, lam in zip(self.problem.groups, self.problem.regularizers):
-            f, g, H = _group_eval(self.problem, x, rows, lam, with_hessian=True)
-            vals.append(f)
-            grads.append(g)
-            hess.append(H)
-        return np.array(vals), np.array(grads), np.array(hess)
+        f, g, H = zip(*(self._group(i, x, rows.size, None, need_hessians)
+                        for i, rows in enumerate(self.problem.groups)))
+        return np.array(f), np.array(g), np.array(H) if need_hessians else None
 
     def _bound_constants(self, x):
         if self.constants_mode == "analytic":
@@ -300,9 +353,12 @@ class FiniteSumOracle(Oracle):
         return (np.full(self.q, c), np.full(self.q, c))
 
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        return subsampled_evaluate(self.problem, x, delta, alpha, rng,
-                                   need_hessians=need_hessians,
-                                   bound_constants=self._bound_constants(x))
+        x = as_decision_vector(x, self.n)
+        F, G = self._bound_constants(x)
+        sizes = [_group_sample_size(F[i], G[i], delta, alpha, rows.size)
+                 for i, rows in enumerate(self.problem.groups)]
+        parts = [self._group(i, x, m, rng, need_hessians) for i, m in enumerate(sizes)]
+        return _as_sample(parts, sizes, delta, need_hessians)
 
 
 def required_sample_size(kind: str, bound_constant: float, delta: float,
@@ -311,6 +367,8 @@ def required_sample_size(kind: str, bound_constant: float, delta: float,
     probability alpha; 'value' scales with delta^-4, 'gradient' with delta^-2.
 
     At least 1, capped at ``group_size`` when given (full-batch fallback).
+    The cap is decided in log space first, so radii small enough to overflow
+    delta^-4 still return the group size.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -322,6 +380,12 @@ def required_sample_size(kind: str, bound_constant: float, delta: float,
         raise ValueError(f"bad kind {kind!r}")
     power = 4 if kind == "value" else 2
     amp = (1.0 + math.sqrt(8.0 * math.log(1.0 / (1.0 - alpha)))) ** 2
+    if group_size is not None:
+        log_bound = 2.0 * math.log(bound_constant) + math.log(amp) - power * math.log(delta)
+        # A margin of a factor e keeps rounding in either formula from
+        # deciding the cap differently.
+        if log_bound > math.log(max(group_size, 1)) + 1.0:
+            return group_size
     bound = bound_constant ** 2 / delta ** power * amp
     size = max(1, math.ceil(bound))
     if group_size is not None:
@@ -340,11 +404,6 @@ def analytic_bound_constants(max_feature_norm: float, regularizers,
     return F, G
 
 
-def bound_constants(problem: FiniteSumProblem, x) -> tuple[np.ndarray, np.ndarray]:
-    max_norm = float(np.linalg.norm(problem.features, axis=1).max())
-    return analytic_bound_constants(max_norm, problem.regularizers, x)
-
-
 def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float,
                         rng: np.random.Generator, need_hessians: bool = False,
                         bound_constants=None) -> ObjectiveSample:
@@ -353,26 +412,23 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
     One subsample per group serves values, gradients and (optionally)
     Hessians; its size is the max of the value and gradient requirements.
     Cost is the total number of subsampled rows (one scalar product each).
+    FiniteSumOracle.evaluate gives the same bits and rng draws; this is the
+    plain reference, with no stored blocks and no memo.
     """
     x = as_decision_vector(x, problem.n)
     if bound_constants is None:
         F = G = np.ones(problem.q)
     else:
         F, G = bound_constants
-    vals, grads, hess, sizes = [], [], [], []
+    mask = problem.reg_mask()
+    parts, sizes = [], []
     for i, (rows, lam) in enumerate(zip(problem.groups, problem.regularizers)):
-        m = max(required_sample_size("value", float(F[i]), delta, alpha, rows.size),
-                required_sample_size("gradient", float(G[i]), delta, alpha, rows.size))
-        sub = rows if m >= rows.size else rng.choice(rows, size=m, replace=False)
-        f, g, H = _group_eval(problem, x, np.sort(sub), lam, with_hessian=need_hessians)
-        vals.append(f)
-        grads.append(g)
-        hess.append(H)
-        sizes.append(sub.size)
-    sizes = np.array(sizes, dtype=int)
-    return ObjectiveSample(values=np.array(vals), gradients=np.array(grads),
-                           delta=delta, sample_sizes=sizes, cost=int(sizes.sum()),
-                           hessians=np.array(hess) if need_hessians else None)
+        m = _group_sample_size(F[i], G[i], delta, alpha, rows.size)
+        sub = np.sort(rows if m >= rows.size else rng.choice(rows, size=m, replace=False))
+        parts.append(_block_eval(problem.features[sub], problem.labels[sub], mask, x,
+                                 lam, need_hessians))
+        sizes.append(m)
+    return _as_sample(parts, sizes, delta, need_hessians)
 
 
 class ExactOracle(Oracle):
@@ -388,8 +444,8 @@ class ExactOracle(Oracle):
         self.stochastic = False
         self.exact_available = True
 
-    def exact_evaluate(self, x):
-        return self.inner.exact_evaluate(x)
+    def exact_evaluate(self, x, need_hessians=False):
+        return self.inner.exact_evaluate(x, need_hessians)
 
     def exact_cost(self) -> int:
         return self.inner.exact_cost()
@@ -400,11 +456,10 @@ class ExactOracle(Oracle):
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
         if delta <= 0:
             raise ValueError("delta must be positive")
-        f, g, h = self.inner.exact_evaluate(x)
+        f, g, h = self.inner.exact_evaluate(x, need_hessians)
         return ObjectiveSample(values=f, gradients=g, delta=delta,
                                sample_sizes=self.group_sizes(),
-                               cost=self.inner.exact_cost(),
-                               hessians=h if need_hessians else None)
+                               cost=self.inner.exact_cost(), hessians=h)
 
 
 # ---------------------------------------------------------------------------

@@ -285,15 +285,13 @@ def smop_iterate(state: TrustRegionState, oracle: Oracle,
 
 
 def run(oracle: Oracle, config: SolverConfig, x0) -> list[IterationRecord]:
-    """Loop smop_iterate for k_max iterations; deterministic given the seed."""
-    state = init_state(x0, config, oracle.n)
-    for _ in range(config.k_max):
-        smop_iterate(state, oracle, config)
-    return state.history
+    """The iteration history of run_final."""
+    return run_final(oracle, config, x0)[1]
 
 
 def run_final(oracle: Oracle, config: SolverConfig, x0) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Like run(), also returning the final iterate."""
+    """Loop smop_iterate for k_max iterations; deterministic given the seed.
+    Returns the final iterate and the iteration history."""
     state = init_state(x0, config, oracle.n)
     for _ in range(config.k_max):
         smop_iterate(state, oracle, config)

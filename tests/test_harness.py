@@ -1,10 +1,12 @@
 """Experiment harness and CLI: spec parsing, runs, emission, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from motr import harness
 from motr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from motr.core import ConfigError, SolverConfig
 from motr.harness import (
@@ -150,6 +152,28 @@ def test_parallel_and_serial_runs_match():
     assert rows_s == rows_p
 
 
+def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((120, 3))
+    sensitive = (rng.random(120) < 0.4).astype(float)
+    labels = (X @ np.array([1.0, -1.0, 0.5]) + sensitive > 0).astype(float)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack([labels, sensitive, X]), delimiter=",", fmt="%.6g")
+    spec = _tiny_spec(problem="dataset", dataset_path=str(path),
+                      label_convention="zeroone", x0=(0.0,) * 5, num_simulations=3,
+                      solver=SolverConfig(k_max=40))
+    parses = []
+    real = harness.load_dataset
+    monkeypatch.setattr(harness, "load_dataset",
+                        lambda *a, **kw: parses.append(a) or real(*a, **kw))
+    rows, summary = run_experiment(spec)
+    assert len(parses) == 1
+    # Each pool worker builds its own oracle; results must not depend on sharing.
+    pool_rows, pool_summary = run_experiment(replace(spec, parallelism=2))
+    assert rows == pool_rows
+    assert summary == pool_summary
+
+
 def _write_cfg(tmp_path, text):
     p = tmp_path / "exp.cfg"
     p.write_text(text)
@@ -166,6 +190,25 @@ def test_cli_validate_bad_key(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "problem = test1\nbanana = 2\n")
     assert main(["validate", cfg]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
+    for keys in ("alpha_kind = fixed\nalpha_value = abc\n",
+                 "alpha_kind = summable\nalpha_offset = abc\n"):
+        cfg = _write_cfg(tmp_path, "problem = test1\n" + keys)
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_cli_default_length_synthetic_run_completes(tmp_path):
+    # At k_max = 500 the radius falls far enough that delta^-4 overflows a
+    # float; the group-size cap must apply first.
+    cfg = _write_cfg(tmp_path, "problem = synthetic\nx0 = " + ",".join(["0"] * 10)
+                     + "\nnum_simulations = 1\nparallelism = 1\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", cfg, "--seed", "0", "--output", str(out)]) == EXIT_OK
+    assert len(out.read_text().strip().splitlines()) == 1 + 500
 
 
 def test_cli_missing_file():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motr.core import ConfigError, RngStream
+from motr.core import ConfigError, ObjectiveSample, RngStream
 from motr.oracles import (
     AnalyticOracle,
     AnalyticProblem,
@@ -144,6 +146,45 @@ def test_required_sample_size_monotonicity():
             assert required_sample_size(kind, c, d1, a2) >= required_sample_size(kind, c, d1, a1)
 
 
+def _direct_sample_size(kind, c, delta, alpha, group_size):
+    """The formula evaluated directly in linear space."""
+    power = 4 if kind == "value" else 2
+    amp = (1.0 + math.sqrt(8.0 * math.log(1.0 / (1.0 - alpha)))) ** 2
+    size = max(1, math.ceil(c ** 2 / delta ** power * amp))
+    return size if group_size is None else min(size, group_size)
+
+
+def test_required_sample_size_matches_direct_formula_and_caps_tiny_radii():
+    deltas = list(np.logspace(-80, 2, 300))
+    finite = underflowing = 0
+    for kind in ("value", "gradient"):
+        for c in (0.3, 1.0, 4.0):
+            for alpha in (0.5, math.sqrt(0.5), 0.95):
+                for cap in (1, 150, 8000, None):
+                    grid = list(deltas)
+                    if cap is not None:
+                        # Radii at which the bound crosses the cap, and their neighbours.
+                        amp = (1.0 + math.sqrt(8.0 * math.log(1.0 / (1.0 - alpha)))) ** 2
+                        power = 4 if kind == "value" else 2
+                        edge = (c * c * amp / cap) ** (1.0 / power)
+                        grid += [edge * (1.0 + t) for t in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+                        grid += [1.7e-77, 1e-300, 5e-324]
+                    for delta in grid:
+                        try:
+                            want = _direct_sample_size(kind, c, delta, alpha, cap)
+                        except (OverflowError, ZeroDivisionError) as exc:
+                            if cap is None:     # nothing to fall back to
+                                with pytest.raises(type(exc)):
+                                    required_sample_size(kind, c, delta, alpha)
+                            else:
+                                assert required_sample_size(kind, c, delta, alpha, cap) == cap
+                                underflowing += 1
+                            continue
+                        assert required_sample_size(kind, c, delta, alpha, cap) == want
+                        finite += 1
+    assert finite > 1000 and underflowing > 100
+
+
 def test_required_sample_size_validation():
     with pytest.raises(ValueError):
         required_sample_size("value", 1.0, -0.5, 0.5)
@@ -236,6 +277,85 @@ def test_subsampled_gradient_hessian_consistency():
         np.testing.assert_allclose(s.gradients[:, j], fd_g, rtol=1e-5, atol=1e-8)
         fd_h = (sp.gradients - sm.gradients) / (2 * eps)
         np.testing.assert_allclose(s.hessians[:, :, j], fd_h, rtol=1e-4, atol=1e-6)
+
+
+def _unsorted_problem(seed, num_rows, num_features, num_groups):
+    """Random logistic problem whose groups hold row indices in random order."""
+    rng = np.random.default_rng(seed)
+    X = np.hstack([rng.standard_normal((num_rows, num_features - 1)),
+                   np.ones((num_rows, 1))])
+    y = np.where(rng.random(num_rows) < 0.5, -1.0, 1.0)
+    cuts = np.sort(rng.choice(np.arange(1, num_rows), size=num_groups - 1, replace=False))
+    groups = tuple(np.split(rng.permutation(num_rows), cuts))
+    return FiniteSumProblem(X, y, groups, rng.uniform(0.0, 0.3, size=num_groups),
+                            intercept_column=num_features - 1)
+
+
+def _assert_same_sample(a, b):
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.gradients, b.gradients)
+    np.testing.assert_array_equal(a.sample_sizes, b.sample_sizes)
+    assert a.cost == b.cost
+    assert (a.hessians is None) == (b.hessians is None)
+    if a.hessians is not None:
+        np.testing.assert_array_equal(a.hessians, b.hessians)
+
+
+_ORACLE_CALL = st.tuples(st.integers(0, 5),                     # which point
+                         st.sampled_from(["evaluate", "exact"]),
+                         st.sampled_from([1e-4, 0.9, 1.3, 2.0]),  # full, partial, mixed
+                         st.booleans())                          # need_hessians
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(6, 60),
+       num_features=st.integers(2, 5), num_groups=st.integers(1, 3),
+       calls=st.lists(_ORACLE_CALL, min_size=1, max_size=12))
+def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_features,
+                                                      num_groups, calls):
+    problem = _unsorted_problem(seed, num_rows, num_features, num_groups)
+    oracle = FiniteSumOracle(problem)
+    points = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, size=(6, num_features))
+    rng_oracle = RngStream(seed % 1000).generator()
+    rng_ref = RngStream(seed % 1000).generator()
+    alpha = 0.5
+    for point, kind, delta, need_h in calls:
+        x = points[point]
+        if kind == "evaluate":
+            got = oracle.evaluate(x, delta, alpha, rng_oracle, need_hessians=need_h)
+            want = subsampled_evaluate(problem, x, delta, alpha, rng_ref,
+                                       need_hessians=need_h)
+            _assert_same_sample(got, want)
+        else:
+            f, g, H = oracle.exact_evaluate(x, need_hessians=need_h)
+            # A radius this small makes every group full batch: no draws.
+            want = subsampled_evaluate(problem, x, 1e-9, alpha, rng_ref,
+                                       need_hessians=need_h)
+            np.testing.assert_array_equal(want.sample_sizes, oracle.group_sizes())
+            _assert_same_sample(
+                ObjectiveSample(f, g, 1e-9, want.sample_sizes, want.cost, H), want)
+        np.testing.assert_equal(rng_oracle.bit_generator.state, rng_ref.bit_generator.state)
+    # Memoised full-batch arrays are shared between calls, so they are read-only.
+    x = points[calls[-1][0]]
+    _, g, H = oracle._group(0, x, problem.groups[0].size, None, True)
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    with pytest.raises(ValueError):
+        H[0, 0] = 1.0
+
+
+def test_exact_evaluate_hessians_only_on_request():
+    inner = FiniteSumOracle(make_synthetic_logistic(40, 4, seed=5))
+    for oracle in (inner, ExactOracle(inner),
+                   AnalyticOracle(AnalyticProblem("test1"))):
+        x = np.full(oracle.n, 0.2)
+        assert oracle.exact_evaluate(x)[2] is None
+        assert oracle.exact_evaluate(x, need_hessians=True)[2].shape == (2, oracle.n, oracle.n)
+    rng = RngStream(22).generator()
+    x = np.full(4, 0.2)
+    assert ExactOracle(inner).evaluate(x, 1.0, 0.5, rng).hessians is None
+    sample = ExactOracle(inner).evaluate(x, 1.0, 0.5, rng, need_hessians=True)
+    assert sample.hessians.shape == (2, 4, 4)
 
 
 def test_exact_oracle_adapter():
