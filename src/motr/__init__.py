@@ -15,6 +15,7 @@ from .core import (
     ObjectiveSample,
     Oracle,
     RngStream,
+    SampleBatch,
     SolverConfig,
     SummableToOneAlpha,
     alpha_at,
@@ -24,6 +25,7 @@ from .marginal import (
     MarginalSolution,
     brute_force_marginal,
     solve_marginal,
+    solve_marginal_batch,
     solve_marginal_q2_closed_form,
 )
 from .oracles import (
@@ -47,6 +49,7 @@ from .solver import (
     compute_rho,
     evaluate_model,
     run,
+    run_batch,
     run_final,
     smop_iterate,
 )

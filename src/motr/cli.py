@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .core import ConfigError, RngStream, parse_kv_text
+from .core import ConfigError, RngStream, _parse_bool, parse_kv_text
 from .harness import emit, experiment_spec_from_mapping, run_experiment
 from .pareto import FrontConfig, export_archive_csv, run_front
 
@@ -42,7 +42,7 @@ def _front_config_from_mapping(mapping: dict[str, str]) -> FrontConfig:
         if "front_init_box" in mapping:
             kwargs["init_box"] = _parse_box(mapping["front_init_box"])
         if "front_weak" in mapping:
-            kwargs["weak_dominance"] = mapping["front_weak"].lower() in ("true", "1", "yes", "on")
+            kwargs["weak_dominance"] = _parse_bool(mapping["front_weak"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return FrontConfig(**kwargs)

@@ -36,6 +36,52 @@ def scalar_representation(values) -> float:
     return float(np.max(v))
 
 
+def as_decision_batch(X, n: int) -> np.ndarray:
+    """Validate and return a finite (B, n) float64 stack of decision vectors."""
+    V = np.asarray(X, dtype=float)
+    if V.ndim != 2 or V.shape[1] != n:
+        raise DimensionMismatchError(f"expected decision vectors of shape (B, {n}), got {V.shape}")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("decision vector contains NaN/Inf")
+    return V
+
+
+def sample_errors(values: np.ndarray, gradients: np.ndarray, delta: np.ndarray,
+                  sample_sizes: np.ndarray, cost: np.ndarray,
+                  hessians: np.ndarray | None = None) -> dict[int, str]:
+    """Check a stack of B samples: values (B, q), gradients (B, q, n), delta
+    (B,), sample_sizes (B, q), cost (B,), hessians (B, q, n, n) or None.
+
+    A malformed stack raises ValueError. Otherwise each sample that fails a
+    check maps to the message of its first failed check.
+    """
+    if values.ndim != 2:
+        raise ValueError("values must have shape (q,)")
+    B, q = values.shape
+    if gradients.ndim != 3 or gradients.shape[:2] != (B, q):
+        raise ValueError("gradients must have shape (q, n)")
+    if hessians is not None and (hessians.ndim != 4 or hessians.shape[:2] != (B, q)):
+        raise ValueError("hessians must have shape (q, n, n)")
+    if (hessians is None and np.isfinite(values).all() and np.isfinite(gradients).all()
+            and (delta > 0).all() and (cost >= 0).all() and (sample_sizes >= 0).all()):
+        return {}           # the common case, without per-sample bookkeeping
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(gradients).all(axis=(1, 2))
+    if hessians is not None:
+        finite &= np.isfinite(hessians).all(axis=(1, 2, 3))
+    checks = [(~finite, "objective sample contains NaN/Inf"),
+              (~(delta > 0), "delta must be positive"),
+              ((cost < 0) | (sample_sizes < 0).any(axis=1), "negative cost or sample size")]
+    if hessians is not None:
+        scale = np.maximum(1.0, np.abs(hessians).max(axis=(2, 3)))
+        asym = np.abs(hessians - hessians.swapaxes(2, 3)).max(axis=(2, 3)) > 1e-12 * scale
+        checks += [(asym[:, i], f"hessian {i} is not symmetric") for i in range(q)]
+    errors: dict[int, str] = {}
+    for bad, message in checks:
+        for b in np.flatnonzero(bad).tolist():
+            errors.setdefault(b, message)
+    return errors
+
+
 @dataclass(frozen=True)
 class ObjectiveSample:
     """One oracle evaluation: approximate values, gradients, optional Hessians.
@@ -44,7 +90,8 @@ class ObjectiveSample:
     the solver combines them into the single model Hessian. ``delta`` records
     the trust-region radius the accuracy was targeted at, ``sample_sizes`` the
     per-objective subsample sizes (zero for analytic oracles) and ``cost`` the
-    scalar products consumed producing this sample.
+    scalar products consumed producing this sample. Checked by
+    ``sample_errors`` as a stack of one.
     """
 
     values: np.ndarray
@@ -61,23 +108,15 @@ class ObjectiveSample:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "gradients", gradients)
         object.__setattr__(self, "sample_sizes", sizes)
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(gradients)):
-            raise ValueError("objective sample contains NaN/Inf")
-        if gradients.ndim != 2 or gradients.shape[0] != values.shape[0]:
-            raise ValueError("gradients must have shape (q, n)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.cost < 0 or np.any(sizes < 0):
-            raise ValueError("negative cost or sample size")
+        H = None
         if self.hessians is not None:
             H = np.asarray(self.hessians, dtype=float)
             object.__setattr__(self, "hessians", H)
-            if H.ndim != 3 or H.shape[0] != values.shape[0]:
-                raise ValueError("hessians must have shape (q, n, n)")
-            for i in range(H.shape[0]):
-                scale = max(1.0, float(np.abs(H[i]).max()))
-                if np.abs(H[i] - H[i].T).max() > 1e-12 * scale:
-                    raise ValueError(f"hessian {i} is not symmetric")
+        errors = sample_errors(values[None], gradients[None], np.array([self.delta]),
+                               sizes[None], np.array([self.cost]),
+                               None if H is None else H[None])
+        if errors:
+            raise ValueError(errors[0])
 
     @property
     def q(self) -> int:
@@ -86,6 +125,53 @@ class ObjectiveSample:
     @property
     def n(self) -> int:
         return self.gradients.shape[1]
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """B oracle evaluations stacked along a leading axis, one per solver state.
+
+    Fields are those of ObjectiveSample with a leading batch axis; the stack
+    is checked once, by ``sample_errors``. A sample that fails a check does
+    not fail the batch: ``errors`` maps its index to a ValueError, and
+    ``sample(b)`` raises it.
+    """
+
+    values: np.ndarray
+    gradients: np.ndarray
+    delta: np.ndarray
+    sample_sizes: np.ndarray
+    cost: np.ndarray
+    hessians: np.ndarray | None = None
+    errors: dict[int, ValueError] = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        fields = dict(values=np.asarray(self.values, dtype=float),
+                      gradients=np.asarray(self.gradients, dtype=float),
+                      delta=np.asarray(self.delta, dtype=float),
+                      sample_sizes=np.asarray(self.sample_sizes, dtype=int),
+                      cost=np.asarray(self.cost, dtype=int))
+        if self.hessians is not None:
+            fields["hessians"] = np.asarray(self.hessians, dtype=float)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        found = sample_errors(self.values, self.gradients, self.delta,
+                              self.sample_sizes, self.cost, self.hessians)
+        object.__setattr__(self, "errors", {b: ValueError(m) for b, m in found.items()})
+
+    def take(self, index: np.ndarray) -> "SampleBatch":
+        """The samples at ``index`` (which must not name a failed one)."""
+        return SampleBatch(self.values[index], self.gradients[index], self.delta[index],
+                           self.sample_sizes[index], self.cost[index],
+                           None if self.hessians is None else self.hessians[index])
+
+    def sample(self, b: int) -> ObjectiveSample:
+        if b in self.errors:
+            raise self.errors[b]
+        return ObjectiveSample(values=self.values[b], gradients=self.gradients[b],
+                               delta=float(self.delta[b]),
+                               sample_sizes=self.sample_sizes[b], cost=int(self.cost[b]),
+                               hessians=None if self.hessians is None else self.hessians[b])
 
 
 @dataclass(frozen=True)
@@ -349,12 +435,31 @@ class Oracle(abc.ABC):
                  rng: np.random.Generator, need_hessians: bool = False) -> ObjectiveSample:
         """Return an ObjectiveSample targeted at accuracy radius ``delta``."""
 
+    @abc.abstractmethod
+    def evaluate_batch(self, X, deltas, alphas, rngs,
+                       need_hessians: bool = False) -> SampleBatch:
+        """One sample per row of ``X``: row b at radius ``deltas[b]`` and
+        accuracy ``alphas[b]``, drawing only from ``rngs[b]``, in the order
+        a one-row call would draw."""
+
+    def evaluate_one(self, x, delta: float, alpha: float, rng: np.random.Generator,
+                     need_hessians: bool = False) -> ObjectiveSample:
+        """``evaluate`` through ``evaluate_batch``, as a batch of one."""
+        x = as_decision_vector(x, self.n)
+        return self.evaluate_batch(x[None], np.array([delta], dtype=float), [alpha], [rng],
+                                   need_hessians).sample(0)
+
     def exact_evaluate(self, x, need_hessians: bool = False):
         """Exact (values, gradients, hessians); deterministic.
 
         Hessians are returned only on request (``need_hessians``); otherwise
         the third element is None.
         """
+        raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
+
+    def exact_evaluate_batch(self, X, need_hessians: bool = False):
+        """``exact_evaluate`` of every row of ``X``, stacked along a leading
+        axis."""
         raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
 
     def exact_cost(self) -> int:

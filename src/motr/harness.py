@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
     parse_kv_text,
     scalar_representation,
     solver_config_from_mapping,
+    _parse_bool,
     solver_config_keys,
     solver_config_to_mapping,
 )
@@ -33,7 +33,7 @@ from .oracles import (
     load_dataset,
     make_synthetic_logistic,
 )
-from .solver import run_final
+from .solver import run_batch, run_final
 
 _EXPERIMENT_KEYS = (
     "problem",
@@ -121,6 +121,8 @@ class ExperimentSpec:
             raise ConfigError("parallelism must be >= 0")
         if self.smg_t0 <= 0:
             raise ConfigError("smg_t0 must be positive")
+        if self.smg_delta is not None and not self.smg_delta > 0:
+            raise ConfigError("smg_delta must be positive")
 
     def build_oracle(self) -> Oracle:
         if self.problem in ("test1", "test2"):
@@ -151,9 +153,8 @@ def experiment_spec_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     solver = solver_config_from_mapping(solver_map)
 
-    def _bool(key, default):
-        return (mapping[key].lower() in ("true", "1", "yes", "on")
-                if key in mapping else default)
+    def flag(key, default):
+        return _parse_bool(exp_map[key]) if key in exp_map else default
 
     kwargs: dict = {"solver": solver}
     try:
@@ -161,10 +162,10 @@ def experiment_spec_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
             kwargs["problem"] = exp_map["problem"]
         kwargs["noise"] = NoiseSpec(
             sigma=float(exp_map.get("noise_sigma", 0.0)),
-            bounded=_bool("noise_bounded", False),
+            bounded=flag("noise_bounded", False),
             cap_f=float(exp_map.get("noise_cap_f", 1.0)),
             cap_g=float(exp_map.get("noise_cap_g", 1.0)),
-            shared_gradient_noise=_bool("noise_shared_gradient", False))
+            shared_gradient_noise=flag("noise_shared_gradient", False))
         for key in ("dataset_path", "dataset_format", "label_convention",
                     "constants_mode", "algorithm", "output_path", "output_format"):
             if key in exp_map:
@@ -181,8 +182,8 @@ def experiment_spec_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
             kwargs["smg_delta"] = float(exp_map["smg_delta"])
         if "x0" in exp_map:
             kwargs["x0"] = tuple(float(v) for v in exp_map["x0"].split(","))
-        kwargs["has_header"] = _bool("has_header", False)
-        kwargs["keep_sensitive"] = _bool("keep_sensitive", True)
+        kwargs["has_header"] = flag("has_header", False)
+        kwargs["keep_sensitive"] = flag("keep_sensitive", True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentSpec(**kwargs)
@@ -232,6 +233,13 @@ def _run_smg(oracle: Oracle, spec: ExperimentSpec, sim: int,
     return x, rows
 
 
+def _rows(sim: int, history) -> list[MetricRow]:
+    return [MetricRow(simulation=sim, k=r.k, omega_true=r.omega_true,
+                      phi_true=r.phi_true, scalar_products=r.cost_so_far,
+                      delta=r.delta, success=r.success)
+            for r in history]
+
+
 def _run_one(spec: ExperimentSpec, sim: int,
              oracle: Oracle | None = None) -> tuple[list[float], list[MetricRow]]:
     if oracle is None:          # a process-pool worker builds its own
@@ -240,13 +248,26 @@ def _run_one(spec: ExperimentSpec, sim: int,
     if spec.algorithm == "smg":
         x_final, rows = _run_smg(oracle, spec, sim, seed)
         return list(map(float, x_final)), rows
-    cfg = spec.solver.with_(seed=seed)
-    x_final, history = run_final(oracle, cfg, np.asarray(spec.x0, dtype=float))
-    rows = [MetricRow(simulation=sim, k=r.k, omega_true=r.omega_true,
-                      phi_true=r.phi_true, scalar_products=r.cost_so_far,
-                      delta=r.delta, success=r.success)
-            for r in history]
-    return list(map(float, x_final)), rows
+    x_final, history = run_final(oracle, spec.solver.with_(seed=seed), spec.x0)
+    return list(map(float, x_final)), _rows(sim, history)
+
+
+def _run_all(spec: ExperimentSpec, oracle: Oracle) -> list[tuple[list[float], list[MetricRow]]]:
+    """Every simulation in this process: smg one after another, the
+    trust-region algorithms as one batch. Raises the error of the first
+    failed simulation."""
+    sims = range(spec.num_simulations)
+    if spec.algorithm == "smg":
+        return [_run_one(spec, sim, oracle) for sim in sims]
+    states = run_batch(oracle, spec.solver, [spec.x0] * spec.num_simulations,
+                       [spec.solver.seed + sim for sim in sims])
+    results = []
+    for sim, s in zip(sims, states):
+        if s.error is not None:
+            raise s.error
+        results.append((list(map(float, s.x)), _rows(sim, s.history)))
+        s.history = []          # each history is freed once converted
+    return results
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
@@ -256,16 +277,21 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
     randomness and never count toward scalar products. The summary reports
     per-simulation final points, their exact objective values, and the value
     at the mean final point. The serial path builds one oracle (one dataset
-    parse) for all simulations and the summary.
+    parse) for all simulations and the summary, and runs the simulations as
+    one batch; simulation i depends only on its seed, so both paths write
+    the same rows.
     """
     workers = spec.parallelism or os.cpu_count() or 1
-    sims = range(spec.num_simulations)
     oracle = spec.build_oracle()
     if workers > 1 and spec.num_simulations > 1:
+        # Imported only here: loading multiprocessing adds about 25 ms to
+        # every invocation that never starts a pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [spec] * spec.num_simulations, sims))
+            results = list(pool.map(_run_one, [spec] * spec.num_simulations,
+                                    range(spec.num_simulations)))
     else:
-        results = [_run_one(spec, sim, oracle) for sim in sims]
+        results = _run_all(spec, oracle)
 
     rows: list[MetricRow] = []
     finals: list[list[float]] = []

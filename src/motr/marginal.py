@@ -2,8 +2,11 @@
 derivative across objectives.
 
 The Euclidean dual is the minimum-norm point in the convex hull of the
-gradients, solved here by Frank-Wolfe with away steps and exact line search.
-A sampling-based evaluator and a q=2 closed form serve as independent checks.
+gradients. It is solved for a whole batch of gradient matrices at once: in
+closed form for one or two objectives (the two-objective case as in MGDA,
+Sener & Koltun 2018), and by Frank-Wolfe with away steps and exact line
+search, one matrix at a time, for three or more. A sampling-based evaluator
+serves as an independent check.
 """
 
 from __future__ import annotations
@@ -33,6 +36,21 @@ class MarginalSolution:
         return self.residual <= 1e-8 * max(1.0, self.omega)
 
 
+@dataclass(frozen=True)
+class MarginalBatch:
+    """MarginalSolution fields stacked along a leading batch axis: omega (B,),
+    direction (B, n), weights (B, q), residual (B,)."""
+
+    omega: np.ndarray
+    direction: np.ndarray
+    weights: np.ndarray
+    residual: np.ndarray
+
+    def solution(self, b: int) -> MarginalSolution:
+        return MarginalSolution(float(self.omega[b]), self.direction[b],
+                                self.weights[b], float(self.residual[b]))
+
+
 def _check_gradients(gradients) -> np.ndarray:
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     if not np.all(np.isfinite(G)):
@@ -40,25 +58,82 @@ def _check_gradients(gradients) -> np.ndarray:
     return G
 
 
-def solve_marginal(gradients, tolerance: float = 1e-10,
-                   max_iters: int | None = None) -> MarginalSolution:
-    """Solve -min_{||d||<=1} max_i <g_i, d> via the dual min-norm-point problem.
+def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two (B, n) stacks, with the same
+    arithmetic as ``u @ v`` on each pair of rows."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
 
-    Returns omega together with an optimal unit-ball direction and dual
-    simplex weights. ``residual`` certifies the remaining duality gap; when
-    the iteration cap is hit first, the best-effort solution is returned with
-    residual > tolerance rather than raising.
+
+def _exact(G: np.ndarray, lam: np.ndarray, tolerance: float) -> MarginalBatch:
+    """Omega and direction at the exact dual weights ``lam`` (B, q); the
+    duality gap is zero up to rounding, and reported as 0."""
+    y = (lam[:, None, :] @ G)[:, 0]
+    omega = np.sqrt(_dot(y, y))
+    descent = omega > tolerance
+    direction = np.where(descent[:, None], -y / np.where(descent, omega, 1.0)[:, None], 0.0)
+    return MarginalBatch(omega, direction, lam, np.zeros_like(omega))
+
+
+def _closed_form_q2(G: np.ndarray) -> np.ndarray:
+    """Dual weights (lam, 1 - lam) of a (B, 2, n) stack: lam* = clamp(<g2,
+    g2-g1> / ||g1-g2||^2, 0, 1), and lam* = 0 for identical gradients."""
+    g1, g2 = G[:, 0], G[:, 1]
+    diff = g1 - g2
+    dd = _dot(diff, diff)
+    ratio = _dot(g2, g2 - g1) / np.where(dd > 0, dd, 1.0)
+    lam = np.where(dd > 0, np.minimum(np.maximum(ratio, 0.0), 1.0), 0.0)
+    return np.stack([lam, 1.0 - lam], axis=1)
+
+
+def solve_marginal_batch(gradients, tolerance: float = 1e-10,
+                         max_iters: int | None = None) -> MarginalBatch:
+    """Solve -min_{||d||<=1} max_i <g_i, d> for each (q, n) matrix of a (B,
+    q, n) stack via the dual min-norm-point problem.
+
+    One objective gives omega = ||g|| and two the closed form; both are exact
+    up to rounding, with residual 0. Three or more go through
+    ``frank_wolfe``, matrix by matrix, with ``tolerance`` and ``max_iters``.
+    A direction is returned only where omega exceeds both ``tolerance`` and
+    the residual.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    G = _check_gradients(gradients)
-    q, n = G.shape
-
+    G = np.asarray(gradients, dtype=float)
+    if not np.all(np.isfinite(G)):
+        raise NonFiniteGradientError("gradient matrix contains NaN/Inf")
+    B, q, n = G.shape
     if q == 1:
-        omega = float(np.linalg.norm(G[0]))
-        direction = -G[0] / omega if omega > tolerance else np.zeros(n)
-        return MarginalSolution(omega, direction, np.ones(1), 0.0)
+        return _exact(G, np.ones((B, 1)), tolerance)
+    if q == 2:
+        return _exact(G, _closed_form_q2(G), tolerance)
+    sols = [frank_wolfe(g, tolerance, max_iters) for g in G]
+    return MarginalBatch(np.array([s.omega for s in sols]).reshape(B),
+                         np.array([s.direction for s in sols]).reshape(B, n),
+                         np.array([s.weights for s in sols]).reshape(B, q),
+                         np.array([s.residual for s in sols]).reshape(B))
 
+
+def solve_marginal(gradients, tolerance: float = 1e-10,
+                   max_iters: int | None = None) -> MarginalSolution:
+    """``solve_marginal_batch`` for one (q, n) gradient matrix.
+
+    Returns omega together with an optimal unit-ball direction and dual
+    simplex weights. ``residual`` certifies the remaining duality gap; when
+    the Frank-Wolfe iteration cap is hit first, the best-effort solution is
+    returned with residual > tolerance rather than raising.
+    """
+    G = _check_gradients(gradients)
+    return solve_marginal_batch(G[None], tolerance, max_iters).solution(0)
+
+
+def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10,
+                max_iters: int | None = None) -> MarginalSolution:
+    """Min-norm point of the hull of the rows of ``G`` (q, n) by Frank-Wolfe
+    with away steps and exact line search (Lacoste-Julien & Jaggi 2015)."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    G = _check_gradients(G)
+    q, n = G.shape
     M = G @ G.T
     lam = np.zeros(q)
     lam[int(np.argmin(np.diag(M)))] = 1.0
@@ -116,21 +191,12 @@ def solve_marginal(gradients, tolerance: float = 1e-10,
 
 
 def solve_marginal_q2_closed_form(g1, g2) -> MarginalSolution:
-    """Exact two-objective solution.
-
-    The dual minimizer of ||lam*g1 + (1-lam)*g2|| over [0, 1] is
-    lam* = clamp(<g2, g2-g1> / ||g1-g2||^2, 0, 1); identical gradients use the
-    lam* = 0 convention (weights (0, 1)).
+    """``solve_marginal_batch``'s two-objective closed form for one pair:
+    lam* = clamp(<g2, g2-g1> / ||g1-g2||^2, 0, 1); identical gradients use
+    the lam* = 0 convention (weights (0, 1)).
     """
-    g1 = _check_gradients(g1)[0]
-    g2 = _check_gradients(g2)[0]
-    diff = g1 - g2
-    dd = float(diff @ diff)
-    lam = float(np.clip(g2 @ (g2 - g1) / dd, 0.0, 1.0)) if dd > 0 else 0.0
-    y = lam * g1 + (1.0 - lam) * g2
-    omega = float(np.linalg.norm(y))
-    direction = -y / omega if omega > 0 else np.zeros_like(y)
-    return MarginalSolution(omega, direction, np.array([lam, 1.0 - lam]), 0.0)
+    G = np.stack([_check_gradients(g1)[0], _check_gradients(g2)[0]])
+    return solve_marginal_batch(G[None]).solution(0)
 
 
 def brute_force_marginal(gradients, num_directions: int,

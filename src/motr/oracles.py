@@ -7,6 +7,7 @@ split into sensitive-attribute groups with adaptive subsampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -18,6 +19,8 @@ from .core import (
     DimensionMismatchError,
     ObjectiveSample,
     Oracle,
+    SampleBatch,
+    as_decision_batch,
     as_decision_vector,
 )
 
@@ -35,26 +38,35 @@ class EmptyGroupError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Analytic two-objective test problems.
+# Analytic two-objective test problems, evaluated on a (B, 2) stack of points.
 
-def _test1(x):
-    f = np.array([x[0] ** 2 + x[1] ** 2,
-                  (x[0] - 5.0) ** 2 + (x[1] - 5.0) ** 2])
-    g = np.array([[2.0 * x[0], 2.0 * x[1]],
-                  [2.0 * (x[0] - 5.0), 2.0 * (x[1] - 5.0)]])
-    h = np.array([2.0 * np.eye(2), 2.0 * np.eye(2)])
+def _test1(X, need_hessians):
+    f = np.empty_like(X)
+    f[:, 0] = X[:, 0] ** 2 + X[:, 1] ** 2
+    f[:, 1] = (X[:, 0] - 5.0) ** 2 + (X[:, 1] - 5.0) ** 2
+    g = np.empty((X.shape[0], 2, 2))
+    g[:, 0] = 2.0 * X
+    g[:, 1] = 2.0 * (X - 5.0)
+    h = np.tile(2.0 * np.eye(2), (X.shape[0], 2, 1, 1)) if need_hessians else None
     return f, g, h
 
 
-def _test2(x):
-    r = np.array([x[0] - 0.5, x[1] - 0.5])
-    e = math.exp(-(r[0] ** 2 + r[1] ** 2))
-    f = np.array([math.sin(x[1]), 1.0 - e])
-    g1 = np.array([0.0, math.cos(x[1])])
-    g2 = 2.0 * r * e
-    h1 = np.array([[0.0, 0.0], [0.0, -math.sin(x[1])]])
-    h2 = e * (2.0 * np.eye(2) - 4.0 * np.outer(r, r))
-    return f, np.array([g1, g2]), np.array([h1, h2])
+def _test2(X, need_hessians):
+    r = X - 0.5
+    e = np.exp(-(r[:, 0] ** 2 + r[:, 1] ** 2))
+    sin = np.sin(X[:, 1])
+    f = np.empty_like(X)
+    f[:, 0] = sin
+    f[:, 1] = 1.0 - e
+    g = np.zeros((X.shape[0], 2, 2))
+    g[:, 0, 1] = np.cos(X[:, 1])
+    g[:, 1] = 2.0 * r * e[:, None]
+    if not need_hessians:
+        return f, g, None
+    h = np.zeros((X.shape[0], 2, 2, 2))
+    h[:, 0, 1, 1] = -sin
+    h[:, 1] = e[:, None, None] * (2.0 * np.eye(2) - 4.0 * (r[:, :, None] * r[:, None, :]))
+    return f, g, h
 
 
 _ANALYTIC = {"test1": _test1, "test2": _test2}
@@ -72,9 +84,14 @@ class AnalyticProblem:
         if self.name not in _ANALYTIC:
             raise ConfigError(f"unknown analytic problem {self.name!r}")
 
+    def exact_batch(self, X, need_hessians: bool = True):
+        """Values (B, q), gradients (B, q, n) and Hessians (B, q, n, n), or
+        None in their place when not ``need_hessians``."""
+        return _ANALYTIC[self.name](as_decision_batch(X, self.n), need_hessians)
+
     def exact(self, x):
-        x = as_decision_vector(x, self.n)
-        return _ANALYTIC[self.name](x)
+        f, g, h = self.exact_batch(as_decision_vector(x, self.n)[None])
+        return f[0], g[0], h[0]
 
 
 @dataclass(frozen=True)
@@ -100,20 +117,66 @@ class NoiseSpec:
             raise ConfigError("bounded noise caps must be positive")
 
 
-def _bounded_scalar(rng, sigma, cap):
-    for _ in range(10_000):
-        eps = rng.normal(0.0, sigma)
-        if abs(eps) <= cap:
-            return eps
-    return 0.0
+@functools.lru_cache(maxsize=16)
+def _noise_layout(noise: NoiseSpec, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the value and gradient noise in one state's draws when no
+    bounded draw is rejected: per objective its value noise, then its
+    gradient noise vector (drawn once, after the first value, when shared)."""
+    if noise.shared_gradient_noise:
+        value_pos = np.r_[0, np.arange(1 + n, q + n)]
+        grad_pos = np.tile(np.arange(1, 1 + n), (q, 1))
+    else:
+        value_pos = np.arange(q) * (1 + n)
+        grad_pos = value_pos[:, None] + 1 + np.arange(n)
+    value_pos.flags.writeable = grad_pos.flags.writeable = False    # cached
+    return value_pos, grad_pos
 
 
-def _bounded_vector(rng, sigma, n, cap):
-    for _ in range(10_000):
-        eps = rng.normal(0.0, sigma, size=n)
-        if np.linalg.norm(eps) <= cap:
-            return eps
-    return np.zeros(n)
+def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
+    """One state's bounded noise draw by draw, rejection by rejection, as
+    (value noise (q,), gradient noise (q, n)). ``first`` holds the draws
+    already taken from ``rng``; further draws are taken only when needed."""
+    pending = list(first)
+
+    def draw(size, cap, norm):
+        for _ in range(10_000):
+            if len(pending) < size:
+                pending.extend(rng.normal(0.0, noise.sigma, size=size - len(pending)))
+            eps = np.array(pending[:size])
+            del pending[:size]
+            if norm(eps) <= cap:
+                return eps
+        return np.zeros(size)
+
+    eps_f, eps_g = np.empty(q), np.empty((q, n))
+    for i in range(q):
+        eps_f[i] = draw(1, noise.cap_f, lambda e: abs(e[0]))[0]
+        eps_g[i] = (eps_g[0] if i and noise.shared_gradient_noise
+                    else draw(n, noise.cap_g, np.linalg.norm))
+    return eps_f, eps_g
+
+
+def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Value noise (B, q) and gradient noise (B, q, n), state b drawing from
+    ``rngs[b]`` in the same order as a one-state draw.
+
+    Each state takes the fewest draws its sequence can use in one call. With
+    ``bounded`` set, a state whose draws are not all clearly within the caps
+    is replayed draw by draw, with the rejection rule applied exactly.
+    """
+    value_pos, grad_pos = _noise_layout(noise, q, n)
+    m = int(max(value_pos.max(), grad_pos.max())) + 1
+    Z = np.array([rng.normal(0.0, noise.sigma, size=m) for rng in rngs]).reshape(-1, m)
+    eps_f, eps_g = Z[:, value_pos], Z[:, grad_pos]
+    if noise.bounded:
+        # A norm computed differently may differ in the last bits, so only
+        # states clearly inside the caps skip the exact replay.
+        margin = 1.0 - 1e-12
+        inside = ((np.abs(eps_f) <= noise.cap_f).all(axis=1)
+                  & (np.sqrt((eps_g * eps_g).sum(axis=2)) <= noise.cap_g * margin).all(axis=1))
+        for b in np.flatnonzero(~inside).tolist():
+            eps_f[b], eps_g[b] = _replay_bounded(noise, rngs[b], Z[b], q, n)
+    return eps_f, eps_g
 
 
 class AnalyticOracle(Oracle):
@@ -128,50 +191,28 @@ class AnalyticOracle(Oracle):
         self.exact_available = True
 
     def exact_evaluate(self, x, need_hessians=False):
-        f, g, h = self.problem.exact(x)
-        return f, g, h if need_hessians else None
+        f, g, h = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
+        return f[0], g[0], None if h is None else h[0]
+
+    def exact_evaluate_batch(self, X, need_hessians=False):
+        return self.problem.exact_batch(X, need_hessians)
 
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        f, g, h = self.problem.exact(x)
-        return noisy_evaluate_arrays(f, g, h if need_hessians else None,
-                                     self.noise, delta, rng)
+        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
 
-
-def noisy_evaluate_arrays(values, gradients, hessians,
-                          noise: NoiseSpec, delta: float,
-                          rng: np.random.Generator) -> ObjectiveSample:
-    """Apply radius-scaled noise to exact arrays and wrap as a sample."""
-    values = np.asarray(values, dtype=float).copy()
-    gradients = np.asarray(gradients, dtype=float).copy()
-    q, n = gradients.shape
-    if noise.sigma > 0:
-        shared = None
-        for i in range(q):
-            if noise.bounded:
-                eps_f = _bounded_scalar(rng, noise.sigma, noise.cap_f)
-            else:
-                eps_f = rng.normal(0.0, noise.sigma)
-            values[i] += eps_f * delta ** 2
-            if noise.shared_gradient_noise:
-                if shared is None:
-                    shared = (_bounded_vector(rng, noise.sigma, n, noise.cap_g)
-                              if noise.bounded else rng.normal(0.0, noise.sigma, size=n))
-                eps_g = shared
-            else:
-                eps_g = (_bounded_vector(rng, noise.sigma, n, noise.cap_g)
-                         if noise.bounded else rng.normal(0.0, noise.sigma, size=n))
-            gradients[i] += eps_g * delta
-    return ObjectiveSample(values=values, gradients=gradients, delta=delta,
-                           sample_sizes=np.zeros(q, dtype=int), cost=0,
-                           hessians=hessians)
-
-
-def noisy_evaluate(problem: AnalyticProblem, noise: NoiseSpec, x, delta: float,
-                   rng: np.random.Generator) -> ObjectiveSample:
-    f, g, _ = problem.exact(x)
-    return noisy_evaluate_arrays(f, g, None, noise, delta, rng)
+    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+        """Exact arrays of every state plus its radius-scaled noise: values
+        get eps * delta^2 and gradients eps * delta."""
+        f, g, h = self.problem.exact_batch(X, need_hessians)
+        deltas = np.asarray(deltas, dtype=float)
+        B, q, n = g.shape
+        if self.noise.sigma > 0:
+            eps_f, eps_g = draw_noise(self.noise, rngs, q, n)
+            f = f + eps_f * (deltas * deltas)[:, None]
+            g = g + eps_g * deltas[:, None, None]
+        return SampleBatch(values=f, gradients=g, delta=deltas,
+                           sample_sizes=np.zeros((B, q), dtype=int),
+                           cost=np.zeros(B, dtype=int), hessians=h)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +302,16 @@ def _group_sample_size(F: float, G: float, delta: float, alpha: float,
                required_sample_size("gradient", float(G), delta, alpha, group_size))
 
 
-def _as_sample(parts, sizes, delta: float, need_hessians: bool) -> ObjectiveSample:
+def _stack_parts(parts, need_hessians: bool):
+    """Values (q,), gradients (q, n) and Hessians (q, n, n) or None from one
+    state's per-group (f, g, H) results."""
     f, g, H = zip(*parts)
-    sizes = np.array(sizes, dtype=int)
-    return ObjectiveSample(values=np.array(f), gradients=np.array(g),
-                           delta=delta, sample_sizes=sizes, cost=int(sizes.sum()),
-                           hessians=np.array(H) if need_hessians else None)
+    return np.array(f), np.array(g), np.array(H) if need_hessians else None
 
 
 # A rejected iteration re-evaluates x, an accepted one moves to the last trial
-# point, and exact_evaluate(x) follows evaluate(x): four points cover reuse.
+# point, and exact_evaluate(x) follows evaluate(x): four points per state in
+# the batch cover reuse.
 _MEMO_POINTS = 4
 
 
@@ -283,9 +324,9 @@ class FiniteSumOracle(Oracle):
 
     Each group's rows are stored once as a contiguous block in ascending row
     order. A full-batch group evaluation draws no randomness, so its result
-    is memoised for the last few points; results are bit-identical to
-    ``subsampled_evaluate`` and costs count the rows requested, memo hits
-    included.
+    is memoised for the last few points of every state in the batch;
+    results are bit-identical to ``subsampled_evaluate`` and costs count the
+    rows requested, memo hits included. A batch is evaluated state by state.
     """
 
     def __init__(self, problem: FiniteSumProblem, constants_mode: str = "estimated",
@@ -308,6 +349,7 @@ class FiniteSumOracle(Oracle):
             order = np.sort(rows)
             self._blocks.append((order, problem.features[order], problem.labels[order]))
         self._memo: OrderedDict = OrderedDict()
+        self._memo_points = _MEMO_POINTS
 
     def group_sizes(self) -> np.ndarray:
         return np.array([g.size for g in self.problem.groups], dtype=int)
@@ -335,14 +377,20 @@ class FiniteSumOracle(Oracle):
                 a.flags.writeable = False
         self._memo[key] = (f, g, H)
         self._memo.move_to_end(key)
-        if len(self._memo) > _MEMO_POINTS * self.q:
+        while len(self._memo) > self._memo_points * self.q:
             self._memo.popitem(last=False)
         return f, g, H
 
     def exact_evaluate(self, x, need_hessians=False):
-        x = as_decision_vector(x, self.n)
-        f, g, H = zip(*(self._group(i, x, rows.size, None, need_hessians)
-                        for i, rows in enumerate(self.problem.groups)))
+        f, g, H = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
+        return f[0], g[0], None if H is None else H[0]
+
+    def exact_evaluate_batch(self, X, need_hessians=False):
+        X = as_decision_batch(X, self.n)
+        self._memo_points = _MEMO_POINTS * X.shape[0]
+        f, g, H = zip(*(_stack_parts([self._group(i, x, rows.size, None, need_hessians)
+                                      for i, rows in enumerate(self.problem.groups)],
+                                     need_hessians) for x in X))
         return np.array(f), np.array(g), np.array(H) if need_hessians else None
 
     def _bound_constants(self, x):
@@ -352,13 +400,26 @@ class FiniteSumOracle(Oracle):
         c = self.constant_value
         return (np.full(self.q, c), np.full(self.q, c))
 
-    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        x = as_decision_vector(x, self.n)
+    def _sample_sizes(self, x, delta, alpha) -> list[int]:
         F, G = self._bound_constants(x)
-        sizes = [_group_sample_size(F[i], G[i], delta, alpha, rows.size)
-                 for i, rows in enumerate(self.problem.groups)]
-        parts = [self._group(i, x, m, rng, need_hessians) for i, m in enumerate(sizes)]
-        return _as_sample(parts, sizes, delta, need_hessians)
+        return [_group_sample_size(F[i], G[i], delta, alpha, rows.size)
+                for i, rows in enumerate(self.problem.groups)]
+
+    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
+        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
+
+    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+        X = as_decision_batch(X, self.n)
+        self._memo_points = _MEMO_POINTS * X.shape[0]
+        sizes = [self._sample_sizes(x, float(delta), alpha)
+                 for x, delta, alpha in zip(X, deltas, alphas)]
+        f, g, H = zip(*(_stack_parts([self._group(i, x, m, rng, need_hessians)
+                                      for i, m in enumerate(ms)], need_hessians)
+                        for x, ms, rng in zip(X, sizes, rngs)))
+        sizes = np.array(sizes, dtype=int).reshape(X.shape[0], self.q)
+        return SampleBatch(values=np.array(f), gradients=np.array(g), delta=deltas,
+                           sample_sizes=sizes, cost=sizes.sum(axis=1),
+                           hessians=np.array(H) if need_hessians else None)
 
 
 def required_sample_size(kind: str, bound_constant: float, delta: float,
@@ -428,7 +489,9 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
         parts.append(_block_eval(problem.features[sub], problem.labels[sub], mask, x,
                                  lam, need_hessians))
         sizes.append(m)
-    return _as_sample(parts, sizes, delta, need_hessians)
+    f, g, H = _stack_parts(parts, need_hessians)
+    return ObjectiveSample(values=f, gradients=g, delta=delta, sample_sizes=sizes,
+                           cost=sum(sizes), hessians=H)
 
 
 class ExactOracle(Oracle):
@@ -447,6 +510,9 @@ class ExactOracle(Oracle):
     def exact_evaluate(self, x, need_hessians=False):
         return self.inner.exact_evaluate(x, need_hessians)
 
+    def exact_evaluate_batch(self, X, need_hessians=False):
+        return self.inner.exact_evaluate_batch(X, need_hessians)
+
     def exact_cost(self) -> int:
         return self.inner.exact_cost()
 
@@ -454,12 +520,14 @@ class ExactOracle(Oracle):
         return self.inner.group_sizes()
 
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        f, g, h = self.inner.exact_evaluate(x, need_hessians)
-        return ObjectiveSample(values=f, gradients=g, delta=delta,
-                               sample_sizes=self.group_sizes(),
-                               cost=self.inner.exact_cost(), hessians=h)
+        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
+
+    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+        f, g, h = self.inner.exact_evaluate_batch(X, need_hessians)
+        B = f.shape[0]
+        return SampleBatch(values=f, gradients=g, delta=deltas,
+                           sample_sizes=np.tile(self.group_sizes(), (B, 1)),
+                           cost=np.full(B, self.exact_cost()), hessians=h)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError, Oracle, SolverConfig, scalar_representation
-from .solver import run_final
+from .core import ConfigError, Oracle, SolverConfig
+# run_final stays importable here: perfbench/tracer.py wraps pareto.run_final.
+from .solver import run_batch, run_final  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -122,17 +123,21 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
             except Exception:
                 logger.warning("skipping failed perturbation point", exc_info=True)
 
-    expanded = list(candidates)
-    for m in expanded:
-        for _ in range(front_config.n_p):
-            seed = int(rng.integers(0, 2**62))
-            cfg = solver_config.with_(seed=seed, k_max=front_config.n_q,
-                                      exact_metrics=False)
-            try:
-                x_final, _ = run_final(oracle, cfg, m.x)
-                candidates.append(ArchiveMember(x=x_final, f=_exact_f(oracle, x_final)))
-            except Exception:
-                logger.warning("skipping failed solver restart", exc_info=True)
+    starts = [m.x for m in candidates for _ in range(front_config.n_p)]
+    seeds = [int(rng.integers(0, 2**62)) for _ in starts]
+    cfg = solver_config.with_(k_max=front_config.n_q, exact_metrics=False)
+    try:        # one restart per start, all advancing together
+        results = [s.error or s.x
+                   for s in run_batch(oracle, cfg, starts, seeds, keep_history=False)]
+    except Exception as exc:
+        results = [exc] * len(starts)
+    for result in results:
+        try:
+            if isinstance(result, Exception):
+                raise result
+            candidates.append(ArchiveMember(x=result, f=_exact_f(oracle, result)))
+        except Exception:
+            logger.warning("skipping failed solver restart", exc_info=True)
 
     filtered = dominance_filter(_dedup(candidates), front_config.weak_dominance)
     return _thin(filtered, front_config.max_size)

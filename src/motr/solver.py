@@ -1,10 +1,12 @@
-"""Stochastic multi-objective trust-region iteration.
+"""Stochastic multi-objective trust-region iteration over a batch of states.
 
-Per iteration: sample the oracle at the current accuracy target, solve the
-common-descent subproblem on the model gradients, take the exact 1-D
-minimizer along that direction (never worse than the guaranteed
-sufficient-decrease step), then run the acceptance-ratio and
-criticality-versus-radius tests to update iterate and radius.
+Per iteration, for every state in lockstep: sample the oracle at the current
+accuracy target, solve the common-descent subproblem on the model
+gradients, take the exact 1-D minimizer along that direction (never worse
+than the guaranteed sufficient-decrease step), then run the acceptance-ratio
+and criticality-versus-radius tests to update iterate and radius. Each state
+draws from its own random stream, so its trajectory does not depend on the
+batch it runs in; a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .core import (
     ObjectiveSample,
     Oracle,
     RngStream,
+    SampleBatch,
     SolverConfig,
     alpha_at,
     as_decision_vector,
-    scalar_representation,
 )
-from .marginal import MarginalSolution, solve_marginal
+# solve_marginal stays importable here: perfbench/tracer.py wraps solver.solve_marginal.
+from .marginal import MarginalSolution, solve_marginal, solve_marginal_batch  # noqa: F401
 
 
 class InconsistentSampleError(ValueError):
@@ -36,74 +39,85 @@ class DegenerateDirectionError(ValueError):
     """The subproblem returned omega = 0: the point is model-critical."""
 
 
-def spectral_norm(H: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration."""
-    H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    if not np.any(H):
-        return 0.0
-    # Deterministic start with all-coordinate support.
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iters):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_est = nw
-        v = w / nw
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
-            return float(new_est)
-        est = new_est
-    return float(est)
+def spectral_norm(H: np.ndarray):
+    """Largest absolute eigenvalue of a symmetric matrix, or of each matrix
+    of a (..., n, n) stack."""
+    norm = np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)
 class ModelSet:
     """Per-iteration max-type quadratic model: base values/gradients per
-    objective plus one shared Hessian; beta = 1 + ||H||."""
+    objective plus one shared Hessian; beta = 1 + ||H||. The batched form
+    carries a leading state axis on every field."""
 
     base_values: np.ndarray
     base_gradients: np.ndarray
     hessian: np.ndarray
-    beta: float
+    beta: float | np.ndarray
+
+    def take(self, index) -> "ModelSet":
+        return ModelSet(self.base_values[index], self.base_gradients[index],
+                        self.hessian[index], self.beta[index])
+
+    def state(self, b: int) -> "ModelSet":
+        return ModelSet(self.base_values[b], self.base_gradients[b], self.hessian[b],
+                        float(self.beta[b]))
 
 
 def combine_hessians(hessians: np.ndarray | None, weights: np.ndarray | None,
                      mode: HessianCombine, n: int) -> np.ndarray:
     """Single model Hessian from per-objective ones: dual-weight average by
-    default, uniform average as the ablation alternative."""
+    default, uniform average as the ablation alternative. Takes (q, n, n)
+    Hessians with (q,) weights, or a (B, q, n, n) stack with (B, q)."""
     if hessians is None:
         return np.zeros((n, n))
     H = np.asarray(hessians, dtype=float)
     if mode is HessianCombine.UNIFORM or weights is None:
-        return H.mean(axis=0)
+        return H.mean(axis=-3)
     w = np.asarray(weights, dtype=float)
-    return np.tensordot(w, H, axes=1)
+    flat = H.reshape(H.shape[:-2] + (n * n,))
+    return (w[..., None, :] @ flat)[..., 0, :].reshape(H.shape[:-3] + (n, n))
+
+
+def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
+                      weights: np.ndarray | None = None,
+                      combine: HessianCombine = HessianCombine.LAMBDA,
+                      oracle: Oracle | None = None) -> ModelSet:
+    """One model per sample, anchored there: value and gradient at 0 match it."""
+    B, q, n = sample.gradients.shape
+    if oracle is not None and (q != oracle.q or n != oracle.n):
+        raise InconsistentSampleError(
+            f"sample is ({q}, {n}), oracle declares ({oracle.q}, {oracle.n})")
+    if hessian_mode is HessianMode.SUBSAMPLED:
+        if sample.hessians is None:
+            raise InconsistentSampleError("subsampled mode needs per-objective hessians")
+        H = combine_hessians(sample.hessians, weights, combine, n)
+        H = 0.5 * (H + H.swapaxes(1, 2))
+        beta = 1.0 + spectral_norm(H)
+    else:
+        H = np.zeros((B, n, n))
+        beta = np.ones(B)
+    return ModelSet(base_values=sample.values.copy(),
+                    base_gradients=sample.gradients.copy(),
+                    hessian=H, beta=beta)
+
+
+def _as_batch(sample: ObjectiveSample) -> SampleBatch:
+    return SampleBatch(sample.values[None], sample.gradients[None], np.array([sample.delta]),
+                       sample.sample_sizes[None], np.array([sample.cost]),
+                       None if sample.hessians is None else sample.hessians[None])
 
 
 def build_model(sample: ObjectiveSample, hessian_mode: HessianMode,
                 weights: np.ndarray | None = None,
                 combine: HessianCombine = HessianCombine.LAMBDA,
                 oracle: Oracle | None = None) -> ModelSet:
-    """Anchor the model at the sample: value and gradient at 0 match it."""
-    if oracle is not None and (sample.q != oracle.q or sample.n != oracle.n):
-        raise InconsistentSampleError(
-            f"sample is ({sample.q}, {sample.n}), oracle declares ({oracle.q}, {oracle.n})")
-    n = sample.n
-    if hessian_mode is HessianMode.SUBSAMPLED:
-        if sample.hessians is None:
-            raise InconsistentSampleError("subsampled mode needs per-objective hessians")
-        H = combine_hessians(sample.hessians, weights, combine, n)
-        H = 0.5 * (H + H.T)
-        beta = 1.0 + spectral_norm(H)
-    else:
-        H = np.zeros((n, n))
-        beta = 1.0
-    return ModelSet(base_values=sample.values.copy(),
-                    base_gradients=sample.gradients.copy(),
-                    hessian=H, beta=beta)
+    """``build_model_batch`` for one sample."""
+    return build_model_batch(_as_batch(sample), hessian_mode,
+                             None if weights is None else np.asarray(weights)[None],
+                             combine, oracle).state(0)
 
 
 def evaluate_model(model: ModelSet, d) -> float:
@@ -112,47 +126,62 @@ def evaluate_model(model: ModelSet, d) -> float:
     return float(np.max(linear) + 0.5 * d @ (model.hessian @ d))
 
 
-def cauchy_step(model: ModelSet, marginal: MarginalSolution,
-                delta: float) -> tuple[np.ndarray, float]:
-    """Exact 1-D minimizer of the model along the common-descent direction.
+def cauchy_step_batch(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
+                      delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 1-D minimizer of each state's model along its common-descent
+    direction: steps (B, n) and predicted reductions (B,).
 
     The model along alpha*d is piecewise quadratic with O(q^2) breakpoints
     where the active objective changes; enumerating those plus each piece's
     vertex (and the guaranteed step min(delta, omega/beta)) gives the exact
     minimizer, so the predicted reduction is never below
-    0.5 * omega * min(delta, omega/beta).
+    0.5 * omega * min(delta, omega/beta). All candidates are evaluated at
+    once; the first one with the least model value wins, and alpha = 0 comes
+    first, so a candidate is taken only on strict decrease.
     """
-    if delta <= 0:
+    if np.any(delta <= 0):
         raise ValueError("delta must be positive")
-    if marginal.omega <= 0 or not np.any(marginal.direction):
+    if np.any((omega <= 0) | ~direction.any(axis=1)):
         raise DegenerateDirectionError("omega = 0: no descent direction")
-    d_star = marginal.direction
-    slopes = model.base_gradients @ d_star
-    curv = float(d_star @ (model.hessian @ d_star))
-
-    candidates = [delta, min(delta, marginal.omega / model.beta)]
     vals = model.base_values
-    q = vals.shape[0]
-    for i in range(q):
-        if curv > 0:
-            vertex = -slopes[i] / curv
-            if 0.0 < vertex < delta:
-                candidates.append(vertex)
-        for j in range(i + 1, q):
-            denom = slopes[i] - slopes[j]
-            if denom != 0.0:
-                alpha = (vals[j] - vals[i]) / denom
-                if 0.0 < alpha < delta:
-                    candidates.append(alpha)
+    d = direction[:, :, None]
+    slopes = (model.base_gradients @ d)[:, :, 0]
+    curv = (direction[:, None, :] @ (model.hessian @ d))[:, 0, 0]
 
-    m0 = float(np.max(vals))
-    best_alpha, best_val = 0.0, m0
-    for alpha in candidates:
-        val = float(np.max(vals + alpha * slopes)) + 0.5 * curv * alpha * alpha
-        if val < best_val:
-            best_alpha, best_val = alpha, val
-    d_c = best_alpha * d_star
-    return d_c, m0 - best_val
+    def inside(numerator, denominator, valid):
+        """numerator / denominator where ``valid`` and strictly inside
+        (0, delta), else NaN."""
+        alpha = numerator / np.where(valid, denominator, 1.0)
+        return np.where(valid & (0.0 < alpha) & (alpha < delta), alpha, np.nan)
+
+    candidates = [np.zeros_like(delta), delta, np.minimum(delta, omega / model.beta)]
+    q = vals.shape[1]
+    curved = curv > 0
+    for i in range(q):
+        if curved.any():                # else no piece has a vertex
+            candidates.append(inside(-slopes[:, i], curv, curved))
+        for j in range(i + 1, q):
+            denom = slopes[:, i] - slopes[:, j]
+            candidates.append(inside(vals[:, j] - vals[:, i], denom, denom != 0.0))
+    alphas = np.stack(candidates, axis=1)
+    m0 = vals.max(axis=1)
+    value = ((vals[:, None, :] + alphas[:, :, None] * slopes[:, None, :]).max(axis=2)
+             + 0.5 * curv[:, None] * alphas * alphas)
+    value[np.isnan(value)] = np.inf
+    best = np.argmin(value, axis=1)
+    rows = np.arange(best.size)
+    return alphas[rows, best][:, None] * direction, m0 - value[rows, best]
+
+
+def cauchy_step(model: ModelSet, marginal: MarginalSolution,
+                delta: float) -> tuple[np.ndarray, float]:
+    """``cauchy_step_batch`` for one state."""
+    batch = ModelSet(model.base_values[None], model.base_gradients[None],
+                     model.hessian[None], np.array([model.beta]))
+    d, predicted = cauchy_step_batch(batch, np.array([marginal.omega]),
+                                     np.asarray(marginal.direction, dtype=float)[None],
+                                     np.array([delta], dtype=float))
+    return d[0], float(predicted[0])
 
 
 def refine_step(model: ModelSet, d: np.ndarray, delta: float,
@@ -178,13 +207,13 @@ def refine_step(model: ModelSet, d: np.ndarray, delta: float,
     return d, m0 - best
 
 
-def compute_rho(phi_tilde_at_x: float, phi_tilde_at_trial: float,
-                predicted_reduction: float, guard: float) -> float:
-    """Acceptance ratio; a predicted reduction at or below the guard yields
-    -inf, forcing an unsuccessful iteration."""
-    if predicted_reduction <= guard:
-        return -math.inf
-    return (phi_tilde_at_x - phi_tilde_at_trial) / predicted_reduction
+def compute_rho(phi_tilde_at_x, phi_tilde_at_trial, predicted_reduction, guard):
+    """Acceptance ratio, elementwise; a predicted reduction at or below the
+    guard yields -inf, forcing an unsuccessful iteration."""
+    guarded = np.asarray(predicted_reduction) <= guard
+    rho = np.where(guarded, -math.inf, (np.asarray(phi_tilde_at_x) - phi_tilde_at_trial)
+                   / np.where(guarded, 1.0, predicted_reduction))
+    return float(rho) if rho.ndim == 0 else rho
 
 
 @dataclass(frozen=True)
@@ -206,7 +235,8 @@ class IterationRecord:
 
 @dataclass
 class TrustRegionState:
-    """Mutable per-run state; owned by exactly one run."""
+    """Mutable per-run state; owned by exactly one run. ``error`` holds the
+    exception that stopped the run, if any."""
 
     x: np.ndarray
     delta: float
@@ -214,74 +244,127 @@ class TrustRegionState:
     k: int = 0
     cumulative_cost: int = 0
     history: list[IterationRecord] = field(default_factory=list)
+    error: Exception | None = None
 
 
-def init_state(x0, config: SolverConfig, n: int | None = None) -> TrustRegionState:
+def init_state(x0, config: SolverConfig, n: int | None = None,
+               seed: int | None = None) -> TrustRegionState:
+    """A fresh state at ``x0`` whose stream is seeded by ``seed``
+    (default ``config.seed``)."""
     return TrustRegionState(x=as_decision_vector(x0, n), delta=config.delta0,
-                            rng=RngStream(config.seed).generator())
+                            rng=RngStream(config.seed if seed is None else seed).generator())
 
 
-def _exact_metrics(oracle: Oracle, x, tolerance: float):
-    values, gradients, _ = oracle.exact_evaluate(x)
-    omega = solve_marginal(gradients, tolerance=tolerance).omega
-    return omega, scalar_representation(values)
+def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
+                  config: SolverConfig, keep_history: bool = True) -> None:
+    """One full trust-region iteration of every state that has not failed,
+    in lockstep; appends an IterationRecord to each (unless not
+    ``keep_history``).
+
+    A state draws from its own stream in the order of a single run: its
+    sample, then its trial point if it has a descent direction. A state
+    whose sample or trial is invalid gets ``error`` set, keeps its iterate,
+    radius and history, and takes no further part.
+    """
+    for s in states:
+        if s.error is None and not s.delta > 0:
+            s.error = ValueError("delta must be positive")
+    live = [s for s in states if s.error is None]
+    if not live:
+        return
+    alphas = [alpha_at(config.alpha_schedule, s.k, oracle.q) for s in live]
+    X = np.array([s.x for s in live])
+    deltas = np.array([s.delta for s in live])
+    need_h = config.hessian_mode is HessianMode.SUBSAMPLED
+    sample = oracle.evaluate_batch(X, deltas, alphas, [s.rng for s in live],
+                                   need_hessians=need_h)
+    if sample.errors:
+        for b, exc in sample.errors.items():
+            live[b].error = exc
+        keep = [b for b in range(len(live)) if b not in sample.errors]
+        live, alphas = [live[b] for b in keep], [alphas[b] for b in keep]
+        X, deltas, sample = X[keep], deltas[keep], sample.take(keep)
+        if not live:
+            return
+    marg = solve_marginal_batch(sample.gradients, tolerance=config.marginal_tol)
+    phi_tilde = sample.values.max(axis=1)
+
+    B = len(live)
+    omega_true = phi_true = [None] * B
+    if config.exact_metrics and oracle.exact_available:
+        # Instrumentation only: no rng draws, not counted as cost.
+        values, gradients, _ = oracle.exact_evaluate_batch(X)
+        omega_true = solve_marginal_batch(gradients, config.marginal_tol).omega.tolist()
+        phi_true = values.max(axis=1).tolist()
+
+    rho = np.full(B, -math.inf)
+    success = np.zeros(B, dtype=bool)
+    step = np.zeros_like(X)
+    predicted = np.zeros(B)
+    beta = np.ones(B)
+    cost = sample.cost.copy()
+    act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
+    if act.size:
+        model = build_model_batch(sample, config.hessian_mode, weights=marg.weights,
+                                  combine=config.hessian_combine, oracle=oracle).take(act)
+        d, pred = cauchy_step_batch(model, marg.omega[act], marg.direction[act], deltas[act])
+        if config.refine_steps:
+            for j, b in enumerate(act.tolist()):
+                d[j], pred[j] = refine_step(model.state(j), d[j], deltas[b], pred[j],
+                                            config.refine_steps)
+        trial = oracle.evaluate_batch(X[act] + d, deltas[act], [alphas[b] for b in act],
+                                      [live[b].rng for b in act])
+        guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[act]))
+        rho[act] = compute_rho(phi_tilde[act], trial.values.max(axis=1), pred, guard)
+        success[act] = (rho[act] >= config.eta1) & (marg.omega[act] > config.theta * deltas[act])
+        step[act], predicted[act], beta[act] = d, pred, model.beta
+        cost[act] += trial.cost
+        for j, exc in trial.errors.items():
+            live[act[j]].error = exc
+
+    X = np.where(success[:, None], X + step, X)
+    deltas = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
+                      config.gamma1 * deltas)
+    rows = zip(live, X, deltas.tolist(), cost.tolist(), marg.omega.tolist(), omega_true,
+               phi_tilde.tolist(), phi_true, rho.tolist(), success.tolist(),
+               np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]).tolist(),
+               predicted.tolist(), beta.tolist(), sample.sample_sizes)
+    for (s, x, delta, c, om, ot, pt, ptrue, r, ok, norm, pred, bt, sizes) in rows:
+        if s.error is not None:
+            continue
+        delta_k = s.delta
+        s.x, s.delta = x, delta
+        s.cumulative_cost += c
+        if keep_history:
+            s.history.append(IterationRecord(
+                k=s.k, omega_m=om, omega_true=ot, phi_tilde=pt, phi_true=ptrue, rho=r,
+                delta=delta_k, success=ok, step_norm=norm, cost_so_far=s.cumulative_cost,
+                sample_sizes=sizes.copy(), predicted_reduction=pred, beta=bt))
+        s.k += 1
 
 
 def smop_iterate(state: TrustRegionState, oracle: Oracle,
                  config: SolverConfig) -> TrustRegionState:
-    """One full trust-region iteration; appends an IterationRecord."""
-    alpha = alpha_at(config.alpha_schedule, state.k, oracle.q)
-    delta_k = state.delta
-    need_h = config.hessian_mode is HessianMode.SUBSAMPLED
-    sample = oracle.evaluate(state.x, state.delta, alpha, state.rng,
-                             need_hessians=need_h)
-    cost = sample.cost
-    marg = solve_marginal(sample.gradients, tolerance=config.marginal_tol)
-    phi_tilde = scalar_representation(sample.values)
-
-    omega_true = phi_true = None
-    if config.exact_metrics and oracle.exact_available:
-        # Instrumentation only: no rng draws, not counted as cost.
-        omega_true, phi_true = _exact_metrics(oracle, state.x, config.marginal_tol)
-
-    success = False
-    rho = -math.inf
-    step_norm = 0.0
-    predicted = 0.0
-    beta = 1.0
-    d = None
-    if marg.omega > config.omega_tol and np.any(marg.direction):
-        model = build_model(sample, config.hessian_mode, weights=marg.weights,
-                            combine=config.hessian_combine, oracle=oracle)
-        beta = model.beta
-        d, predicted = cauchy_step(model, marg, state.delta)
-        if config.refine_steps:
-            d, predicted = refine_step(model, d, state.delta, predicted,
-                                       config.refine_steps)
-        trial = oracle.evaluate(state.x + d, state.delta, alpha, state.rng)
-        cost += trial.cost
-        phi_trial = scalar_representation(trial.values)
-        guard = config.rho_guard * max(1.0, abs(phi_tilde))
-        rho = compute_rho(phi_tilde, phi_trial, predicted, guard)
-        success = rho >= config.eta1 and marg.omega > config.theta * state.delta
-        step_norm = float(np.linalg.norm(d))
-
-    if success:
-        state.x = state.x + d
-        state.delta = min(config.delta_max, config.gamma2 * state.delta)
-    else:
-        state.delta = config.gamma1 * state.delta
-
-    state.cumulative_cost += cost
-    state.history.append(IterationRecord(
-        k=state.k, omega_m=marg.omega, omega_true=omega_true,
-        phi_tilde=phi_tilde, phi_true=phi_true, rho=rho,
-        delta=delta_k, success=success, step_norm=step_norm,
-        cost_so_far=state.cumulative_cost,
-        sample_sizes=sample.sample_sizes.copy(),
-        predicted_reduction=predicted, beta=beta))
-    state.k += 1
+    """``iterate_batch`` for one state; raises the state's error."""
+    iterate_batch([state], oracle, config)
+    if state.error is not None:
+        raise state.error
     return state
+
+
+def run_batch(oracle: Oracle, config: SolverConfig, x0s, seeds,
+              keep_history: bool = True) -> list[TrustRegionState]:
+    """One state per (x0, seed) pair, run in lockstep for k_max iterations.
+
+    State b is seeded with ``seeds[b]`` and ends as a single run from
+    ``x0s[b]`` with that seed would. A state that fails stops with its
+    ``error`` set; the others go on. Without ``keep_history`` the states
+    keep no records, which a batch holds for all its states at once.
+    """
+    states = [init_state(x0, config, oracle.n, seed) for x0, seed in zip(x0s, seeds)]
+    for _ in range(config.k_max):
+        iterate_batch(states, oracle, config, keep_history)
+    return states
 
 
 def run(oracle: Oracle, config: SolverConfig, x0) -> list[IterationRecord]:
@@ -290,9 +373,10 @@ def run(oracle: Oracle, config: SolverConfig, x0) -> list[IterationRecord]:
 
 
 def run_final(oracle: Oracle, config: SolverConfig, x0) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Loop smop_iterate for k_max iterations; deterministic given the seed.
-    Returns the final iterate and the iteration history."""
-    state = init_state(x0, config, oracle.n)
-    for _ in range(config.k_max):
-        smop_iterate(state, oracle, config)
+    """``run_batch`` for one state seeded with ``config.seed``; deterministic.
+    Returns the final iterate and the iteration history, or raises the
+    error that stopped the run."""
+    state, = run_batch(oracle, config, [x0], [config.seed])
+    if state.error is not None:
+        raise state.error
     return state.x, state.history

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import PoisonedOracle
 
 from motr import harness
 from motr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -174,6 +175,22 @@ def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
     assert summary == pool_summary
 
 
+@pytest.mark.parametrize("problem, noise", [
+    ("test1", NoiseSpec(sigma=0.1)),
+    ("test2", NoiseSpec(sigma=0.05, bounded=True, cap_f=0.5, cap_g=0.5))])
+def test_serial_batch_and_process_pool_write_identical_files(tmp_path, problem, noise):
+    # The serial path runs the simulations as one batch, each pool worker runs
+    # one simulation alone: a simulation's output must not depend on that.
+    spec = _tiny_spec(problem=problem, noise=noise, num_simulations=4, x0=(2.0, -0.5),
+                      solver=SolverConfig(k_max=60, seed=3))
+    files = []
+    for name, workers in (("serial.csv", 1), ("pool.csv", 2)):
+        rows, summary = run_experiment(replace(spec, parallelism=workers))
+        emit(rows, str(tmp_path / name), "csv", summary)
+        files.append([(tmp_path / f).read_bytes() for f in (name, name + ".summary.json")])
+    assert files[0] == files[1]
+
+
 def _write_cfg(tmp_path, text):
     p = tmp_path / "exp.cfg"
     p.write_text(text)
@@ -199,6 +216,25 @@ def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
         assert main(["validate", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", [
+    "noise_bounded = ture", "noise_shared_gradient = yess", "has_header = 2",
+    "keep_sensitive = nope", "front_weak = ture", "smg_delta = -1", "smg_delta = 0"])
+def test_cli_validate_rejects_bad_values(tmp_path, capsys, line):
+    cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\n")
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
+    cfg = _write_cfg(tmp_path, "problem = test1\nx0 = 9,9\nk_max = 5\n"
+                               "num_simulations = 3\nparallelism = 1\n")
+    monkeypatch.setattr(harness.ExperimentSpec, "build_oracle",
+                        lambda spec: PoisonedOracle.at(spec.x0))
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: objective sample contains NaN/Inf\n"
 
 
 def test_cli_default_length_synthetic_run_completes(tmp_path):

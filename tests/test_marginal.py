@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motr.marginal import (
     NonFiniteGradientError,
     brute_force_marginal,
+    frank_wolfe,
     solve_marginal,
+    solve_marginal_batch,
     solve_marginal_q2_closed_form,
 )
 
@@ -135,3 +139,57 @@ def test_solver_agrees_with_brute_force_sample():
         exact = solve_marginal(G).omega
         sampled = brute_force_marginal(G, 10_000)
         assert abs(exact - sampled) <= 2e-2
+
+
+_TOL = 1e-10
+# Frank-Wolfe stops once its gaps fall below 64 eps max(1, |M|): it cannot
+# resolve gradients much below 1e-7, so tiny nonzero coordinates are left out.
+_COORD = st.floats(-100.0, 100.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+def _pairs():
+    """Random pairs of gradients plus the degenerate kinds: identical,
+    antiparallel, one zero, both zero."""
+    vec = st.integers(1, 6).flatmap(lambda n: st.lists(_COORD, min_size=n, max_size=n))
+    random = st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.lists(_COORD, min_size=n, max_size=n)] * 2))
+    degenerate = st.tuples(vec, st.sampled_from(["same", "opposite", "zero", "both_zero"]))
+    make = {"same": lambda g: (g, g), "opposite": lambda g: (g, [-v for v in g]),
+            "zero": lambda g: (g, [0.0] * len(g)),
+            "both_zero": lambda g: ([0.0] * len(g), [0.0] * len(g))}
+    return random | degenerate.map(lambda t: make[t[1]](t[0]))
+
+
+def _check_against_frank_wolfe(G, closed):
+    fw = frank_wolfe(G, _TOL)
+    omega = closed.omega
+    assert abs(fw.omega - omega) <= 1e-12 * max(1.0, omega)
+    assert fw.residual <= _TOL
+    # The closed form's own gap: omega minus the primal value of its direction.
+    y = closed.weights @ G
+    if omega > 0:
+        assert omega - max(float(np.min(G @ y)) / omega, 0.0) <= _TOL
+    if omega > _TOL:
+        np.testing.assert_allclose(closed.direction, fw.direction, rtol=0, atol=1e-10)
+    else:
+        assert not np.any(closed.direction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_pairs())
+def test_frank_wolfe_agrees_with_closed_form_q2(pair):
+    G = np.array(pair, dtype=float)
+    _check_against_frank_wolfe(G, solve_marginal_q2_closed_form(G[0], G[1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(_pairs(), min_size=1, max_size=8), n=st.integers(1, 6))
+def test_batched_closed_form_agrees_with_frank_wolfe(pairs, n):
+    # One stack of equal-width pairs; each row is checked on its own.
+    G = np.array([[(list(g1) * n)[:n], (list(g2) * n)[:n]] for g1, g2 in pairs], dtype=float)
+    batch = solve_marginal_batch(G, _TOL)
+    for b, g in enumerate(G):
+        _check_against_frank_wolfe(g, batch.solution(b))
+        single = solve_marginal(g)
+        assert single.omega == batch.omega[b]
+        np.testing.assert_array_equal(single.direction, batch.direction[b])

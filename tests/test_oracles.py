@@ -19,9 +19,9 @@ from motr.oracles import (
     NoiseSpec,
     ParseError,
     analytic_bound_constants,
+    draw_noise,
     load_dataset,
     make_synthetic_logistic,
-    noisy_evaluate,
     required_sample_size,
     subsampled_evaluate,
 )
@@ -81,7 +81,7 @@ def test_noise_spec_validation():
 def test_zero_sigma_is_exact():
     prob = AnalyticProblem("test1")
     rng = RngStream(0).generator()
-    s = noisy_evaluate(prob, NoiseSpec(sigma=0.0), np.array([1.0, 2.0]), 0.5, rng)
+    s = AnalyticOracle(prob, NoiseSpec(sigma=0.0)).evaluate(np.array([1.0, 2.0]), 0.5, 0.5, rng)
     f, g, _ = prob.exact(np.array([1.0, 2.0]))
     np.testing.assert_array_equal(s.values, f)
     np.testing.assert_array_equal(s.gradients, g)
@@ -96,9 +96,9 @@ def test_noise_scaling_law():
     x = np.array([1.0, 1.0])
     sigma, delta = 0.7, 0.3
     f_exact, _, _ = prob.exact(x)
-    diffs = np.array([
-        noisy_evaluate(prob, NoiseSpec(sigma=sigma), x, delta, rng).values[0] - f_exact[0]
-        for _ in range(10_000)])
+    oracle = AnalyticOracle(prob, NoiseSpec(sigma=sigma))
+    diffs = np.array([oracle.evaluate(x, delta, 0.5, rng).values[0] - f_exact[0]
+                      for _ in range(10_000)])
     assert np.var(diffs) == pytest.approx(sigma**2 * delta**4, rel=0.05)
 
 
@@ -110,7 +110,7 @@ def test_bounded_noise_caps_hold_deterministically():
     f, g, _ = prob.exact(x)
     for delta in (0.05, 0.5, 2.0):
         for _ in range(200):
-            s = noisy_evaluate(prob, spec, x, delta, rng)
+            s = AnalyticOracle(prob, spec).evaluate(x, delta, 0.5, rng)
             assert np.all(np.abs(s.values - f) <= spec.cap_f * delta**2 + 1e-12)
             for i in range(2):
                 assert np.linalg.norm(s.gradients[i] - g[i]) <= spec.cap_g * delta + 1e-12
@@ -121,9 +121,48 @@ def test_shared_gradient_noise_flag():
     rng = RngStream(14).generator()
     x = np.array([1.0, 1.0])
     _, g, _ = prob.exact(x)
-    s = noisy_evaluate(prob, NoiseSpec(sigma=1.0, shared_gradient_noise=True),
-                       x, 0.5, rng)
+    s = AnalyticOracle(prob, NoiseSpec(sigma=1.0, shared_gradient_noise=True)).evaluate(
+        x, 0.5, 0.5, rng)
     np.testing.assert_allclose(s.gradients[0] - g[0], s.gradients[1] - g[1])
+
+
+def _sequential_noise(noise, rng, q, n):
+    """Reference one-state draw: per objective its value noise, then its
+    gradient noise (drawn once, for the first objective, when shared); each
+    bounded draw is repeated until it lies within its cap."""
+    def draw(size, cap, norm):
+        for _ in range(10_000):
+            eps = rng.normal(0.0, noise.sigma, size=size)
+            if not noise.bounded or norm(eps) <= cap:
+                return eps
+        return np.zeros(size) if size else 0.0
+    eps_f, eps_g, shared = np.zeros(q), np.zeros((q, n)), None
+    for i in range(q):
+        eps_f[i] = draw(None, noise.cap_f, abs)
+        if shared is None or not noise.shared_gradient_noise:
+            shared = draw(n, noise.cap_g, np.linalg.norm)
+        eps_g[i] = shared
+    return eps_f, eps_g
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), q=st.integers(1, 3),
+       n=st.integers(1, 4), sigma=st.sampled_from([0.1, 0.5, 1.0]),
+       bounded=st.booleans(), caps=st.sampled_from([(0.05, 0.5), (0.5, 0.5), (1.0, 3.0)]),
+       shared=st.booleans())
+def test_noise_draws_match_sequential_reference(seed, size, q, n, sigma, bounded, caps,
+                                                shared):
+    noise = NoiseSpec(sigma=sigma, bounded=bounded, cap_f=caps[0], cap_g=caps[1],
+                      shared_gradient_noise=shared)
+    rngs = [RngStream(seed, b).generator() for b in range(size)]
+    refs = [RngStream(seed, b).generator() for b in range(size)]
+    for _ in range(3):
+        eps_f, eps_g = draw_noise(noise, rngs, q, n)
+        for b in range(size):
+            want_f, want_g = _sequential_noise(noise, refs[b], q, n)
+            np.testing.assert_array_equal(eps_f[b], want_f)
+            np.testing.assert_array_equal(eps_g[b], want_g)
+            assert repr(rngs[b].bit_generator.state) == repr(refs[b].bit_generator.state)
 
 
 def test_required_sample_size_reference_value():

@@ -1,10 +1,15 @@
 """Non-dominated archive maintenance and front exploration rounds."""
 
+import logging
+
 import numpy as np
 import pytest
+from conftest import PoisonedOracle
 
+from motr import pareto
 from motr.core import ConfigError, RngStream, SolverConfig
 from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
+from motr.solver import run_final
 from motr.pareto import (
     ArchiveMember,
     FrontConfig,
@@ -98,6 +103,61 @@ def test_front_round_keeps_non_domination_and_prior_members():
     for m in new:
         for old in archive:
             assert not np.all(old.f < m.f)
+
+
+def test_front_round_skips_only_the_failed_restart(monkeypatch, caplog):
+    # All restarts of a round run as one batch; one whose samples are NaN is
+    # skipped with a warning and the rest end exactly as single runs would.
+    fc = FrontConfig(init_count=8, n_q=15, rounds=1)
+    sc = SolverConfig()
+    rng = RngStream(35).generator()
+    archive = init_front(fc, AnalyticOracle(AnalyticProblem("test1")), rng)
+    oracle = PoisonedOracle.at(archive[1].x)
+    batches = []
+
+    def spy(*args, **kwargs):
+        states = real(*args, **kwargs)
+        batches.append((args, states))
+        return states
+    real = pareto.run_batch
+    monkeypatch.setattr(pareto, "run_batch", spy)
+    with caplog.at_level(logging.WARNING, logger="motr.pareto"):
+        result = front_round(archive, oracle, fc, sc, rng)
+
+    assert [r.getMessage() for r in caplog.records] == ["skipping failed solver restart"]
+    (_, cfg, starts, seeds), states = batches[0]
+    assert [b for b, s in enumerate(states) if s.error is not None] == [1]
+    clean = PoisonedOracle(lambda X: np.zeros(len(X), dtype=bool))
+    candidates = [ArchiveMember(x=x0, f=clean.exact_evaluate(x0)[0]) for x0 in starts]
+    for b, (x0, seed, state) in enumerate(zip(starts, seeds, states)):
+        if b == 1:
+            continue
+        x, history = run_final(clean, cfg.with_(seed=seed), x0)
+        np.testing.assert_array_equal(state.x, x)
+        assert state.k == len(history) == cfg.k_max
+        candidates.append(ArchiveMember(x=x, f=clean.exact_evaluate(x)[0]))
+    expected = _thin(dominance_filter(_dedup(candidates)), fc.max_size)
+    assert len(result) == len(expected)
+    for got, want in zip(result, expected):
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.f, want.f)
+
+
+def test_front_round_skips_every_restart_when_the_batch_fails(caplog):
+    class Broken(AnalyticOracle):
+        def evaluate_batch(self, *args, **kwargs):
+            raise RuntimeError("oracle down")
+
+    oracle = Broken(AnalyticProblem("test1"))
+    fc = FrontConfig(init_count=6, n_q=5, rounds=1)
+    rng = RngStream(36).generator()
+    archive = init_front(fc, oracle, rng)
+    with caplog.at_level(logging.WARNING, logger="motr.pareto"):
+        result = front_round(archive, oracle, fc, SolverConfig(), rng)
+    restarts = 2 * len(archive)         # each member and its perturbation
+    assert [r.getMessage() for r in caplog.records] == \
+        ["skipping failed solver restart"] * restarts
+    assert result and len(dominance_filter(result)) == len(result)
 
 
 def test_front_round_requires_non_empty_archive():

@@ -1,9 +1,13 @@
 """Trust-region iteration: model building, Cauchy step, acceptance, dynamics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import PoisonedOracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motr.core import (
     HessianCombine,
@@ -13,10 +17,18 @@ from motr.core import (
     SolverConfig,
 )
 from motr.marginal import solve_marginal
-from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
+from motr.oracles import (
+    AnalyticOracle,
+    AnalyticProblem,
+    ExactOracle,
+    FiniteSumOracle,
+    NoiseSpec,
+    make_synthetic_logistic,
+)
 from motr.solver import (
     DegenerateDirectionError,
     InconsistentSampleError,
+    IterationRecord,
     ModelSet,
     build_model,
     cauchy_step,
@@ -25,6 +37,7 @@ from motr.solver import (
     evaluate_model,
     init_state,
     run,
+    run_batch,
     run_final,
     smop_iterate,
     spectral_norm,
@@ -41,6 +54,22 @@ def _sample(values, gradients, hessians=None, delta=1.0):
 def test_spectral_norm_diagonal():
     assert spectral_norm(np.diag([2.0, 0.5])) == pytest.approx(2.0, rel=1e-7)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), stack=st.integers(1, 4),
+       kind=st.sampled_from(["indefinite", "semidefinite", "negative", "zero"]))
+def test_spectral_norm_matches_eigvalsh(seed, n, stack, kind):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((stack, n, n)) * 10.0 ** rng.uniform(-3, 3)
+    H = {"indefinite": A + A.swapaxes(1, 2), "semidefinite": A @ A.swapaxes(1, 2),
+         "negative": -(A @ A.swapaxes(1, 2)), "zero": np.zeros_like(A)}[kind]
+    want = np.array([np.abs(np.linalg.eigvalsh(h)).max() for h in H])
+    np.testing.assert_array_equal(spectral_norm(H), want)
+    for h, w in zip(H, want):
+        norm = spectral_norm(h)
+        assert isinstance(norm, float) and norm == w
+        assert norm == pytest.approx(np.linalg.norm(h, 2), rel=1e-12, abs=1e-300)
 
 
 def test_build_model_first_order():
@@ -258,3 +287,88 @@ def test_refine_step_never_worse():
             bound = 0.5 * b.omega_m * min(b.delta, b.omega_m / b.beta)
             assert b.predicted_reduction >= bound - 1e-12
     assert refined[0].predicted_reduction >= base[0].predicted_reduction - 1e-12
+
+
+_LOGISTIC = make_synthetic_logistic(60, 4, seed=3)
+_NOISES = {"plain": NoiseSpec(sigma=0.1),
+           # Tight caps: about a third of the bounded draws are rejected.
+           "bounded": NoiseSpec(sigma=0.5, bounded=True, cap_f=0.5, cap_g=0.6),
+           "shared": NoiseSpec(sigma=0.1, shared_gradient_noise=True),
+           "bounded_shared": NoiseSpec(sigma=0.5, bounded=True, cap_f=0.5, cap_g=0.6,
+                                       shared_gradient_noise=True)}
+_BATCH_CASES = (
+    [(f"{p}-{k}", lambda p=p, k=k: AnalyticOracle(AnalyticProblem(p), _NOISES[k]),
+      HessianMode.ZERO) for p in ("test1", "test2") for k in _NOISES]
+    + [("test2-hessian", lambda: AnalyticOracle(AnalyticProblem("test2"), _NOISES["plain"]),
+        HessianMode.SUBSAMPLED),
+       # Noise this small leaves the states started on the Pareto set
+       # without a descent direction: they draw a sample but no trial.
+       ("test1-critical", lambda: AnalyticOracle(AnalyticProblem("test1"),
+                                                 NoiseSpec(sigma=1e-14)), HessianMode.ZERO),
+       ("exact", lambda: ExactOracle(FiniteSumOracle(_LOGISTIC)), HessianMode.ZERO),
+       ("finite-zero", lambda: FiniteSumOracle(_LOGISTIC), HessianMode.ZERO),
+       ("finite-subsampled", lambda: FiniteSumOracle(_LOGISTIC), HessianMode.SUBSAMPLED)])
+
+
+def _assert_same_run(a_x, a_hist, b_x, b_hist):
+    np.testing.assert_array_equal(a_x, b_x)
+    assert len(a_hist) == len(b_hist)
+    for ra, rb in zip(a_hist, b_hist):
+        for f in dataclasses.fields(IterationRecord):
+            va, vb = getattr(ra, f.name), getattr(rb, f.name)
+            if isinstance(va, np.ndarray):
+                np.testing.assert_array_equal(va, vb)
+                assert va.dtype == vb.dtype
+            else:      # repr tells -0.0 from 0.0 and round-trips floats exactly
+                assert type(va) is type(vb) and repr(va) == repr(vb), f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(_BATCH_CASES), size=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), exact_metrics=st.booleans(),
+       refine_steps=st.sampled_from([0, 0, 2]), keep_history=st.booleans())
+def test_batch_composition_invariance(case, size, seed, exact_metrics, refine_steps,
+                                      keep_history):
+    # Every state of a batch of any size ends exactly as its own run would:
+    # the same records, field for field and bit for bit, and the same x.
+    name, make_oracle, mode = case
+    oracle = make_oracle()
+    rng = np.random.default_rng(seed)
+    lo, hi = (-1.0, 6.0) if isinstance(oracle, AnalyticOracle) else (-1.0, 1.0)
+    x0s = rng.uniform(lo, hi, size=(size, oracle.n))
+    if name == "test1-critical":
+        x0s[::2, 1] = x0s[::2, 0] = rng.uniform(0.0, 5.0, size=len(x0s[::2]))
+    seeds = rng.integers(0, 2**62, size=size).tolist()
+    cfg = SolverConfig(k_max=12, hessian_mode=mode, exact_metrics=exact_metrics,
+                       refine_steps=refine_steps)
+    states = run_batch(oracle, cfg, x0s, seeds, keep_history=keep_history)
+    for state, x0, s in zip(states, x0s, seeds):
+        assert state.error is None and state.k == cfg.k_max
+        x, history = run_final(make_oracle(), cfg.with_(seed=s), x0)
+        if not keep_history:
+            assert state.history == []
+            history = []
+        _assert_same_run(state.x, state.history, x, history)
+
+
+@pytest.mark.parametrize("where", ["sample", "trial"])
+def test_failed_state_leaves_the_others_unchanged(where):
+    x0s = np.array([[1.0, 4.0], [9.0, 9.0], [3.0, -1.0], [0.5, 0.5]])
+    seeds = [11, 12, 13, 14]
+    cfg = SolverConfig(k_max=25)
+    if where == "sample":
+        oracle = PoisonedOracle.at(x0s[1])
+    else:       # only the first trial step from (9, 9) lands in this band
+        oracle = PoisonedOracle(lambda X: (X[:, 0] > 7.5) & (X[:, 0] < 8.9))
+    states = run_batch(oracle, cfg, x0s, seeds)
+    assert isinstance(states[1].error, ValueError)
+    assert str(states[1].error) == "objective sample contains NaN/Inf"
+    assert states[1].history == [] and states[1].k == 0
+    np.testing.assert_array_equal(states[1].x, x0s[1])
+    clean = PoisonedOracle(lambda X: np.zeros(len(X), dtype=bool))
+    for b in (0, 2, 3):
+        assert states[b].error is None
+        _assert_same_run(states[b].x, states[b].history,
+                         *run_final(clean, cfg.with_(seed=seeds[b]), x0s[b]))
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        run_final(oracle, cfg.with_(seed=seeds[1]), x0s[1])
