@@ -94,6 +94,9 @@ def main(argv: list[str] | None = None) -> int:
         front_map, exp_map = _split_front_keys(mapping)
         spec = experiment_spec_from_mapping(exp_map)
         front_cfg = _front_config_from_mapping(front_map)
+        if "front_init_box" in front_map and spec.dimension not in (None, len(front_cfg.init_box)):
+            raise ConfigError(f"front_init_box has {len(front_cfg.init_box)} intervals, "
+                              f"problem dimension is {spec.dimension}")
     except (ConfigError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -123,6 +123,15 @@ class ExperimentSpec:
             raise ConfigError("smg_t0 must be positive")
         if self.smg_delta is not None and not self.smg_delta > 0:
             raise ConfigError("smg_delta must be positive")
+        if self.dimension not in (None, len(self.x0)):
+            raise ConfigError(f"x0 has {len(self.x0)} entries, problem dimension is "
+                              f"{self.dimension}")
+
+    @property
+    def dimension(self) -> int | None:
+        """The problem's n where it is known without loading data; None for
+        a dataset, whose n is checked when the oracle is built."""
+        return {"test1": 2, "test2": 2, "synthetic": self.synthetic_features}.get(self.problem)
 
     def build_oracle(self) -> Oracle:
         if self.problem in ("test1", "test2"):

@@ -273,40 +273,38 @@ class FiniteSumProblem:
         return mask
 
 
-def _logistic_terms(x, A, y):
-    """Per-sample margin-based pieces: loss, dloss/dmargin, curvature weight."""
-    m = y * (A @ x)
-    loss = np.logaddexp(0.0, -m)
-    s = 1.0 / (1.0 + np.exp(m))        # sigma(-m)
-    w = s * (1.0 - s)                   # sigma(m) * sigma(-m)
-    return loss, s, w
+def _logistic_stack(A, y, X, lams, mask, need_hessians):
+    """Regularized logistic loss of K row blocks at once.
 
-
-def _block_eval(A, y, mask, x, lam, with_hessian):
-    """Regularized logistic loss of one group on the rows (A, y): value,
-    gradient and, when ``with_hessian`` is set, Hessian."""
-    xh = x * mask
-    loss, s, w = _logistic_terms(x, A, y)
-    f = float(loss.mean()) + 0.5 * lam * float(xh @ xh)
-    g = -(A * (y * s)[:, None]).mean(axis=0) + lam * xh
-    if not with_hessian:
+    ``A`` (K, m, n) and ``y`` (K, m) hold each block's rows, ``X`` (K, n)
+    its point and ``lams`` (K,) its regularizer. Returns values (K,),
+    gradients (K, n) and Hessians (K, n, n), or None in their place when
+    not ``need_hessians``. Products are stacked matmuls, one BLAS call per
+    item, so item k depends on item k's inputs only, not on K.
+    """
+    m = A.shape[1]
+    M = y * (A @ X[:, :, None])[:, :, 0]       # margins
+    s = 1.0 / (1.0 + np.exp(M))                 # sigma(-margin)
+    Xh = X * mask
+    f = (np.logaddexp(0.0, -M).sum(axis=1) / m
+         + 0.5 * lams * (Xh[:, None, :] @ Xh[:, :, None])[:, 0, 0])
+    g = -((y * s)[:, None, :] @ A)[:, 0] / m + lams[:, None] * Xh
+    if not need_hessians:
         return f, g, None
-    H = (A.T * w) @ A / A.shape[0] + lam * np.diag(mask)
+    # A fixed C layout gives every item the same BLAS call, whatever K and
+    # whether A is a gather or a broadcast block.
+    Aw = np.multiply(A, (s * (1.0 - s))[:, :, None], order="C")
+    H = Aw.transpose(0, 2, 1) @ A / m + lams[:, None, None] * np.diag(mask)
     return f, g, H
 
 
+@functools.lru_cache(maxsize=4096)
 def _group_sample_size(F: float, G: float, delta: float, alpha: float,
                        group_size: int) -> int:
-    """One subsample serves values and gradients: the larger requirement."""
+    """One subsample serves values and gradients: the larger requirement.
+    Cached: a run meets the same few radii again and again."""
     return max(required_sample_size("value", float(F), delta, alpha, group_size),
                required_sample_size("gradient", float(G), delta, alpha, group_size))
-
-
-def _stack_parts(parts, need_hessians: bool):
-    """Values (q,), gradients (q, n) and Hessians (q, n, n) or None from one
-    state's per-group (f, g, H) results."""
-    f, g, H = zip(*parts)
-    return np.array(f), np.array(g), np.array(H) if need_hessians else None
 
 
 # A rejected iteration re-evaluates x, an accepted one moves to the last trial
@@ -323,10 +321,12 @@ class FiniteSumOracle(Oracle):
     closed-form value/gradient bounds which grow like e^||x||.
 
     Each group's rows are stored once as a contiguous block in ascending row
-    order. A full-batch group evaluation draws no randomness, so its result
-    is memoised for the last few points of every state in the batch;
-    results are bit-identical to ``subsampled_evaluate`` and costs count the
-    rows requested, memo hits included. A batch is evaluated state by state.
+    order. A batch draws every state's subsamples from that state's stream,
+    then evaluates all (state, group) blocks of one row count in one
+    ``_logistic_stack`` call. A full-batch group evaluation draws no
+    randomness, so its result is memoised for the last few points of every
+    state in the batch; results are bit-identical to ``subsampled_evaluate``
+    and costs count the rows requested, memo hits included.
     """
 
     def __init__(self, problem: FiniteSumProblem, constants_mode: str = "estimated",
@@ -344,42 +344,87 @@ class FiniteSumOracle(Oracle):
         self.exact_available = True
         self._max_feature_norm = float(np.linalg.norm(problem.features, axis=1).max())
         self._mask = problem.reg_mask()
+        self._sizes = [rows.size for rows in problem.groups]
         self._blocks = []
         for rows in problem.groups:
             order = np.sort(rows)
-            self._blocks.append((order, problem.features[order], problem.labels[order]))
+            self._blocks.append((problem.features[order], problem.labels[order]))
         self._memo: OrderedDict = OrderedDict()
         self._memo_points = _MEMO_POINTS
 
     def group_sizes(self) -> np.ndarray:
-        return np.array([g.size for g in self.problem.groups], dtype=int)
+        return np.array(self._sizes, dtype=int)
 
     def exact_cost(self) -> int:
         return self.problem.N
 
-    def _group(self, i: int, x: np.ndarray, m: int, rng, with_hessian: bool):
-        """(f, g, H) of group ``i`` on ``m`` rows: a uniform subsample drawn
-        from ``rng``, or the whole block, memoised, when ``m`` covers it."""
-        order, A, y = self._blocks[i]
-        lam = self.problem.regularizers[i]
-        if m < order.size:
-            sub = rng.choice(self.problem.groups[i], size=m, replace=False)
-            pos = np.searchsorted(order, np.sort(sub))
-            return _block_eval(A[pos], y[pos], self._mask, x, lam, with_hessian)
-        key = (i, x.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None and (hit[2] is not None or not with_hessian):
+    def _evaluate(self, X, rows, need_hessians):
+        """Values (B, q), gradients (B, q, n) and Hessians (B, q, n, n) or
+        None: group i of state b on the sorted rows ``rows[b][i]``, or on its
+        whole block, memoised, where that is None.
+
+        Memo hits are served first. The other blocks are bucketed, and each
+        bucket is one ``_logistic_stack`` call: the whole blocks of one group
+        (its stored block, broadcast), or the subsamples of one size.
+        """
+        B, q, n = X.shape[0], self.q, self.n
+        self._memo_points = _MEMO_POINTS * B
+        subs = [sub for state_rows in rows for sub in state_rows]     # cell b * q + i
+        f, g = np.empty(B * q), np.empty((B * q, n))
+        H = np.empty((B * q, n, n)) if need_hessians else None
+        points = [x.tobytes() for x in X]
+        buckets: dict = {}
+        for c, sub in enumerate(subs):
+            key = None if sub is not None else (c % q, points[c // q])
+            hit = None if key is None else self._memo.get(key)
+            if hit is None or (need_hessians and hit[2] is None):
+                buckets.setdefault(sub.size if key is None else ("all", c % q), []).append(c)
+                continue
             self._memo.move_to_end(key)
-            return hit
-        f, g, H = _block_eval(A, y, self._mask, x, lam, with_hessian)
+            f[c], g[c] = hit[0], hit[1]
+            if need_hessians:
+                H[c] = hit[2]
+        for bucket, cells in buckets.items():
+            cells = np.array(cells)
+            bs, gs = np.divmod(cells, q)
+            if isinstance(bucket, tuple):
+                A, y = (np.broadcast_to(a, (len(cells),) + a.shape)
+                        for a in self._blocks[bucket[1]])
+            else:
+                idx = np.array([subs[c] for c in cells.tolist()])
+                A, y = self.problem.features[idx], self.problem.labels[idx]
+            fk, gk, Hk = _logistic_stack(A, y, X[bs], self.problem.regularizers[gs],
+                                         self._mask, need_hessians)
+            f[cells], g[cells] = fk, gk
+            if need_hessians:
+                H[cells] = Hk
+            if isinstance(bucket, tuple):
+                self._remember(bucket[1], [points[b] for b in bs.tolist()], fk, gk, Hk)
+        while len(self._memo) > self._memo_points * q:
+            self._memo.popitem(last=False)
+        return (f.reshape(B, q), g.reshape(B, q, n),
+                None if H is None else H.reshape(B, q, n, n))
+
+    def _remember(self, i, points, f, g, H):
+        """Memoise group ``i``'s whole-block results at ``points`` (x bytes);
+        the arrays are shared between calls, so read-only."""
         for a in (g, H):
             if a is not None:
                 a.flags.writeable = False
-        self._memo[key] = (f, g, H)
-        self._memo.move_to_end(key)
-        while len(self._memo) > self._memo_points * self.q:
-            self._memo.popitem(last=False)
-        return f, g, H
+        for j, point in enumerate(points):
+            self._memo.pop((i, point), None)
+            self._memo[(i, point)] = (float(f[j]), g[j], None if H is None else H[j])
+
+    def _group(self, i: int, x: np.ndarray, m: int, rng, with_hessian: bool):
+        """(f, g, H) of group ``i`` alone on ``m`` rows, through ``_evaluate``
+        as a batch of one; the whole block returns its read-only memo entry."""
+        rows = [None] * self.q
+        if m < self._sizes[i]:
+            rows[i] = np.sort(rng.choice(self.problem.groups[i], size=m, replace=False))
+        f, g, H = self._evaluate(x[None], [rows], with_hessian)
+        if rows[i] is None:
+            return self._memo[(i, x.tobytes())]
+        return f[0, i], g[0, i], None if H is None else H[0, i]
 
     def exact_evaluate(self, x, need_hessians=False):
         f, g, H = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
@@ -387,39 +432,38 @@ class FiniteSumOracle(Oracle):
 
     def exact_evaluate_batch(self, X, need_hessians=False):
         X = as_decision_batch(X, self.n)
-        self._memo_points = _MEMO_POINTS * X.shape[0]
-        f, g, H = zip(*(_stack_parts([self._group(i, x, rows.size, None, need_hessians)
-                                      for i, rows in enumerate(self.problem.groups)],
-                                     need_hessians) for x in X))
-        return np.array(f), np.array(g), np.array(H) if need_hessians else None
+        return self._evaluate(X, [[None] * self.q] * X.shape[0], need_hessians)
 
     def _bound_constants(self, x):
         if self.constants_mode == "analytic":
             return analytic_bound_constants(
                 self._max_feature_norm, self.problem.regularizers, x)
         c = self.constant_value
-        return (np.full(self.q, c), np.full(self.q, c))
+        return [c] * self.q, [c] * self.q
 
-    def _sample_sizes(self, x, delta, alpha) -> list[int]:
-        F, G = self._bound_constants(x)
-        return [_group_sample_size(F[i], G[i], delta, alpha, rows.size)
-                for i, rows in enumerate(self.problem.groups)]
+    def _sample_sizes(self, X, deltas, alphas) -> np.ndarray:
+        """(B, q) subsample sizes from the scalar formula; a repeated
+        (constants, delta, alpha) is served by ``_group_sample_size``'s cache."""
+        sizes = []
+        for x, delta, alpha in zip(X, np.asarray(deltas, dtype=float).tolist(), alphas):
+            F, G = self._bound_constants(x)
+            sizes.append([_group_sample_size(F[i], G[i], delta, float(alpha), size)
+                          for i, size in enumerate(self._sizes)])
+        return np.array(sizes, dtype=int).reshape(X.shape[0], self.q)
 
     def evaluate(self, x, delta, alpha, rng, need_hessians=False):
         return self.evaluate_one(x, delta, alpha, rng, need_hessians)
 
     def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
         X = as_decision_batch(X, self.n)
-        self._memo_points = _MEMO_POINTS * X.shape[0]
-        sizes = [self._sample_sizes(x, float(delta), alpha)
-                 for x, delta, alpha in zip(X, deltas, alphas)]
-        f, g, H = zip(*(_stack_parts([self._group(i, x, m, rng, need_hessians)
-                                      for i, m in enumerate(ms)], need_hessians)
-                        for x, ms, rng in zip(X, sizes, rngs)))
-        sizes = np.array(sizes, dtype=int).reshape(X.shape[0], self.q)
-        return SampleBatch(values=np.array(f), gradients=np.array(g), delta=deltas,
-                           sample_sizes=sizes, cost=sizes.sum(axis=1),
-                           hessians=np.array(H) if need_hessians else None)
+        sizes = self._sample_sizes(X, deltas, alphas)
+        # State b draws group 0's subsample, then group 1's, ... from rngs[b].
+        rows = [[np.sort(rng.choice(group, size=m, replace=False)) if m < size else None
+                 for m, size, group in zip(ms, self._sizes, self.problem.groups)]
+                for ms, rng in zip(sizes.tolist(), rngs)]
+        f, g, H = self._evaluate(X, rows, need_hessians)
+        return SampleBatch(values=f, gradients=g, delta=deltas, sample_sizes=sizes,
+                           cost=sizes.sum(axis=1), hessians=H)
 
 
 def required_sample_size(kind: str, bound_constant: float, delta: float,
@@ -474,7 +518,8 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
     Hessians; its size is the max of the value and gradient requirements.
     Cost is the total number of subsampled rows (one scalar product each).
     FiniteSumOracle.evaluate gives the same bits and rng draws; this is the
-    plain reference, with no stored blocks and no memo.
+    plain reference, with no stored blocks and no memo: one group at a time
+    through the same kernel.
     """
     x = as_decision_vector(x, problem.n)
     if bound_constants is None:
@@ -486,10 +531,10 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
     for i, (rows, lam) in enumerate(zip(problem.groups, problem.regularizers)):
         m = _group_sample_size(F[i], G[i], delta, alpha, rows.size)
         sub = np.sort(rows if m >= rows.size else rng.choice(rows, size=m, replace=False))
-        parts.append(_block_eval(problem.features[sub], problem.labels[sub], mask, x,
-                                 lam, need_hessians))
+        parts.append(_logistic_stack(problem.features[sub][None], problem.labels[sub][None],
+                                     x[None], np.array([lam]), mask, need_hessians))
         sizes.append(m)
-    f, g, H = _stack_parts(parts, need_hessians)
+    f, g, H = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
     return ObjectiveSample(values=f, gradients=g, delta=delta, sample_sizes=sizes,
                            cost=sum(sizes), hessians=H)
 

@@ -85,14 +85,18 @@ def _dedup(members: list[ArchiveMember], tol: float = 1e-12) -> list[ArchiveMemb
 
 def _thin(members: list[ArchiveMember], max_size: int) -> list[ArchiveMember]:
     """Crowding-based thinning: repeatedly drop the member whose nearest
-    neighbor in objective space is closest."""
+    neighbor in objective space is closest. The distance matrix is computed
+    once; a dropped member's row and column are deleted from it."""
     members = list(members)
+    if len(members) <= max_size:
+        return members
+    F = np.array([m.f for m in members])
+    dist = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
     while len(members) > max_size:
-        F = np.array([m.f for m in members])
-        dist = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2)
-        np.fill_diagonal(dist, np.inf)
-        nearest = dist.min(axis=1)
-        members.pop(int(np.argmin(nearest)))
+        drop = int(np.argmin(dist.min(axis=1)))
+        members.pop(drop)
+        dist = np.delete(np.delete(dist, drop, axis=0), drop, axis=1)
     return members
 
 

@@ -228,6 +228,48 @@ def test_cli_validate_rejects_bad_values(tmp_path, capsys, line):
     assert err.startswith("config error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lines", [
+    "problem = test1\nx0 = 1,2,3",
+    "problem = test2\nx0 = 1",
+    "problem = synthetic\nsynthetic_features = 4\nx0 = 0,0,0",
+    "problem = synthetic",                      # the default x0 is 2-D
+    "problem = test1\nfront_init_box = 0:1,0:1,0:1",
+    "problem = synthetic\nsynthetic_features = 3\nx0 = 0,0,0\nfront_init_box = 0:1,0:1",
+], ids=["test1-x0", "test2-x0", "synthetic-x0", "synthetic-default-x0",
+        "test1-init-box", "synthetic-init-box"])
+def test_cli_validate_rejects_wrong_dimension(tmp_path, capsys, lines):
+    cfg = _write_cfg(tmp_path, lines + "\nk_max = 2\nnum_simulations = 1\n")
+    for command in ("validate", "run", "front"):
+        assert main([command, cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "problem dimension is" in err
+
+
+def test_cli_validate_accepts_matching_dimensions(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "problem = synthetic\nsynthetic_features = 3\nx0 = 0,0,0\n"
+                               "front_init_box = 0:1,0:1,0:1\n")
+    assert main(["validate", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_cli_validate_leaves_dataset_dimension_to_run(tmp_path, capsys):
+    # A dataset's n is known only once the file is parsed, which validate
+    # does not do; run reports the mismatch.
+    rng = np.random.default_rng(4)
+    table = np.column_stack([rng.random(20) < 0.5, rng.random(20) < 0.5,
+                             rng.standard_normal(20)])
+    data = tmp_path / "data.csv"
+    np.savetxt(data, table, delimiter=",", fmt="%.6g")
+    cfg = _write_cfg(tmp_path, f"problem = dataset\ndataset_path = {data}\n"
+                               "label_convention = zeroone\nx0 = 0,0\nk_max = 2\n"
+                               "num_simulations = 1\nparallelism = 1\n")
+    assert main(["validate", cfg]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: expected dimension 3, got 2\n"
+
+
 def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path, "problem = test1\nx0 = 9,9\nk_max = 5\n"
                                "num_simulations = 3\nparallelism = 1\n")

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 from conftest import PoisonedOracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motr import pareto
 from motr.core import ConfigError, RngStream, SolverConfig
@@ -64,6 +66,34 @@ def test_thin_respects_cap_and_keeps_spread():
     firsts = [m.f[0] for m in thinned]
     # Crowding removal keeps most of the original extent of the front.
     assert max(firsts) - min(firsts) >= 7.0
+
+
+def _thin_reference(members, max_size):
+    """The original thinning loop: the whole distance matrix again after
+    every removal."""
+    members = list(members)
+    while len(members) > max_size:
+        F = np.array([m.f for m in members])
+        dist = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        members.pop(int(np.argmin(dist.min(axis=1))))
+    return members
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.integers(1, 3), size=st.integers(0, 40),
+       max_size=st.integers(1, 42), coarse=st.booleans())
+def test_thin_matches_reference_loop(data, q, size, max_size, coarse):
+    # Coarse values give tied distances and duplicate rows, where the first
+    # minimum decides.
+    value = (st.integers(0, 3).map(float) if coarse
+             else st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    rows = data.draw(st.lists(st.lists(value, min_size=q, max_size=q),
+                              min_size=size, max_size=size))
+    members = _members(rows)
+    got = _thin(members, max_size)
+    want = _thin_reference(members, max_size)
+    assert [id(m) for m in got] == [id(m) for m in want]
 
 
 def test_front_config_validation():
