@@ -6,65 +6,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .core import ConfigError, RngStream, _parse_bool, parse_kv_text
-from .harness import emit, experiment_spec_from_mapping, run_experiment
+from .core import ConfigError, RngStream, check_length, load_config
+from .harness import emit, experiment_spec, run_experiment
 from .pareto import FrontConfig, export_archive_csv, run_front
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_FRONT_KEYS = ("front_n_p", "front_n_q", "front_n_r", "front_init_count",
-               "front_init_box", "front_perturb_scale", "front_rounds",
-               "front_max_size", "front_weak")
-
-
-def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
-    intervals = []
-    for part in text.split(","):
-        lo, hi = part.split(":")
-        intervals.append((float(lo), float(hi)))
-    return tuple(intervals)
-
-
-def _front_config_from_mapping(mapping: dict[str, str]) -> FrontConfig:
-    kwargs: dict = {}
-    try:
-        for key, attr in (("front_n_p", "n_p"), ("front_n_q", "n_q"),
-                          ("front_n_r", "n_r"), ("front_init_count", "init_count"),
-                          ("front_rounds", "rounds"), ("front_max_size", "max_size")):
-            if key in mapping:
-                kwargs[attr] = int(mapping[key])
-        if "front_perturb_scale" in mapping:
-            kwargs["perturb_scale"] = float(mapping["front_perturb_scale"])
-        if "front_init_box" in mapping:
-            kwargs["init_box"] = _parse_box(mapping["front_init_box"])
-        if "front_weak" in mapping:
-            kwargs["weak_dominance"] = _parse_bool(mapping["front_weak"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return FrontConfig(**kwargs)
-
-
-def _load_mapping(path: str, overrides: list[str], seed: int | None) -> dict[str, str]:
-    with open(path) as fh:
-        mapping = parse_kv_text(fh.read())
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    if seed is not None:
-        mapping["seed"] = str(seed)
-    return mapping
-
-
-def _split_front_keys(mapping: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
-    front = {k: v for k, v in mapping.items() if k in _FRONT_KEYS}
-    rest = {k: v for k, v in mapping.items() if k not in _FRONT_KEYS}
-    return front, rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,16 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        mapping = _load_mapping(args.config, args.set, args.seed)
-        if getattr(args, "output", None):
-            mapping["output_path"] = args.output
-        front_map, exp_map = _split_front_keys(mapping)
-        spec = experiment_spec_from_mapping(exp_map)
-        front_cfg = _front_config_from_mapping(front_map)
-        if "front_init_box" in front_map and spec.dimension not in (None, len(front_cfg.init_box)):
-            raise ConfigError(f"front_init_box has {len(front_cfg.init_box)} intervals, "
-                              f"problem dimension is {spec.dimension}")
-    except (ConfigError, OSError, KeyError) as exc:
+        sections = load_config(args.config, args.set, args.seed, getattr(args, "output", None))
+        spec = experiment_spec(sections)
+        front_cfg = FrontConfig(**sections["front"])
+        if "init_box" in sections["front"]:
+            check_length("front", "init_box", len(front_cfg.init_box), spec.dimension)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,4 +1,4 @@
-"""Shared domain types: oracle samples, solver configuration, seeded RNG streams."""
+"""Shared domain types: oracle samples, solver configuration, RNG streams, config keys."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import abc
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -198,7 +200,7 @@ class RngStream:
 class FixedAlpha:
     """Constant model-accuracy probability target."""
 
-    value: float
+    value: float = math.sqrt(0.5)
 
     def __post_init__(self):
         if not 0.0 < self.value < 1.0:
@@ -253,7 +255,7 @@ class SolverConfig:
     gamma2: float = 2.0
     eta1: float = 1e-4
     theta: float = 1e-4
-    alpha_schedule: AlphaSchedule = field(default_factory=lambda: FixedAlpha(math.sqrt(0.5)))
+    alpha_schedule: AlphaSchedule = field(default_factory=FixedAlpha)
     k_max: int = 500
     hessian_mode: HessianMode = HessianMode.ZERO
     hessian_combine: HessianCombine = HessianCombine.LAMBDA
@@ -288,33 +290,9 @@ class SolverConfig:
         return replace(self, **kwargs)
 
 
-# Flat key-value (de)serialization of SolverConfig. Keys are documented in the
-# README; unknown keys are an error so typos never pass silently.
-
-_SOLVER_KEYS = (
-    "delta0",
-    "delta_max",
-    "gamma1",
-    "gamma2",
-    "eta1",
-    "theta",
-    "alpha_kind",
-    "alpha_value",
-    "alpha_offset",
-    "k_max",
-    "hessian_mode",
-    "hessian_combine",
-    "rho_guard",
-    "omega_tol",
-    "marginal_tol",
-    "refine_steps",
-    "exact_metrics",
-    "seed",
-)
-
-
-def solver_config_keys() -> tuple[str, ...]:
-    return _SOLVER_KEYS
+# Flat key-value (de)serialization of every config dataclass, driven by one
+# table. Keys are documented in the README; unknown keys are an error so
+# typos never pass silently. Value checks are left to the dataclasses.
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -343,78 +321,191 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"not a boolean: {s!r}")
 
 
-def solver_config_from_mapping(mapping: dict[str, str], strict: bool = True) -> SolverConfig:
-    """Build a SolverConfig from flat string key-values.
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {s!r}")
+    return value
 
-    With strict=True any key outside the documented schema is an error.
-    """
-    if strict:
-        unknown = set(mapping) - set(_SOLVER_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown solver config keys: {sorted(unknown)}")
-    kwargs: dict = {}
+
+def _interval(s: str) -> tuple[float, float]:
+    lo, hi = s.split(":")
+    return _finite(lo), _finite(hi)
+
+
+# (parser, formatter) per value type; a formatted value parses back to itself.
+_FLOAT = (_finite, repr)
+_INT = (int, str)
+_STR = (str, str)
+_BOOL = (_parse_bool, lambda b: "true" if b else "false")
+_VECTOR = (lambda s: tuple(map(_finite, s.split(","))),
+           lambda v: ",".join(map(repr, v)))
+_BOX = (lambda s: tuple(map(_interval, s.split(","))),
+        lambda box: ",".join(f"{lo!r}:{hi!r}" for lo, hi in box))
+
+
+class ConfigKey(NamedTuple):
+    """One config key: the section (the dataclass) and the field it sets, the
+    parser of its text and the formatter that writes a field value back."""
+
+    key: str
+    section: str
+    attr: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+# Sections: solver -> SolverConfig, noise -> NoiseSpec, experiment ->
+# ExperimentSpec, front -> FrontConfig. The alpha keys together set one field.
+CONFIG_KEYS = {row.key: row for row in (
+    ConfigKey("delta0", "solver", "delta0", *_FLOAT),
+    ConfigKey("delta_max", "solver", "delta_max", *_FLOAT),
+    ConfigKey("gamma1", "solver", "gamma1", *_FLOAT),
+    ConfigKey("gamma2", "solver", "gamma2", *_FLOAT),
+    ConfigKey("eta1", "solver", "eta1", *_FLOAT),
+    ConfigKey("theta", "solver", "theta", *_FLOAT),
+    ConfigKey("alpha_kind", "solver", "alpha_schedule", *_STR),
+    ConfigKey("alpha_value", "solver", "alpha_schedule", *_FLOAT),
+    ConfigKey("alpha_offset", "solver", "alpha_schedule", *_INT),
+    ConfigKey("k_max", "solver", "k_max", *_INT),
+    ConfigKey("hessian_mode", "solver", "hessian_mode", HessianMode, attrgetter("value")),
+    ConfigKey("hessian_combine", "solver", "hessian_combine", HessianCombine, attrgetter("value")),
+    ConfigKey("rho_guard", "solver", "rho_guard", *_FLOAT),
+    ConfigKey("omega_tol", "solver", "omega_tol", *_FLOAT),
+    ConfigKey("marginal_tol", "solver", "marginal_tol", *_FLOAT),
+    ConfigKey("refine_steps", "solver", "refine_steps", *_INT),
+    ConfigKey("exact_metrics", "solver", "exact_metrics", *_BOOL),
+    ConfigKey("seed", "solver", "seed", *_INT),
+    ConfigKey("noise_sigma", "noise", "sigma", *_FLOAT),
+    ConfigKey("noise_bounded", "noise", "bounded", *_BOOL),
+    ConfigKey("noise_cap_f", "noise", "cap_f", *_FLOAT),
+    ConfigKey("noise_cap_g", "noise", "cap_g", *_FLOAT),
+    ConfigKey("noise_shared_gradient", "noise", "shared_gradient_noise", *_BOOL),
+    ConfigKey("problem", "experiment", "problem", *_STR),
+    ConfigKey("dataset_path", "experiment", "dataset_path", *_STR),
+    ConfigKey("dataset_format", "experiment", "dataset_format", *_STR),
+    ConfigKey("label_column", "experiment", "label_column", *_INT),
+    ConfigKey("sensitive_column", "experiment", "sensitive_column", *_INT),
+    ConfigKey("label_convention", "experiment", "label_convention", *_STR),
+    ConfigKey("has_header", "experiment", "has_header", *_BOOL),
+    ConfigKey("keep_sensitive", "experiment", "keep_sensitive", *_BOOL),
+    ConfigKey("regularizer", "experiment", "regularizer", *_FLOAT),
+    ConfigKey("synthetic_samples", "experiment", "synthetic_samples", *_INT),
+    ConfigKey("synthetic_features", "experiment", "synthetic_features", *_INT),
+    ConfigKey("synthetic_seed", "experiment", "synthetic_seed", *_INT),
+    ConfigKey("constants_mode", "experiment", "constants_mode", *_STR),
+    ConfigKey("constant_value", "experiment", "constant_value", *_FLOAT),
+    ConfigKey("algorithm", "experiment", "algorithm", *_STR),
+    ConfigKey("x0", "experiment", "x0", *_VECTOR),
+    ConfigKey("num_simulations", "experiment", "num_simulations", *_INT),
+    ConfigKey("output_path", "experiment", "output_path", *_STR),
+    ConfigKey("output_format", "experiment", "output_format", *_STR),
+    ConfigKey("parallelism", "experiment", "parallelism", *_INT),
+    ConfigKey("smg_t0", "experiment", "smg_t0", *_FLOAT),
+    ConfigKey("smg_delta", "experiment", "smg_delta", *_FLOAT),
+    ConfigKey("front_n_p", "front", "n_p", *_INT),
+    ConfigKey("front_n_q", "front", "n_q", *_INT),
+    ConfigKey("front_n_r", "front", "n_r", *_INT),
+    ConfigKey("front_init_count", "front", "init_count", *_INT),
+    ConfigKey("front_init_box", "front", "init_box", *_BOX),
+    ConfigKey("front_perturb_scale", "front", "perturb_scale", *_FLOAT),
+    ConfigKey("front_rounds", "front", "rounds", *_INT),
+    ConfigKey("front_max_size", "front", "max_size", *_INT),
+    ConfigKey("front_weak", "front", "weak_dominance", *_BOOL),
+)}
+
+# alpha_kind picks the schedule and the one key it reads; the other is ignored.
+_ALPHA_KINDS = {"fixed": (FixedAlpha, "alpha_value", "value"),
+                "summable": (SummableToOneAlpha, "alpha_offset", "offset")}
+
+
+def _parse(row: ConfigKey, text: str):
     try:
-        for key in ("delta0", "delta_max", "gamma1", "gamma2", "eta1", "theta",
-                    "rho_guard", "omega_tol", "marginal_tol"):
-            if key in mapping:
-                kwargs[key] = float(mapping[key])
-        for key in ("k_max", "refine_steps", "seed"):
-            if key in mapping:
-                kwargs[key] = int(mapping[key])
-        if "exact_metrics" in mapping:
-            kwargs["exact_metrics"] = _parse_bool(mapping["exact_metrics"])
-        kind = mapping.get("alpha_kind")
-        if kind is not None:
-            if kind == "fixed":
-                value = float(mapping.get("alpha_value", math.sqrt(0.5)))
-                kwargs["alpha_schedule"] = FixedAlpha(value)
-            elif kind == "summable":
-                offset = int(mapping.get("alpha_offset", 2))
-                kwargs["alpha_schedule"] = SummableToOneAlpha(offset)
-            else:
-                raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
-        elif "alpha_value" in mapping or "alpha_offset" in mapping:
-            raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
+        return row.parse(text)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "hessian_mode" in mapping:
-        try:
-            kwargs["hessian_mode"] = HessianMode(mapping["hessian_mode"])
-        except ValueError:
-            raise ConfigError(f"bad hessian_mode: {mapping['hessian_mode']!r}")
-    if "hessian_combine" in mapping:
-        try:
-            kwargs["hessian_combine"] = HessianCombine(mapping["hessian_combine"])
-        except ValueError:
-            raise ConfigError(f"bad hessian_combine: {mapping['hessian_combine']!r}")
-    return SolverConfig(**kwargs)
+        raise ConfigError(f"{row.key}: {exc}") from exc
+
+
+def _parse_alpha(mapping: dict[str, str]) -> AlphaSchedule:
+    kind = mapping.get("alpha_kind")
+    if kind is None:
+        raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
+    if kind not in _ALPHA_KINDS:
+        raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
+    cls, key, attr = _ALPHA_KINDS[kind]
+    if key not in mapping:
+        return cls()
+    return cls(**{attr: _parse(CONFIG_KEYS[key], mapping[key])})
+
+
+def _format_alpha(schedule: AlphaSchedule) -> dict[str, str]:
+    for kind, (cls, key, attr) in _ALPHA_KINDS.items():
+        if isinstance(schedule, cls):
+            return {"alpha_kind": kind, key: CONFIG_KEYS[key].format(getattr(schedule, attr))}
+
+
+def parse_config(mapping: dict[str, str]) -> dict[str, dict]:
+    """Keyword arguments of each section's dataclass (see ``CONFIG_KEYS``)
+    from flat string key-values."""
+    unknown = set(mapping) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    sections: dict[str, dict] = {row.section: {} for row in CONFIG_KEYS.values()}
+    for key, text in mapping.items():
+        row = CONFIG_KEYS[key]
+        if row.attr != "alpha_schedule":
+            sections[row.section][row.attr] = _parse(row, text)
+    if any(CONFIG_KEYS[key].attr == "alpha_schedule" for key in mapping):
+        sections["solver"]["alpha_schedule"] = _parse_alpha(mapping)
+    return sections
+
+
+def format_config(section: str, obj) -> dict[str, str]:
+    """The key-values of ``section`` that parse back to ``obj``'s fields; a
+    field that is None has no key."""
+    out = {}
+    for row in CONFIG_KEYS.values():
+        if row.section == section and row.attr != "alpha_schedule":
+            value = getattr(obj, row.attr)
+            if value is not None:
+                out[row.key] = row.format(value)
+    if section == "solver":
+        out.update(_format_alpha(obj.alpha_schedule))
+    return out
+
+
+def load_config(path: str, sets: Iterable[str] = (), seed: int | None = None,
+                output: str | None = None) -> dict[str, dict]:
+    """``parse_config`` of a config file after the command-line overrides:
+    each ``KEY=VALUE`` of ``sets``, then the base seed and the output path."""
+    with open(path) as fh:
+        mapping = parse_kv_text(fh.read())
+    for item in sets:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        mapping[key.strip()] = value.strip()
+    if seed is not None:
+        mapping["seed"] = str(seed)
+    if output:
+        mapping["output_path"] = output
+    return parse_config(mapping)
+
+
+def check_length(section: str, attr: str, length: int, dimension: int | None) -> None:
+    """Reject a vector-valued setting whose length is not the problem's
+    dimension (None: not known before the data is loaded)."""
+    if dimension not in (None, length):
+        key = next(r.key for r in CONFIG_KEYS.values() if r.section == section and r.attr == attr)
+        raise ConfigError(f"{key} has {length} entries, problem dimension is {dimension}")
+
+
+def solver_config_from_mapping(mapping: dict[str, str]) -> SolverConfig:
+    return SolverConfig(**parse_config(mapping)["solver"])
 
 
 def solver_config_to_mapping(config: SolverConfig) -> dict[str, str]:
-    out = {
-        "delta0": repr(config.delta0),
-        "delta_max": repr(config.delta_max),
-        "gamma1": repr(config.gamma1),
-        "gamma2": repr(config.gamma2),
-        "eta1": repr(config.eta1),
-        "theta": repr(config.theta),
-        "k_max": str(config.k_max),
-        "hessian_mode": config.hessian_mode.value,
-        "hessian_combine": config.hessian_combine.value,
-        "rho_guard": repr(config.rho_guard),
-        "omega_tol": repr(config.omega_tol),
-        "marginal_tol": repr(config.marginal_tol),
-        "refine_steps": str(config.refine_steps),
-        "exact_metrics": "true" if config.exact_metrics else "false",
-        "seed": str(config.seed),
-    }
-    if isinstance(config.alpha_schedule, FixedAlpha):
-        out["alpha_kind"] = "fixed"
-        out["alpha_value"] = repr(config.alpha_schedule.value)
-    else:
-        out["alpha_kind"] = "summable"
-        out["alpha_offset"] = str(config.alpha_schedule.offset)
-    return out
+    return format_config("solver", config)
 
 
 class Oracle(abc.ABC):

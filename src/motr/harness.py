@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,12 +15,11 @@ from .core import (
     RngStream,
     SolverConfig,
     alpha_at,
-    parse_kv_text,
+    check_length,
+    format_config,
+    load_config,
+    parse_config,
     scalar_representation,
-    solver_config_from_mapping,
-    _parse_bool,
-    solver_config_keys,
-    solver_config_to_mapping,
 )
 from .marginal import solve_marginal
 from .oracles import (
@@ -33,37 +31,8 @@ from .oracles import (
     load_dataset,
     make_synthetic_logistic,
 )
-from .solver import run_batch, run_final
-
-_EXPERIMENT_KEYS = (
-    "problem",
-    "noise_sigma",
-    "noise_bounded",
-    "noise_cap_f",
-    "noise_cap_g",
-    "noise_shared_gradient",
-    "dataset_path",
-    "dataset_format",
-    "label_column",
-    "sensitive_column",
-    "label_convention",
-    "has_header",
-    "keep_sensitive",
-    "regularizer",
-    "synthetic_samples",
-    "synthetic_features",
-    "synthetic_seed",
-    "constants_mode",
-    "constant_value",
-    "algorithm",
-    "x0",
-    "num_simulations",
-    "output_path",
-    "output_format",
-    "parallelism",
-    "smg_t0",
-    "smg_delta",
-)
+# run_final stays importable here: perfbench/tracer.py wraps harness.run_final.
+from .solver import run_batch, run_final  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,7 +70,7 @@ class ExperimentSpec:
     num_simulations: int = 10
     output_path: str = "results.csv"
     output_format: str = "csv"
-    parallelism: int = 0          # 0 means "available cores"
+    parallelism: int = 0          # accepted for old configs; has no effect
     smg_t0: float = 0.5
     smg_delta: float | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -123,9 +92,7 @@ class ExperimentSpec:
             raise ConfigError("smg_t0 must be positive")
         if self.smg_delta is not None and not self.smg_delta > 0:
             raise ConfigError("smg_delta must be positive")
-        if self.dimension not in (None, len(self.x0)):
-            raise ConfigError(f"x0 has {len(self.x0)} entries, problem dimension is "
-                              f"{self.dimension}")
+        check_length("experiment", "x0", len(self.x0), self.dimension)
 
     @property
     def dimension(self) -> int | None:
@@ -154,56 +121,18 @@ class ExperimentSpec:
         return oracle
 
 
+def experiment_spec(sections: dict[str, dict]) -> ExperimentSpec:
+    """The ExperimentSpec of a parsed config (``core.parse_config``)."""
+    return ExperimentSpec(solver=SolverConfig(**sections["solver"]),
+                          noise=NoiseSpec(**sections["noise"]), **sections["experiment"])
+
+
 def experiment_spec_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
-    solver_map = {k: v for k, v in mapping.items() if k in solver_config_keys()}
-    exp_map = {k: v for k, v in mapping.items() if k not in solver_config_keys()}
-    unknown = set(exp_map) - set(_EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    solver = solver_config_from_mapping(solver_map)
-
-    def flag(key, default):
-        return _parse_bool(exp_map[key]) if key in exp_map else default
-
-    kwargs: dict = {"solver": solver}
-    try:
-        if "problem" in exp_map:
-            kwargs["problem"] = exp_map["problem"]
-        kwargs["noise"] = NoiseSpec(
-            sigma=float(exp_map.get("noise_sigma", 0.0)),
-            bounded=flag("noise_bounded", False),
-            cap_f=float(exp_map.get("noise_cap_f", 1.0)),
-            cap_g=float(exp_map.get("noise_cap_g", 1.0)),
-            shared_gradient_noise=flag("noise_shared_gradient", False))
-        for key in ("dataset_path", "dataset_format", "label_convention",
-                    "constants_mode", "algorithm", "output_path", "output_format"):
-            if key in exp_map:
-                kwargs[key] = exp_map[key]
-        for key in ("label_column", "sensitive_column", "synthetic_samples",
-                    "synthetic_features", "synthetic_seed", "num_simulations",
-                    "parallelism"):
-            if key in exp_map:
-                kwargs[key] = int(exp_map[key])
-        for key in ("regularizer", "constant_value", "smg_t0"):
-            if key in exp_map:
-                kwargs[key] = float(exp_map[key])
-        if "smg_delta" in exp_map:
-            kwargs["smg_delta"] = float(exp_map["smg_delta"])
-        if "x0" in exp_map:
-            kwargs["x0"] = tuple(float(v) for v in exp_map["x0"].split(","))
-        kwargs["has_header"] = flag("has_header", False)
-        kwargs["keep_sensitive"] = flag("keep_sensitive", True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentSpec(**kwargs)
+    return experiment_spec(parse_config(mapping))
 
 
 def load_experiment_spec(path: str, overrides: dict[str, str] | None = None) -> ExperimentSpec:
-    with open(path) as fh:
-        mapping = parse_kv_text(fh.read())
-    if overrides:
-        mapping.update(overrides)
-    return experiment_spec_from_mapping(mapping)
+    return experiment_spec(load_config(path, [f"{k}={v}" for k, v in (overrides or {}).items()]))
 
 
 def smg_baseline_step(x, stochastic_gradients, step_size: float) -> np.ndarray:
@@ -218,7 +147,7 @@ def smg_baseline_step(x, stochastic_gradients, step_size: float) -> np.ndarray:
 
 
 def _run_smg(oracle: Oracle, spec: ExperimentSpec, sim: int,
-             seed: int) -> tuple[np.ndarray, list[MetricRow]]:
+             seed: int) -> tuple[list[float], list[MetricRow]]:
     cfg = spec.solver
     rng = RngStream(seed).generator()
     x = np.asarray(spec.x0, dtype=float)
@@ -239,7 +168,7 @@ def _run_smg(oracle: Oracle, spec: ExperimentSpec, sim: int,
         rows.append(MetricRow(simulation=sim, k=k, omega_true=omega_true,
                               phi_true=phi_true, scalar_products=cost,
                               delta=delta, success=True))
-    return x, rows
+    return list(map(float, x)), rows
 
 
 def _rows(sim: int, history) -> list[MetricRow]:
@@ -249,64 +178,30 @@ def _rows(sim: int, history) -> list[MetricRow]:
             for r in history]
 
 
-def _run_one(spec: ExperimentSpec, sim: int,
-             oracle: Oracle | None = None) -> tuple[list[float], list[MetricRow]]:
-    if oracle is None:          # a process-pool worker builds its own
-        oracle = spec.build_oracle()
-    seed = spec.solver.seed + sim
-    if spec.algorithm == "smg":
-        x_final, rows = _run_smg(oracle, spec, sim, seed)
-        return list(map(float, x_final)), rows
-    x_final, history = run_final(oracle, spec.solver.with_(seed=seed), spec.x0)
-    return list(map(float, x_final)), _rows(sim, history)
-
-
-def _run_all(spec: ExperimentSpec, oracle: Oracle) -> list[tuple[list[float], list[MetricRow]]]:
-    """Every simulation in this process: smg one after another, the
-    trust-region algorithms as one batch. Raises the error of the first
-    failed simulation."""
-    sims = range(spec.num_simulations)
-    if spec.algorithm == "smg":
-        return [_run_one(spec, sim, oracle) for sim in sims]
-    states = run_batch(oracle, spec.solver, [spec.x0] * spec.num_simulations,
-                       [spec.solver.seed + sim for sim in sims])
-    results = []
-    for sim, s in zip(sims, states):
-        if s.error is not None:
-            raise s.error
-        results.append((list(map(float, s.x)), _rows(sim, s.history)))
-        s.history = []          # each history is freed once converted
-    return results
-
-
 def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
     """Run num_simulations independent seeded runs and collect metric rows.
 
     Exact marginal/scalar metrics are instrumentation: they consume no run
     randomness and never count toward scalar products. The summary reports
     per-simulation final points, their exact objective values, and the value
-    at the mean final point. The serial path builds one oracle (one dataset
-    parse) for all simulations and the summary, and runs the simulations as
-    one batch; simulation i depends only on its seed, so both paths write
-    the same rows.
+    at the mean final point. One oracle (one dataset parse) serves all
+    simulations and the summary. smg runs the simulations one after another,
+    the trust-region algorithms as one batch (simulation i depends only on
+    its seed); the error of the first failed simulation is raised.
     """
-    workers = spec.parallelism or os.cpu_count() or 1
     oracle = spec.build_oracle()
-    if workers > 1 and spec.num_simulations > 1:
-        # Imported only here: loading multiprocessing adds about 25 ms to
-        # every invocation that never starts a pool.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [spec] * spec.num_simulations,
-                                    range(spec.num_simulations)))
+    seeds = [spec.solver.seed + sim for sim in range(spec.num_simulations)]
+    if spec.algorithm == "smg":
+        results = [_run_smg(oracle, spec, sim, seed) for sim, seed in enumerate(seeds)]
     else:
-        results = _run_all(spec, oracle)
-
-    rows: list[MetricRow] = []
-    finals: list[list[float]] = []
-    for x_final, sim_rows in results:      # merged in simulation-index order
-        finals.append(x_final)
-        rows.extend(sim_rows)
+        results = []
+        for sim, s in enumerate(run_batch(oracle, spec.solver, [spec.x0] * len(seeds), seeds)):
+            if s.error is not None:
+                raise s.error
+            results.append((list(map(float, s.x)), _rows(sim, s.history)))
+            s.history = []          # each history is freed once converted
+    finals = [x_final for x_final, _ in results]
+    rows = [row for _, sim_rows in results for row in sim_rows]
 
     final_f = []
     for x in finals:
@@ -323,7 +218,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
         "mean_final_point": [float(v) for v in mean_x],
         "objectives_at_mean": [float(v) for v in mean_values],
         "smg_note": "simplified multi-gradient baseline" if spec.algorithm == "smg" else None,
-        "config": solver_config_to_mapping(spec.solver),
+        "config": format_config("solver", spec.solver),
     }
     return rows, summary
 

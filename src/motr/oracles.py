@@ -415,17 +415,6 @@ class FiniteSumOracle(Oracle):
             self._memo.pop((i, point), None)
             self._memo[(i, point)] = (float(f[j]), g[j], None if H is None else H[j])
 
-    def _group(self, i: int, x: np.ndarray, m: int, rng, with_hessian: bool):
-        """(f, g, H) of group ``i`` alone on ``m`` rows, through ``_evaluate``
-        as a batch of one; the whole block returns its read-only memo entry."""
-        rows = [None] * self.q
-        if m < self._sizes[i]:
-            rows[i] = np.sort(rng.choice(self.problem.groups[i], size=m, replace=False))
-        f, g, H = self._evaluate(x[None], [rows], with_hessian)
-        if rows[i] is None:
-            return self._memo[(i, x.tobytes())]
-        return f[0, i], g[0, i], None if H is None else H[0, i]
-
     def exact_evaluate(self, x, need_hessians=False):
         f, g, H = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
         return f[0], g[0], None if H is None else H[0]

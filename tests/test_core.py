@@ -1,11 +1,16 @@
 """Core domain types: alpha schedules, scalarization, config (de)serialization."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motr.core import (
+    CONFIG_KEYS,
     ConfigError,
     DimensionMismatchError,
     FixedAlpha,
@@ -17,11 +22,16 @@ from motr.core import (
     SummableToOneAlpha,
     alpha_at,
     as_decision_vector,
+    format_config,
+    parse_config,
     parse_kv_text,
     scalar_representation,
     solver_config_from_mapping,
     solver_config_to_mapping,
 )
+from motr.harness import ExperimentSpec, experiment_spec
+from motr.oracles import NoiseSpec
+from motr.pareto import FrontConfig
 
 
 def test_alpha_fixed_constant():
@@ -144,14 +154,92 @@ def test_parse_kv_text():
         parse_kv_text("a = 1\na = 2")
 
 
-def test_solver_config_round_trip():
-    cfg = SolverConfig(delta0=0.3, delta_max=7.0, gamma1=0.25, gamma2=4.0,
-                       eta1=0.2, theta=0.4, k_max=33,
-                       alpha_schedule=SummableToOneAlpha(offset=5),
-                       hessian_mode=HessianMode.SUBSAMPLED,
-                       hessian_combine=HessianCombine.UNIFORM,
-                       refine_steps=2, exact_metrics=False, seed=9)
-    assert solver_config_from_mapping(solver_config_to_mapping(cfg)) == cfg
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_TEXT = st.text("abcXYZ0129._/-", min_size=1, max_size=12)   # survives a config line
+
+
+@st.composite
+def _solver_configs(draw):
+    delta0 = draw(st.floats(0.0, 1e300, exclude_min=True))
+    gamma1 = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    return SolverConfig(
+        delta0=delta0,
+        delta_max=draw(st.floats(delta0, exclude_min=True, allow_infinity=False)),
+        gamma1=gamma1, gamma2=1.0 / gamma1, eta1=draw(_UNIT), theta=draw(_POSITIVE),
+        alpha_schedule=draw(st.one_of(st.builds(FixedAlpha, _UNIT),
+                                      st.builds(SummableToOneAlpha, st.integers(2, 10**6)))),
+        k_max=draw(st.integers(1, 10**9)),
+        hessian_mode=draw(st.sampled_from(HessianMode)),
+        hessian_combine=draw(st.sampled_from(HessianCombine)),
+        rho_guard=draw(_POSITIVE), omega_tol=draw(_POSITIVE), marginal_tol=draw(_POSITIVE),
+        refine_steps=draw(st.integers(0, 5)), exact_metrics=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63)))
+
+
+@st.composite
+def _experiment_specs(draw):
+    problem = draw(st.sampled_from(["test1", "test2", "synthetic", "dataset"]))
+    features = draw(st.integers(1, 6))
+    n = {"synthetic": features, "dataset": draw(st.integers(1, 6))}.get(problem, 2)
+    bounded = draw(st.booleans())
+    caps = _POSITIVE if bounded else _FINITE
+    noise = NoiseSpec(sigma=draw(st.floats(0.0, allow_infinity=False)), bounded=bounded,
+                      cap_f=draw(caps), cap_g=draw(caps),
+                      shared_gradient_noise=draw(st.booleans()))
+    return ExperimentSpec(
+        problem=problem, noise=noise,
+        dataset_path=draw(_TEXT if problem == "dataset" else st.none() | _TEXT),
+        dataset_format=draw(_TEXT), label_column=draw(st.integers()),
+        sensitive_column=draw(st.integers()), label_convention=draw(_TEXT),
+        has_header=draw(st.booleans()), keep_sensitive=draw(st.booleans()),
+        regularizer=draw(_FINITE), synthetic_samples=draw(st.integers()),
+        synthetic_features=features, synthetic_seed=draw(st.integers()),
+        constants_mode=draw(_TEXT), constant_value=draw(_FINITE),
+        algorithm=draw(st.sampled_from(["smop", "dmop", "smg"])),
+        x0=tuple(draw(st.lists(_FINITE, min_size=n, max_size=n))),
+        num_simulations=draw(st.integers(1, 10**6)), output_path=draw(_TEXT),
+        output_format=draw(st.sampled_from(["csv", "json"])),
+        parallelism=draw(st.integers(0, 64)), smg_t0=draw(_POSITIVE),
+        smg_delta=draw(st.none() | _POSITIVE), solver=draw(_solver_configs()))
+
+
+@st.composite
+def _front_configs(draw):
+    interval = st.lists(_FINITE, min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+    return FrontConfig(
+        n_p=draw(st.integers(1, 100)), n_q=draw(st.integers(1, 100)),
+        n_r=draw(st.integers(1, 100)),
+        init_box=tuple(draw(st.lists(interval, min_size=1, max_size=4))),
+        init_count=draw(st.integers(1, 100)), perturb_scale=draw(_POSITIVE),
+        rounds=draw(st.integers(1, 100)), max_size=draw(st.integers(1, 10**6)),
+        weak_dominance=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_experiment_specs(), front=_front_configs())
+@example(spec=ExperimentSpec(solver=SolverConfig(
+    delta0=0.3, delta_max=7.0, gamma1=0.25, gamma2=4.0, eta1=0.2, theta=0.4, k_max=33,
+    alpha_schedule=SummableToOneAlpha(offset=5), hessian_mode=HessianMode.SUBSAMPLED,
+    hessian_combine=HessianCombine.UNIFORM, refine_steps=2, exact_metrics=False, seed=9)),
+    front=FrontConfig())
+def test_config_round_trip(spec, front):
+    # Every section is written by the table's formatters to config lines and
+    # read back by its parsers. Compared by repr, so that types count too
+    # (an offset read back as 5.0 equals 5 but is not what was written).
+    mapping = {**format_config("solver", spec.solver), **format_config("noise", spec.noise),
+               **format_config("experiment", spec), **format_config("front", front)}
+    sections = parse_config(parse_kv_text("".join(f"{k} = {v}\n" for k, v in mapping.items())))
+    assert repr(experiment_spec(sections)) == repr(spec)
+    assert repr(FrontConfig(**sections["front"])) == repr(front)
+    assert repr(solver_config_from_mapping(solver_config_to_mapping(spec.solver))) == repr(spec.solver)
+
+
+def test_readme_config_schema_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("\n## Config schema\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\| `(\w+)` \|", schema, flags=re.M)) == sorted(CONFIG_KEYS)
 
 
 def test_solver_config_mapping_rejects_unknown_keys():

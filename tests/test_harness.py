@@ -145,12 +145,11 @@ def test_emit_json_round_trip(tmp_path):
 
 
 def test_parallel_and_serial_runs_match():
+    # parallelism is accepted for old configs but has no effect.
     noise = NoiseSpec(sigma=0.1)
-    serial = _tiny_spec(noise=noise, num_simulations=3, parallelism=1)
-    parallel = _tiny_spec(noise=noise, num_simulations=3, parallelism=2)
-    rows_s, _ = run_experiment(serial)
-    rows_p, _ = run_experiment(parallel)
-    assert rows_s == rows_p
+    runs = [run_experiment(_tiny_spec(noise=noise, num_simulations=3, parallelism=workers))[0]
+            for workers in (0, 1, 2)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
@@ -167,28 +166,27 @@ def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
     real = harness.load_dataset
     monkeypatch.setattr(harness, "load_dataset",
                         lambda *a, **kw: parses.append(a) or real(*a, **kw))
-    rows, summary = run_experiment(spec)
+    rows, _ = run_experiment(spec)
     assert len(parses) == 1
-    # Each pool worker builds its own oracle; results must not depend on sharing.
-    pool_rows, pool_summary = run_experiment(replace(spec, parallelism=2))
-    assert rows == pool_rows
-    assert summary == pool_summary
+    assert len(rows) == 3 * 40
 
 
 @pytest.mark.parametrize("problem, noise", [
     ("test1", NoiseSpec(sigma=0.1)),
     ("test2", NoiseSpec(sigma=0.05, bounded=True, cap_f=0.5, cap_g=0.5))])
-def test_serial_batch_and_process_pool_write_identical_files(tmp_path, problem, noise):
-    # The serial path runs the simulations as one batch, each pool worker runs
-    # one simulation alone: a simulation's output must not depend on that.
+def test_batch_simulations_match_single_runs(problem, noise):
+    # All simulations run as one batch; simulation i must come out as a run
+    # of that simulation alone with seed + i.
     spec = _tiny_spec(problem=problem, noise=noise, num_simulations=4, x0=(2.0, -0.5),
                       solver=SolverConfig(k_max=60, seed=3))
-    files = []
-    for name, workers in (("serial.csv", 1), ("pool.csv", 2)):
-        rows, summary = run_experiment(replace(spec, parallelism=workers))
-        emit(rows, str(tmp_path / name), "csv", summary)
-        files.append([(tmp_path / f).read_bytes() for f in (name, name + ".summary.json")])
-    assert files[0] == files[1]
+    rows, summary = run_experiment(spec)
+    for sim in range(4):
+        alone, alone_summary = run_experiment(
+            replace(spec, num_simulations=1, solver=SolverConfig(k_max=60, seed=3 + sim)))
+        assert [replace(r, simulation=sim) for r in alone] == [r for r in rows
+                                                               if r.simulation == sim]
+        assert alone_summary["final_points"] == [summary["final_points"][sim]]
+        assert alone_summary["final_objectives"] == [summary["final_objectives"][sim]]
 
 
 def _write_cfg(tmp_path, text):
@@ -220,12 +218,16 @@ def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "noise_bounded = ture", "noise_shared_gradient = yess", "has_header = 2",
-    "keep_sensitive = nope", "front_weak = ture", "smg_delta = -1", "smg_delta = 0"])
+    "keep_sensitive = nope", "front_weak = ture", "smg_delta = -1", "smg_delta = 0",
+    "theta = nan", "noise_sigma = nan", "rho_guard = nan", "smg_t0 = nan",
+    "constant_value = nan", "regularizer = nan", "front_perturb_scale = nan",
+    "x0 = nan,1", "delta_max = inf", "front_init_box = 0:1,-inf:1"])
 def test_cli_validate_rejects_bad_values(tmp_path, capsys, line):
-    cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\n")
-    assert main(["validate", cfg]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and err.count("\n") == 1
+    cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\nk_max = 2\nnum_simulations = 1\n")
+    for command in ("validate", "run", "front"):
+        assert main([command, cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("lines", [

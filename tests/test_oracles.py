@@ -376,7 +376,8 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
         np.testing.assert_equal(rng_oracle.bit_generator.state, rng_ref.bit_generator.state)
     # Memoised full-batch arrays are shared between calls, so they are read-only.
     x = points[calls[-1][0]]
-    _, g, H = oracle._group(0, x, problem.groups[0].size, None, True)
+    oracle.exact_evaluate(x, need_hessians=True)
+    _, g, H = oracle._memo[(0, x.tobytes())]
     with pytest.raises(ValueError):
         g[0] = 1.0
     with pytest.raises(ValueError):
