@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 import math
+import re
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
@@ -241,6 +242,23 @@ class HessianCombine(enum.Enum):
     UNIFORM = "uniform"
 
 
+# The experiment's choice keys. Members are strings, so the oracle and the
+# dataset loader take either a member or its value.
+class DatasetFormat(str, enum.Enum):
+    CSV = "csv"
+    LIBSVM = "libsvm"
+
+
+class LabelConvention(str, enum.Enum):
+    PM1 = "pm1"
+    ZEROONE = "zeroone"
+
+
+class ConstantsMode(str, enum.Enum):
+    ESTIMATED = "estimated"
+    ANALYTIC = "analytic"
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Trust-region solver parameters.
@@ -295,11 +313,15 @@ class SolverConfig:
 # typos never pass silently. Value checks are left to the dataclasses.
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; a '#' at the start of a line or
+    after whitespace starts a comment, one inside a value is kept."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -342,6 +364,7 @@ _VECTOR = (lambda s: tuple(map(_finite, s.split(","))),
            lambda v: ",".join(map(repr, v)))
 _BOX = (lambda s: tuple(map(_interval, s.split(","))),
         lambda box: ",".join(f"{lo!r}:{hi!r}" for lo, hi in box))
+_MEMBER = attrgetter("value")       # formatter of an enum member; its class parses
 
 
 class ConfigKey(NamedTuple):
@@ -368,8 +391,8 @@ CONFIG_KEYS = {row.key: row for row in (
     ConfigKey("alpha_value", "solver", "alpha_schedule", *_FLOAT),
     ConfigKey("alpha_offset", "solver", "alpha_schedule", *_INT),
     ConfigKey("k_max", "solver", "k_max", *_INT),
-    ConfigKey("hessian_mode", "solver", "hessian_mode", HessianMode, attrgetter("value")),
-    ConfigKey("hessian_combine", "solver", "hessian_combine", HessianCombine, attrgetter("value")),
+    ConfigKey("hessian_mode", "solver", "hessian_mode", HessianMode, _MEMBER),
+    ConfigKey("hessian_combine", "solver", "hessian_combine", HessianCombine, _MEMBER),
     ConfigKey("rho_guard", "solver", "rho_guard", *_FLOAT),
     ConfigKey("omega_tol", "solver", "omega_tol", *_FLOAT),
     ConfigKey("marginal_tol", "solver", "marginal_tol", *_FLOAT),
@@ -383,17 +406,17 @@ CONFIG_KEYS = {row.key: row for row in (
     ConfigKey("noise_shared_gradient", "noise", "shared_gradient_noise", *_BOOL),
     ConfigKey("problem", "experiment", "problem", *_STR),
     ConfigKey("dataset_path", "experiment", "dataset_path", *_STR),
-    ConfigKey("dataset_format", "experiment", "dataset_format", *_STR),
+    ConfigKey("dataset_format", "experiment", "dataset_format", DatasetFormat, _MEMBER),
     ConfigKey("label_column", "experiment", "label_column", *_INT),
     ConfigKey("sensitive_column", "experiment", "sensitive_column", *_INT),
-    ConfigKey("label_convention", "experiment", "label_convention", *_STR),
+    ConfigKey("label_convention", "experiment", "label_convention", LabelConvention, _MEMBER),
     ConfigKey("has_header", "experiment", "has_header", *_BOOL),
     ConfigKey("keep_sensitive", "experiment", "keep_sensitive", *_BOOL),
     ConfigKey("regularizer", "experiment", "regularizer", *_FLOAT),
     ConfigKey("synthetic_samples", "experiment", "synthetic_samples", *_INT),
     ConfigKey("synthetic_features", "experiment", "synthetic_features", *_INT),
     ConfigKey("synthetic_seed", "experiment", "synthetic_seed", *_INT),
-    ConfigKey("constants_mode", "experiment", "constants_mode", *_STR),
+    ConfigKey("constants_mode", "experiment", "constants_mode", ConstantsMode, _MEMBER),
     ConfigKey("constant_value", "experiment", "constant_value", *_FLOAT),
     ConfigKey("algorithm", "experiment", "algorithm", *_STR),
     ConfigKey("x0", "experiment", "x0", *_VECTOR),
@@ -478,8 +501,11 @@ def load_config(path: str, sets: Iterable[str] = (), seed: int | None = None,
                 output: str | None = None) -> dict[str, dict]:
     """``parse_config`` of a config file after the command-line overrides:
     each ``KEY=VALUE`` of ``sets``, then the base seed and the output path."""
-    with open(path) as fh:
-        mapping = parse_kv_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            mapping = parse_kv_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for item in sets:
         key, sep, value = item.partition("=")
         if not sep:

@@ -11,6 +11,9 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    ConstantsMode,
+    DatasetFormat,
+    LabelConvention,
     Oracle,
     RngStream,
     SolverConfig,
@@ -53,17 +56,17 @@ class ExperimentSpec:
     problem: str = "test1"
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     dataset_path: str | None = None
-    dataset_format: str = "csv"
+    dataset_format: DatasetFormat = DatasetFormat.CSV
     label_column: int = 0
     sensitive_column: int = 0
-    label_convention: str = "pm1"
+    label_convention: LabelConvention = LabelConvention.PM1
     has_header: bool = False
     keep_sensitive: bool = True
     regularizer: float = 0.1
     synthetic_samples: int = 300
     synthetic_features: int = 10
     synthetic_seed: int = 7
-    constants_mode: str = "estimated"
+    constants_mode: ConstantsMode = ConstantsMode.ESTIMATED
     constant_value: float = 1.0
     algorithm: str = "smop"
     x0: tuple[float, ...] = (9.0, 9.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -242,7 +243,7 @@ class FiniteSumProblem:
         object.__setattr__(self, "groups", tuple(np.asarray(g, dtype=int) for g in self.groups))
         if A.ndim != 2 or y.shape != (A.shape[0],):
             raise ValueError("features must be (N, n) with matching labels")
-        if not set(np.unique(y)) <= {-1.0, 1.0}:
+        if not (np.abs(y) == 1.0).all():
             raise LabelDomainError("labels must be in {-1, +1}")
         if len(self.groups) != self.regularizers.shape[0]:
             raise ValueError("one regularizer per group required")
@@ -285,8 +286,15 @@ def _logistic_stack(A, y, X, lams, mask, need_hessians):
     m = A.shape[1]
     M = y * (A @ X[:, :, None])[:, :, 0]       # margins
     s = 1.0 / (1.0 + np.exp(M))                 # sigma(-margin)
+    # log(1 + e^-M) = max(-M, 0) + log1p(e^-|M|), on numpy's vector exp and
+    # log1p (logaddexp calls scalar libm per element); M is not read again.
+    loss = np.abs(M)
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    loss -= np.minimum(M, 0.0, out=M)
     Xh = X * mask
-    f = (np.logaddexp(0.0, -M).sum(axis=1) / m
+    f = (loss.sum(axis=1) / m
          + 0.5 * lams * (Xh[:, None, :] @ Xh[:, :, None])[:, 0, 0])
     g = -((y * s)[:, None, :] @ A)[:, 0] / m + lams[:, None] * Xh
     if not need_hessians:
@@ -567,75 +575,94 @@ class ExactOracle(Oracle):
 # ---------------------------------------------------------------------------
 # Dataset ingestion.
 
+# These checks avoid np.unique, which in numpy 2 imports numpy.ma: a run
+# would load that module for them alone.
+
 def _binarize(column: np.ndarray) -> np.ndarray:
     """Two groups from a sensitive attribute: exact match for binary columns,
     median threshold otherwise."""
-    uniq = np.unique(column)
-    if uniq.size < 2:
+    lo, hi = column.min(), column.max()
+    if not lo < hi:
         raise EmptyGroupError("sensitive column is constant; cannot split")
-    if uniq.size == 2:
-        return (column == uniq[1]).astype(int)
+    if ((column == lo) | (column == hi)).all():
+        return (column == hi).astype(int)
     return (column > np.median(column)).astype(int)
 
 
 def _map_labels(raw: np.ndarray, convention: str) -> np.ndarray:
     if convention == "pm1":
-        if not set(np.unique(raw)) <= {-1.0, 1.0}:
+        if not (np.abs(raw) == 1.0).all():
             raise LabelDomainError("labels not in {-1, +1}")
         return raw
     if convention == "zeroone":
-        if not set(np.unique(raw)) <= {0.0, 1.0}:
+        if not ((raw == 0.0) | (raw == 1.0)).all():
             raise LabelDomainError("labels not in {0, 1}")
         return 2.0 * raw - 1.0
     raise ConfigError(f"bad label convention {convention!r}")
 
 
+def _lines(path: str):
+    """(line number, stripped line) of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_csv(path: str, has_header: bool) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if has_header and lineno == 1:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            rows.append(row)
-    if not rows:
+    """Dense float table; the first line is skipped as a header when
+    ``has_header``, blank lines are skipped and there are no comments."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # no data: reported below
+            table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(has_header),
+                               comments=None, dtype=float, encoding="utf-8")
+    except ValueError:
+        table = _scan_csv(path, has_header)
+    if table.size == 0:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows)
+    return table
+
+
+def _scan_csv(path: str, has_header: bool) -> np.ndarray:
+    """``_parse_csv`` line by line, so that an error names its line; this
+    also reads whitespace-only lines, which ``np.loadtxt`` rejects."""
+    rows, width = [], None
+    for lineno, line in _lines(path):
+        if not line or (has_header and lineno == 1):
+            continue
+        try:
+            row = np.loadtxt([line], delimiter=",", comments=None, dtype=float)
+        except ValueError as exc:      # numpy's position is within the one line
+            raise ParseError(f"{path}:{lineno}: {str(exc).split(' at row ')[0]}") from None
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {row.size}")
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), width or 0)
 
 
 def _parse_libsvm(path: str) -> tuple[np.ndarray, np.ndarray]:
     labels = []
     entries = []
     max_idx = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                labels.append(float(parts[0]))
-                row = {}
-                for item in parts[1:]:
-                    idx, val = item.split(":")
-                    row[int(idx)] = float(val)
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if row:
-                max_idx = max(max_idx, max(row))
-            entries.append(row)
+    for lineno, line in _lines(path):
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            labels.append(float(parts[0]))
+            row = {}
+            for item in parts[1:]:
+                idx, val = item.split(":")
+                row[int(idx)] = float(val)
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if row:
+            max_idx = max(max_idx, max(row))
+        entries.append(row)
     if not entries:
         raise ParseError(f"{path}: no data rows")
     X = np.zeros((len(entries), max_idx))

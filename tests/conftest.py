@@ -1,10 +1,18 @@
-"""Shared test oracles."""
+"""Shared test oracles and the hypothesis profiles."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import settings
 
 from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
+
+# The properties draw the same examples on every run, so two runs of one
+# commit give the same verdict. HYPOTHESIS_PROFILE=explore searches afresh.
+settings.register_profile("repeatable", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repeatable"))
 
 
 class PoisonedOracle(AnalyticOracle):

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from motr.core import (
     CONFIG_KEYS,
     ConfigError,
+    ConstantsMode,
+    DatasetFormat,
     DimensionMismatchError,
     FixedAlpha,
     HessianCombine,
     HessianMode,
+    LabelConvention,
     ObjectiveSample,
     RngStream,
     SolverConfig,
@@ -154,6 +157,11 @@ def test_parse_kv_text():
         parse_kv_text("a = 1\na = 2")
 
 
+def test_parse_kv_text_keeps_hash_inside_a_value():
+    text = "#c\np = out#1.csv\nq = a#b\t# note\nr = 5 #\n  # indented\n"
+    assert parse_kv_text(text) == {"p": "out#1.csv", "q": "a#b", "r": "5"}
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -191,12 +199,13 @@ def _experiment_specs(draw):
     return ExperimentSpec(
         problem=problem, noise=noise,
         dataset_path=draw(_TEXT if problem == "dataset" else st.none() | _TEXT),
-        dataset_format=draw(_TEXT), label_column=draw(st.integers()),
-        sensitive_column=draw(st.integers()), label_convention=draw(_TEXT),
+        dataset_format=draw(st.sampled_from(DatasetFormat)),
+        label_column=draw(st.integers()), sensitive_column=draw(st.integers()),
+        label_convention=draw(st.sampled_from(LabelConvention)),
         has_header=draw(st.booleans()), keep_sensitive=draw(st.booleans()),
         regularizer=draw(_FINITE), synthetic_samples=draw(st.integers()),
         synthetic_features=features, synthetic_seed=draw(st.integers()),
-        constants_mode=draw(_TEXT), constant_value=draw(_FINITE),
+        constants_mode=draw(st.sampled_from(ConstantsMode)), constant_value=draw(_FINITE),
         algorithm=draw(st.sampled_from(["smop", "dmop", "smg"])),
         x0=tuple(draw(st.lists(_FINITE, min_size=n, max_size=n))),
         num_simulations=draw(st.integers(1, 10**6)), output_path=draw(_TEXT),

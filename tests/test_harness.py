@@ -1,15 +1,21 @@
 """Experiment harness and CLI: spec parsing, runs, emission, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import PoisonedOracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motr import harness
 from motr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from motr.core import ConfigError, SolverConfig
+from motr.core import CONFIG_KEYS, ConfigError, SolverConfig, load_config
 from motr.harness import (
     ExperimentSpec,
     MetricRow,
@@ -221,13 +227,102 @@ def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
     "keep_sensitive = nope", "front_weak = ture", "smg_delta = -1", "smg_delta = 0",
     "theta = nan", "noise_sigma = nan", "rho_guard = nan", "smg_t0 = nan",
     "constant_value = nan", "regularizer = nan", "front_perturb_scale = nan",
-    "x0 = nan,1", "delta_max = inf", "front_init_box = 0:1,-inf:1"])
+    "x0 = nan,1", "delta_max = inf", "front_init_box = 0:1,-inf:1",
+    "constants_mode = banana", "dataset_format = xml", "label_convention = yesno"])
 def test_cli_validate_rejects_bad_values(tmp_path, capsys, line):
     cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\nk_max = 2\nnum_simulations = 1\n")
     for command in ("validate", "run", "front"):
         assert main([command, cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"problem = test1\nx0 = \xff\xfe\n")
+    for command in ("validate", "run", "front"):
+        assert main([command, str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "not UTF-8" in err and err.count("\n") == 1
+
+
+def test_cli_hash_inside_a_value_is_kept(tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace.
+    out = tmp_path / "out#1.csv"
+    cfg = _write_cfg(tmp_path, f"# comment\nproblem = test1   # trailing comment\n"
+                               f"k_max = 2\nnum_simulations = 1\noutput_path = {out}\n")
+    assert main(["run", cfg]) == EXIT_OK
+    assert out.exists() and Path(f"{out}.summary.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_VALUE_POOL = ["0", "1", "2", "3", "-1", "0.5", "1e-3", "1e400", "nan", "true", "no",
+               "fixed", "summable", "zero", "subsampled", "lambda", "uniform", "test1",
+               "test2", "synthetic", "dataset", "smop", "dmop", "smg", "csv", "json",
+               "libsvm", "pm1", "zeroone", "estimated", "analytic", "banana", "0,0", "9,9",
+               "0,0,0", "0:1,0:1", "DATA", "out#1.csv"]
+
+
+def _parses(key, value):
+    try:
+        CONFIG_KEYS[key].parse(value)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _config_lines(draw):
+    """``key = value`` lines of distinct table keys other than k_max; each
+    value is one its parser reads, one from the pool, or any text."""
+    keys = draw(st.lists(st.sampled_from(sorted(set(CONFIG_KEYS) - {"k_max"})),
+                         unique=True, max_size=8))
+    values = [draw(st.one_of(st.sampled_from([v for v in _VALUE_POOL if _parses(key, v)]),
+                             st.sampled_from(_VALUE_POOL), st.text(max_size=6)))
+              for key in keys]
+    return [f"{key} = {value}" for key, value in zip(keys, values)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_max=st.integers(1, 4), lines=_config_lines(),
+       garbage=st.lists(st.tuples(st.integers(0, 10), st.text(max_size=10)), max_size=1),
+       junk=st.lists(st.tuples(st.integers(0, 200), st.binary(min_size=1, max_size=4)),
+                     max_size=1))
+def test_cli_any_config_text_is_accepted_or_one_line_error(k_max, lines, garbage, junk):
+    # Table keys with good and bad values, at most one garbage line and at
+    # most one run of arbitrary bytes. validate never ends in a traceback: it
+    # accepts or reports one config error; an accepted short run, and a
+    # one-round front, complete or report one runtime error.
+    lines = [f"k_max = {k_max}"] + lines
+    for at, line in garbage:
+        lines.insert(at, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text("".join(f"{i % 2},{i // 2 % 2},{i / 7!r}\n" for i in range(12)))
+        text = "\n".join(lines).replace("DATA", str(data)).encode()
+        for at, raw in junk:
+            text = text[:at] + raw + text[at:]
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_bytes(text)
+        code, err = _main_quietly(["validate", str(cfg)])
+        if code != EXIT_OK:
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            return
+        assert err == ""
+        if load_config(str(cfg))["solver"].get("k_max", 500) > 3:
+            return
+        for command in (["run"], ["front", "--set", "front_rounds=1"]):
+            code, err = _main_quietly([*command, str(cfg), "--output", str(Path(tmp) / "out")])
+            assert code == EXIT_OK or (code == EXIT_RUNTIME and err.startswith("runtime error: ")
+                                       and err.count("\n") == 1)
 
 
 @pytest.mark.parametrize("lines", [

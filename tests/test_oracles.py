@@ -1,6 +1,8 @@
 """Evaluation backends: analytic problems, noise injection, subsampling, data."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from motr.oracles import (
     LabelDomainError,
     NoiseSpec,
     ParseError,
+    _logistic_stack,
+    _parse_csv,
     analytic_bound_constants,
     draw_noise,
     load_dataset,
@@ -424,6 +428,119 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
             np.testing.assert_array_equal(g[b], want[1])
             if exact_h:
                 np.testing.assert_array_equal(H[b], want[2])
+
+
+def _logistic_stack_logaddexp(A, y, X, lams, mask, need_hessians):
+    """The kernel as it was with the loss line on np.logaddexp."""
+    m = A.shape[1]
+    M = y * (A @ X[:, :, None])[:, :, 0]
+    s = 1.0 / (1.0 + np.exp(M))
+    Xh = X * mask
+    f = (np.logaddexp(0.0, -M).sum(axis=1) / m
+         + 0.5 * lams * (Xh[:, None, :] @ Xh[:, :, None])[:, 0, 0])
+    g = -((y * s)[:, None, :] @ A)[:, 0] / m + lams[:, None] * Xh
+    if not need_hessians:
+        return f, g, None
+    Aw = np.multiply(A, (s * (1.0 - s))[:, :, None], order="C")
+    H = Aw.transpose(0, 2, 1) @ A / m + lams[:, None, None] * np.diag(mask)
+    return f, g, H
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6), m=st.integers(1, 40),
+       n=st.integers(1, 6), margin=st.sampled_from([1e-3, 1.0, 30.0, 700.0, 1e3]),
+       gathered=st.booleans(), need_h=st.booleans())
+def test_logistic_stack_matches_logaddexp_form(seed, K, m, n, margin, gathered, need_h):
+    # Only the loss term moved to the exp/log1p form: gradients and Hessians
+    # are the same bits, values agree to a few ulps, for margins |M| <= 1e3.
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, size=(3 * m, n))
+    labels = rng.choice([-1.0, 1.0], size=3 * m)
+    if gathered:
+        idx = rng.integers(0, 3 * m, size=(K, m))
+        A, y = rows[idx], labels[idx]
+    else:
+        A, y = (np.broadcast_to(a[:m], (K,) + a[:m].shape) for a in (rows, labels))
+    X = rng.uniform(-1.0, 1.0, size=(K, n)) * (margin / n)
+    lams = rng.uniform(0.0, 1.0, size=K)
+    mask = (rng.random(n) < 0.7).astype(float)
+    with np.errstate(over="ignore"):            # e^M overflows to inf: sigma is 0
+        f, g, H = _logistic_stack(A, y, X, lams, mask, need_h)
+        f0, g0, H0 = _logistic_stack_logaddexp(A, y, X, lams, mask, need_h)
+    assert np.isfinite(f).all() and np.isfinite(g).all()
+    assert g.tobytes() == g0.tobytes()
+    assert (H is None) == (H0 is None) and (H is None or H.tobytes() == H0.tobytes())
+    assert (np.abs(f - f0) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(f0))).all()
+
+
+def _parse_csv_by_float(path, has_header):
+    """The reader as it was: Python float() per cell, line by line."""
+    rows = []
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if has_header and lineno == 1:
+                continue
+            row = [float(p) for p in line.split(",")]
+            if width is None:
+                width = len(row)
+            assert len(row) == width
+            rows.append(row)
+    return np.array(rows)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", " \t"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=st.integers(1, 6).flatmap(lambda w: st.lists(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=w, max_size=w),
+           min_size=1, max_size=12)),
+       fmt=st.sampled_from([repr, lambda v: "%.6g" % v]), has_header=st.booleans(),
+       data=st.data())
+def test_parse_csv_bit_identical_to_float_per_cell(table, fmt, has_header, data):
+    lines = ["label,a,b"] if has_header else []
+    for row in table:
+        lines += data.draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+        lines.append(",".join(data.draw(_PAD) + fmt(v) + data.draw(_PAD) for v in row))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\n\n"])))
+        got, want = _parse_csv(str(path), has_header), _parse_csv_by_float(path, has_header)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("body, line", [
+    ("label,a,b\n\n1,0,2.0\n\n-1,zero,3.0\n", 5),
+    ("label,a,b\n\n1,0,2.0\n   \n-1,3.0\n", 5),
+    ("label,a,b\n1,0,2.0\n-1,1,3.0 # note\n", 3),
+    ("label,a,b\n1,0,2.0\n# a comment line\n", 3),
+    ("label,a,b\n1,0,1_0\n", 2),
+])
+def test_load_csv_error_names_file_line(tmp_path, body, line):
+    # Blank lines and the header count: the number is the line in the file.
+    # '#' is not a comment in a data file.
+    path = _write(tmp_path, "bad.csv", body)
+    with pytest.raises(ParseError, match=f"bad.csv:{line}: "):
+        load_dataset(path, "csv", sensitive_column=0, has_header=True)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "label,a,b\n", "label,a,b\n\n  \n"])
+def test_load_csv_without_rows_is_a_parse_error(tmp_path, body):
+    path = _write(tmp_path, "empty.csv", body)
+    with pytest.raises(ParseError, match="no data rows"):
+        load_dataset(path, "csv", sensitive_column=0, has_header=True)
+
+
+@pytest.mark.parametrize("format", ["csv", "libsvm"])
+def test_load_non_utf8_dataset_is_a_parse_error(tmp_path, format):
+    path = tmp_path / "latin1.data"
+    path.write_bytes("1,0,2.0\n-1,1,3.0 caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.data: not UTF-8"):
+        load_dataset(str(path), format, sensitive_column=0)
 
 
 def test_exact_evaluate_hessians_only_on_request():
