@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core import ConfigError, RngStream, check_length, load_config
 from .harness import emit, experiment_spec, run_experiment
 from .pareto import FrontConfig, export_archive_csv, run_front
@@ -50,16 +52,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if args.command == "run":
-            rows, summary = run_experiment(spec)
-            emit(rows, spec.output_path, spec.output_format, summary)
-            print(f"wrote {len(rows)} rows to {spec.output_path}")
-        else:
-            oracle = spec.build_oracle()
-            rng = RngStream(spec.solver.seed, stream_id=999).generator()
-            archive = run_front(oracle, front_cfg, spec.solver, rng)
-            export_archive_csv(archive, spec.output_path)
-            print(f"wrote {len(archive)} archive members to {spec.output_path}")
+        # numpy's floating-point warnings stay silent: a non-finite sample
+        # is reported below as the one-line runtime error.
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                histories, summary = run_experiment(spec)
+                emit(histories, spec.output_path, spec.output_format, summary)
+                print(f"wrote {sum(map(len, histories))} rows to {spec.output_path}")
+            else:
+                oracle = spec.build_oracle()
+                rng = RngStream(spec.solver.seed, stream_id=999).generator()
+                archive = run_front(oracle, front_cfg, spec.solver, rng)
+                export_archive_csv(archive, spec.output_path)
+                print(f"wrote {len(archive)} archive members to {spec.output_path}")
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,10 +1,9 @@
 """Experiment harness: spec parsing, seeded multi-simulation execution,
-exact-metric instrumentation, baselines, and CSV/JSON emission."""
+exact-metric instrumentation and CSV/JSON emission."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,16 +14,15 @@ from .core import (
     DatasetFormat,
     LabelConvention,
     Oracle,
-    RngStream,
     SolverConfig,
-    alpha_at,
     check_length,
     format_config,
     load_config,
     parse_config,
-    scalar_representation,
 )
-from .marginal import solve_marginal
+# solve_marginal and run_final stay importable here: perfbench/tracer.py wraps
+# harness.solve_marginal and harness.run_final.
+from .marginal import solve_marginal  # noqa: F401
 from .oracles import (
     AnalyticOracle,
     AnalyticProblem,
@@ -34,19 +32,7 @@ from .oracles import (
     load_dataset,
     make_synthetic_logistic,
 )
-# run_final stays importable here: perfbench/tracer.py wraps harness.run_final.
-from .solver import run_batch, run_final  # noqa: F401
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    simulation: int
-    k: int
-    omega_true: float | None
-    phi_true: float | None
-    scalar_products: int
-    delta: float
-    success: bool
+from .solver import IterationRecord, run_batch, run_final  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -87,6 +73,11 @@ class ExperimentSpec:
             raise ConfigError(f"bad algorithm {self.algorithm!r}")
         if self.num_simulations < 1:
             raise ConfigError("num_simulations must be >= 1")
+        # Seeds are packed into uint64 stream keys.
+        if self.solver.seed + self.num_simulations > 2**64:
+            raise ConfigError("seed + num_simulations - 1 must be below 2**64")
+        if not 0 <= self.synthetic_seed < 2**64:
+            raise ConfigError("synthetic_seed must be in [0, 2**64)")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"bad output_format {self.output_format!r}")
         if self.parallelism < 0:
@@ -138,73 +129,29 @@ def load_experiment_spec(path: str, overrides: dict[str, str] | None = None) -> 
     return experiment_spec(load_config(path, [f"{k}={v}" for k, v in (overrides or {}).items()]))
 
 
-def smg_baseline_step(x, stochastic_gradients, step_size: float) -> np.ndarray:
-    """Simplified multi-gradient step: move against the dual-weighted gradient
-    combination returned by the common-descent subproblem."""
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
-    G = np.asarray(stochastic_gradients, dtype=float)
-    sol = solve_marginal(G)
-    combined = G.T @ sol.weights
-    return np.asarray(x, dtype=float) - step_size * combined
-
-
-def _run_smg(oracle: Oracle, spec: ExperimentSpec, sim: int,
-             seed: int) -> tuple[list[float], list[MetricRow]]:
-    cfg = spec.solver
-    rng = RngStream(seed).generator()
-    x = np.asarray(spec.x0, dtype=float)
-    delta = spec.smg_delta if spec.smg_delta is not None else cfg.delta0
-    rows: list[MetricRow] = []
-    cost = 0
-    for k in range(cfg.k_max):
-        alpha = alpha_at(cfg.alpha_schedule, k, oracle.q)
-        sample = oracle.evaluate(x, delta, alpha, rng)
-        cost += sample.cost
-        omega_true = phi_true = None
-        if oracle.exact_available:
-            values, gradients, _ = oracle.exact_evaluate(x)
-            omega_true = solve_marginal(gradients).omega
-            phi_true = scalar_representation(values)
-        t_k = spec.smg_t0 / math.sqrt(k + 1.0)
-        x = smg_baseline_step(x, sample.gradients, t_k)
-        rows.append(MetricRow(simulation=sim, k=k, omega_true=omega_true,
-                              phi_true=phi_true, scalar_products=cost,
-                              delta=delta, success=True))
-    return list(map(float, x)), rows
-
-
-def _rows(sim: int, history) -> list[MetricRow]:
-    return [MetricRow(simulation=sim, k=r.k, omega_true=r.omega_true,
-                      phi_true=r.phi_true, scalar_products=r.cost_so_far,
-                      delta=r.delta, success=r.success)
-            for r in history]
-
-
-def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
-    """Run num_simulations independent seeded runs and collect metric rows.
+def run_experiment(spec: ExperimentSpec) -> tuple[list[list[IterationRecord]], dict]:
+    """Run num_simulations independent seeded runs and return each one's
+    iteration history, in simulation order, with a summary.
 
     Exact marginal/scalar metrics are instrumentation: they consume no run
     randomness and never count toward scalar products. The summary reports
     per-simulation final points, their exact objective values, and the value
     at the mean final point. One oracle (one dataset parse) serves all
-    simulations and the summary. smg runs the simulations one after another,
-    the trust-region algorithms as one batch (simulation i depends only on
-    its seed); the error of the first failed simulation is raised.
+    simulations and the summary. Every algorithm runs the simulations as one
+    batch (simulation i depends only on its seed); smg as the step rule of
+    ``run_batch`` at radius ``smg_delta`` (default ``delta0``). The error of
+    the first failed simulation is raised.
     """
     oracle = spec.build_oracle()
     seeds = [spec.solver.seed + sim for sim in range(spec.num_simulations)]
+    smg = None
     if spec.algorithm == "smg":
-        results = [_run_smg(oracle, spec, sim, seed) for sim, seed in enumerate(seeds)]
-    else:
-        results = []
-        for sim, s in enumerate(run_batch(oracle, spec.solver, [spec.x0] * len(seeds), seeds)):
-            if s.error is not None:
-                raise s.error
-            results.append((list(map(float, s.x)), _rows(sim, s.history)))
-            s.history = []          # each history is freed once converted
-    finals = [x_final for x_final, _ in results]
-    rows = [row for _, sim_rows in results for row in sim_rows]
+        smg = (spec.smg_t0, spec.solver.delta0 if spec.smg_delta is None else spec.smg_delta)
+    states = run_batch(oracle, spec.solver, [spec.x0] * len(seeds), seeds, smg=smg)
+    for s in states:
+        if s.error is not None:
+            raise s.error
+    finals = [list(map(float, s.x)) for s in states]
 
     final_f = []
     for x in finals:
@@ -223,7 +170,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], dict]:
         "smg_note": "simplified multi-gradient baseline" if spec.algorithm == "smg" else None,
         "config": format_config("solver", spec.solver),
     }
-    return rows, summary
+    return [s.history for s in states], summary
 
 
 _CSV_HEADER = "simulation,k,omega_true,phi_true,scalar_products,delta,success"
@@ -233,21 +180,23 @@ def _fmt_opt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def emit(rows: list[MetricRow], path: str, format: str,
+def emit(histories: list[list[IterationRecord]], path: str, format: str,
          summary: dict | None = None) -> None:
-    """Write the metric table as CSV or JSON plus a sidecar summary file."""
+    """Write the metric table of the simulations' histories (simulation i
+    is ``histories[i]``) as CSV or JSON plus a sidecar summary file."""
+    records = ((sim, r) for sim, history in enumerate(histories) for r in history)
     if format == "csv":
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(f"{r.simulation},{r.k},{_fmt_opt(r.omega_true)},"
-                         f"{_fmt_opt(r.phi_true)},{r.scalar_products},"
+            for sim, r in records:
+                fh.write(f"{sim},{r.k},{_fmt_opt(r.omega_true)},"
+                         f"{_fmt_opt(r.phi_true)},{r.cost_so_far},"
                          f"{r.delta!r},{int(r.success)}\n")
     elif format == "json":
-        payload = [{"simulation": r.simulation, "k": r.k,
+        payload = [{"simulation": sim, "k": r.k,
                     "omega_true": r.omega_true, "phi_true": r.phi_true,
-                    "scalar_products": r.scalar_products, "delta": r.delta,
-                    "success": r.success} for r in rows]
+                    "scalar_products": r.cost_so_far, "delta": r.delta,
+                    "success": r.success} for sim, r in records]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")

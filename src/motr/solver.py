@@ -256,7 +256,8 @@ def init_state(x0, config: SolverConfig, n: int | None = None,
 
 
 def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
-                  config: SolverConfig, keep_history: bool = True) -> None:
+                  config: SolverConfig, keep_history: bool = True,
+                  smg: tuple[float, float] | None = None) -> None:
     """One full trust-region iteration of every state that has not failed,
     in lockstep; appends an IterationRecord to each (unless not
     ``keep_history``).
@@ -265,6 +266,12 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
     sample, then its trial point if it has a descent direction. A state
     whose sample or trial is invalid gets ``error`` set, keeps its iterate,
     radius and history, and takes no further part.
+
+    With ``smg = (t0, radius)`` each state takes the stochastic
+    multi-gradient step (Liu & Vicente, 2021) instead: ``x - t_k * lambda @
+    G`` on its sample's gradients G and subproblem weights lambda, with
+    ``t_k = t0 / sqrt(k + 1)``. There is no model and no trial; the step
+    always succeeds and the radius stays where ``run_batch`` set it.
     """
     for s in states:
         if s.error is None and not s.delta > 0:
@@ -275,7 +282,7 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
     alphas = [alpha_at(config.alpha_schedule, s.k, oracle.q) for s in live]
     X = np.array([s.x for s in live])
     deltas = np.array([s.delta for s in live])
-    need_h = config.hessian_mode is HessianMode.SUBSAMPLED
+    need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
     sample = oracle.evaluate_batch(X, deltas, alphas, [s.rng for s in live],
                                    need_hessians=need_h)
     if sample.errors:
@@ -303,7 +310,13 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
     predicted = np.zeros(B)
     beta = np.ones(B)
     cost = sample.cost.copy()
-    act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
+    if smg is None:
+        act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
+    else:
+        act = np.empty(0, dtype=int)
+        t = smg[0] / np.sqrt(np.array([s.k for s in live]) + 1.0)
+        step = -t[:, None] * (marg.weights[:, None, :] @ sample.gradients)[:, 0]
+        success[:] = True
     if act.size:
         model = build_model_batch(sample, config.hessian_mode, weights=marg.weights,
                                   combine=config.hessian_combine, oracle=oracle).take(act)
@@ -323,8 +336,9 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
             live[act[j]].error = exc
 
     X = np.where(success[:, None], X + step, X)
-    deltas = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
-                      config.gamma1 * deltas)
+    if smg is None:
+        deltas = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
+                          config.gamma1 * deltas)
     rows = zip(live, X, deltas.tolist(), cost.tolist(), marg.omega.tolist(), omega_true,
                phi_tilde.tolist(), phi_true, rho.tolist(), success.tolist(),
                np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]).tolist(),
@@ -353,17 +367,25 @@ def smop_iterate(state: TrustRegionState, oracle: Oracle,
 
 
 def run_batch(oracle: Oracle, config: SolverConfig, x0s, seeds,
-              keep_history: bool = True) -> list[TrustRegionState]:
+              keep_history: bool = True,
+              smg: tuple[float, float] | None = None) -> list[TrustRegionState]:
     """One state per (x0, seed) pair, run in lockstep for k_max iterations.
 
     State b is seeded with ``seeds[b]`` and ends as a single run from
     ``x0s[b]`` with that seed would. A state that fails stops with its
     ``error`` set; the others go on. Without ``keep_history`` the states
     keep no records, which a batch holds for all its states at once.
+    ``smg = (t0, radius)`` runs the stochastic multi-gradient step of
+    ``iterate_batch`` at that fixed radius.
     """
     states = [init_state(x0, config, oracle.n, seed) for x0, seed in zip(x0s, seeds)]
+    if smg is not None:
+        if not (smg[0] > 0 and smg[1] > 0):
+            raise ValueError("smg step size and radius must be positive")
+        for s in states:
+            s.delta = float(smg[1])
     for _ in range(config.k_max):
-        iterate_batch(states, oracle, config, keep_history)
+        iterate_batch(states, oracle, config, keep_history, smg)
     return states
 
 

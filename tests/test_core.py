@@ -204,7 +204,7 @@ def _experiment_specs(draw):
         label_convention=draw(st.sampled_from(LabelConvention)),
         has_header=draw(st.booleans()), keep_sensitive=draw(st.booleans()),
         regularizer=draw(_FINITE), synthetic_samples=draw(st.integers()),
-        synthetic_features=features, synthetic_seed=draw(st.integers()),
+        synthetic_features=features, synthetic_seed=draw(st.integers(0, 2**64 - 1)),
         constants_mode=draw(st.sampled_from(ConstantsMode)), constant_value=draw(_FINITE),
         algorithm=draw(st.sampled_from(["smop", "dmop", "smg"])),
         x0=tuple(draw(st.lists(_FINITE, min_size=n, max_size=n))),

@@ -1,8 +1,13 @@
 """Experiment harness and CLI: spec parsing, runs, emission, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,19 +18,30 @@ from conftest import PoisonedOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motr
 from motr import harness
 from motr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from motr.core import CONFIG_KEYS, ConfigError, SolverConfig, load_config
+from motr.core import (
+    CONFIG_KEYS,
+    ConfigError,
+    HessianMode,
+    Oracle,
+    RngStream,
+    SampleBatch,
+    SolverConfig,
+    alpha_at,
+    load_config,
+)
 from motr.harness import (
     ExperimentSpec,
-    MetricRow,
     emit,
     experiment_spec_from_mapping,
     load_experiment_spec,
     run_experiment,
-    smg_baseline_step,
 )
+from motr.marginal import solve_marginal
 from motr.oracles import NoiseSpec
+from motr.solver import IterationRecord, run_batch
 
 
 def _tiny_spec(**kwargs):
@@ -33,6 +49,20 @@ def _tiny_spec(**kwargs):
                 solver=SolverConfig(k_max=5))
     base.update(kwargs)
     return ExperimentSpec(**base)
+
+
+def _plain(histories):
+    """The histories with sample sizes as lists, so that == compares records."""
+    return [[replace(r, sample_sizes=r.sample_sizes.tolist()) for r in h] for h in histories]
+
+
+def _record(k, **fields):
+    """An IterationRecord with placeholder values in the fields emit skips."""
+    base = dict(k=k, omega_m=0.0, omega_true=1.5, phi_tilde=0.0, phi_true=2.5, rho=0.0,
+                delta=1.0, success=True, step_norm=0.0, cost_so_far=0,
+                sample_sizes=np.zeros(2, dtype=int), predicted_reduction=0.0, beta=1.0)
+    base.update(fields)
+    return IterationRecord(**base)
 
 
 def test_spec_validation():
@@ -76,9 +106,9 @@ def test_load_experiment_spec_with_overrides(tmp_path):
 
 def test_run_experiment_row_count_and_summary():
     spec = _tiny_spec(num_simulations=1, solver=SolverConfig(k_max=1))
-    rows, summary = run_experiment(spec)
-    assert len(rows) == 1
-    assert rows[0].simulation == 0 and rows[0].k == 0
+    histories, summary = run_experiment(spec)
+    assert [len(h) for h in histories] == [1]
+    assert histories[0][0].k == 0
     assert len(summary["final_points"]) == 1
     assert len(summary["final_objectives"][0]) == 2
     assert "config" in summary
@@ -86,41 +116,117 @@ def test_run_experiment_row_count_and_summary():
 
 def test_scalar_products_non_decreasing_per_simulation():
     spec = _tiny_spec(noise=NoiseSpec(sigma=0.1))
-    rows, _ = run_experiment(spec)
-    by_sim = {}
-    for r in rows:
-        by_sim.setdefault(r.simulation, []).append(r.scalar_products)
-    for costs in by_sim.values():
+    histories, _ = run_experiment(spec)
+    for history in histories:
+        costs = [r.cost_so_far for r in history]
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
 def test_dmop_simulations_identical():
     spec = _tiny_spec(algorithm="dmop", num_simulations=3)
-    rows, _ = run_experiment(spec)
-    by_sim = {}
-    for r in rows:
-        by_sim.setdefault(r.simulation, []).append((r.omega_true, r.delta, r.success))
-    traces = list(by_sim.values())
-    assert all(t == traces[0] for t in traces[1:])
+    histories, _ = run_experiment(spec)
+    traces = [[(r.omega_true, r.delta, r.success) for r in h] for h in histories]
+    assert len(traces) == 3 and all(t == traces[0] for t in traces[1:])
 
 
-def test_smg_baseline_step_examples():
+class _FixedGradients(Oracle):
+    """The same exact gradients ``G`` (q, n) at every point; values 0."""
+
+    stochastic = False
+    exact_available = False
+
+    def __init__(self, G):
+        self.G = np.asarray(G, dtype=float)
+        self.q, self.n = self.G.shape
+
+    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
+        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
+
+    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+        B = len(X)
+        return SampleBatch(values=np.zeros((B, self.q)),
+                           gradients=np.broadcast_to(self.G, (B, self.q, self.n)),
+                           delta=deltas, sample_sizes=np.zeros((B, self.q), dtype=int),
+                           cost=np.zeros(B, dtype=int))
+
+
+def _smg_step(x0, G, t0=0.5, radius=1.0):
+    """The state after one step of the smg rule, at t_0 = t0."""
+    state, = run_batch(_FixedGradients(G), SolverConfig(k_max=1), [x0], [0],
+                       smg=(t0, radius))
+    assert state.error is None
+    return state
+
+
+def test_smg_step_rule_examples():
     # Single objective reduces to a gradient step.
-    x = smg_baseline_step(np.zeros(2), np.array([[2.0, 0.0]]), 0.5)
-    np.testing.assert_allclose(x, [-1.0, 0.0])
+    state = _smg_step(np.zeros(2), [[2.0, 0.0]])
+    np.testing.assert_allclose(state.x, [-1.0, 0.0])
     # Opposing gradients cancel: fixed point.
-    x = smg_baseline_step(np.ones(2), np.array([[1.0, 1.0], [-1.0, -1.0]]), 0.5)
-    np.testing.assert_allclose(x, np.ones(2), atol=1e-9)
-    x = smg_baseline_step(np.zeros(2), np.array([[2.0, 0.0], [0.0, 2.0]]), 0.5)
-    np.testing.assert_allclose(x, [-0.5, -0.5], atol=1e-9)
+    state = _smg_step(np.ones(2), [[1.0, 1.0], [-1.0, -1.0]])
+    np.testing.assert_allclose(state.x, np.ones(2), atol=1e-9)
+    state = _smg_step(np.zeros(2), [[2.0, 0.0], [0.0, 2.0]], radius=3.0)
+    np.testing.assert_allclose(state.x, [-0.5, -0.5], atol=1e-9)
+    # Every step succeeds and the radius stays put.
+    record, = state.history
+    assert record.success and record.delta == 3.0 and state.delta == 3.0
     with pytest.raises(ValueError):
-        smg_baseline_step(np.zeros(2), np.array([[1.0, 0.0]]), 0.0)
+        _smg_step(np.zeros(2), [[1.0, 0.0]], t0=0.0)
+
+
+def _smg_reference(spec):
+    """smg written out one simulation and one iteration at a time: a
+    one-state sample at the fixed radius, the one-matrix subproblem and
+    x - t_k * G^T lambda. Returns the emitted columns and the final points."""
+    oracle, cfg = spec.build_oracle(), spec.solver
+    delta = cfg.delta0 if spec.smg_delta is None else spec.smg_delta
+    rows, finals = [], []
+    for sim in range(spec.num_simulations):
+        rng = RngStream(cfg.seed + sim).generator()
+        x = np.array(spec.x0, dtype=float)
+        cost = 0
+        for k in range(cfg.k_max):
+            sample = oracle.evaluate_one(x, delta, alpha_at(cfg.alpha_schedule, k, oracle.q),
+                                         rng)
+            cost += int(sample.cost)
+            omega_true = phi_true = None
+            if cfg.exact_metrics:
+                values, gradients, _ = oracle.exact_evaluate(x)
+                omega_true = solve_marginal(gradients, cfg.marginal_tol).omega
+                phi_true = float(values.max())
+            rows.append((sim, k, omega_true, phi_true, cost, delta, True))
+            weights = solve_marginal(sample.gradients, cfg.marginal_tol).weights
+            x = x - spec.smg_t0 / math.sqrt(k + 1.0) * (sample.gradients.T @ weights)
+        finals.append(list(map(float, x)))
+    return rows, finals
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(noise=NoiseSpec(sigma=0.5), num_simulations=3, solver=SolverConfig(k_max=60, seed=4)),
+    dict(noise=NoiseSpec(sigma=0.5), num_simulations=2, smg_t0=0.2,
+         solver=SolverConfig(k_max=40, seed=9, exact_metrics=False)),
+    dict(problem="synthetic", x0=(0.0,) * 10, num_simulations=2,
+         solver=SolverConfig(k_max=25, seed=1)),
+    dict(problem="synthetic", x0=(0.0,) * 10, num_simulations=2, smg_delta=20.0,
+         solver=SolverConfig(k_max=25, seed=2, delta_max=10.0,
+                             hessian_mode=HessianMode.SUBSAMPLED)),
+], ids=["test1", "test1-no-exact-metrics", "synthetic", "synthetic-delta-above-max"])
+def test_smg_matches_reference_loop(kwargs):
+    # The batched step rule writes the same columns, bit for bit, as the
+    # per-simulation loop it replaced.
+    spec = _tiny_spec(algorithm="smg", **kwargs)
+    histories, summary = run_experiment(spec)
+    got = [(sim, r.k, r.omega_true, r.phi_true, r.cost_so_far, r.delta, r.success)
+           for sim, h in enumerate(histories) for r in h]
+    rows, finals = _smg_reference(spec)
+    assert repr(got) == repr(rows)
+    assert summary["final_points"] == finals
 
 
 def test_smg_algorithm_runs():
     spec = _tiny_spec(algorithm="smg", num_simulations=1)
-    rows, summary = run_experiment(spec)
-    assert len(rows) == 5
+    histories, summary = run_experiment(spec)
+    assert [len(h) for h in histories] == [5]
     assert summary["smg_note"] is not None
 
 
@@ -128,10 +234,9 @@ def test_emit_csv(tmp_path):
     path = tmp_path / "out.csv"
     emit([], str(path), "csv")
     assert path.read_text() == "simulation,k,omega_true,phi_true,scalar_products,delta,success\n"
-    rows = [MetricRow(simulation=s, k=k, omega_true=1.5, phi_true=2.5,
-                      scalar_products=10 * k, delta=1.0, success=k % 2 == 0)
-            for s in range(2) for k in range(3)]
-    emit(rows, str(path), "csv")
+    histories = [[_record(k, cost_so_far=10 * k, success=k % 2 == 0) for k in range(3)]
+                 for s in range(2)]
+    emit(histories, str(path), "csv")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 7
     assert lines[1] == "0,0,1.5,2.5,0,1.0,1"
@@ -139,9 +244,9 @@ def test_emit_csv(tmp_path):
 
 def test_emit_json_round_trip(tmp_path):
     path = tmp_path / "out.json"
-    rows = [MetricRow(simulation=0, k=0, omega_true=None, phi_true=3.25,
-                      scalar_products=12, delta=0.5, success=True)]
-    emit(rows, str(path), "json", summary={"note": "x"})
+    histories = [[_record(0, omega_true=None, phi_true=3.25, cost_so_far=12, delta=0.5,
+                          success=True)]]
+    emit(histories, str(path), "json", summary={"note": "x"})
     data = json.loads(path.read_text())
     assert data == [{"simulation": 0, "k": 0, "omega_true": None,
                      "phi_true": 3.25, "scalar_products": 12, "delta": 0.5,
@@ -153,7 +258,8 @@ def test_emit_json_round_trip(tmp_path):
 def test_parallel_and_serial_runs_match():
     # parallelism is accepted for old configs but has no effect.
     noise = NoiseSpec(sigma=0.1)
-    runs = [run_experiment(_tiny_spec(noise=noise, num_simulations=3, parallelism=workers))[0]
+    runs = [_plain(run_experiment(_tiny_spec(noise=noise, num_simulations=3,
+                                             parallelism=workers))[0])
             for workers in (0, 1, 2)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -172,9 +278,9 @@ def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
     real = harness.load_dataset
     monkeypatch.setattr(harness, "load_dataset",
                         lambda *a, **kw: parses.append(a) or real(*a, **kw))
-    rows, _ = run_experiment(spec)
+    histories, _ = run_experiment(spec)
     assert len(parses) == 1
-    assert len(rows) == 3 * 40
+    assert [len(h) for h in histories] == [40] * 3
 
 
 @pytest.mark.parametrize("problem, noise", [
@@ -185,12 +291,11 @@ def test_batch_simulations_match_single_runs(problem, noise):
     # of that simulation alone with seed + i.
     spec = _tiny_spec(problem=problem, noise=noise, num_simulations=4, x0=(2.0, -0.5),
                       solver=SolverConfig(k_max=60, seed=3))
-    rows, summary = run_experiment(spec)
+    histories, summary = run_experiment(spec)
     for sim in range(4):
         alone, alone_summary = run_experiment(
             replace(spec, num_simulations=1, solver=SolverConfig(k_max=60, seed=3 + sim)))
-        assert [replace(r, simulation=sim) for r in alone] == [r for r in rows
-                                                               if r.simulation == sim]
+        assert _plain(alone) == _plain([histories[sim]])
         assert alone_summary["final_points"] == [summary["final_points"][sim]]
         assert alone_summary["final_objectives"] == [summary["final_objectives"][sim]]
 
@@ -228,11 +333,25 @@ def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
     "theta = nan", "noise_sigma = nan", "rho_guard = nan", "smg_t0 = nan",
     "constant_value = nan", "regularizer = nan", "front_perturb_scale = nan",
     "x0 = nan,1", "delta_max = inf", "front_init_box = 0:1,-inf:1",
-    "constants_mode = banana", "dataset_format = xml", "label_convention = yesno"])
+    "constants_mode = banana", "dataset_format = xml", "label_convention = yesno",
+    # Seeds are packed into uint64 stream keys.
+    "seed = 99999999999999999999999", "seed = 18446744073709551615\nnum_simulations = 2",
+    "synthetic_seed = -1", "synthetic_seed = 18446744073709551616"])
 def test_cli_validate_rejects_bad_values(tmp_path, capsys, line):
-    cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\nk_max = 2\nnum_simulations = 1\n")
+    sims = "" if "num_simulations" in line else "num_simulations = 1\n"
+    cfg = _write_cfg(tmp_path, f"problem = test1\n{line}\nk_max = 2\n{sims}")
     for command in ("validate", "run", "front"):
         assert main([command, cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_cli_seed_override_is_checked_against_uint64(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "problem = test1\nk_max = 2\nnum_simulations = 3\n")
+    assert main(["validate", cfg, "--seed", str(2**64 - 3)]) == EXIT_OK
+    capsys.readouterr()
+    for command in ("validate", "run", "front"):
+        assert main([command, cfg, "--seed", str(2**64 - 2)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
 
@@ -376,6 +495,20 @@ def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "runtime error: objective sample contains NaN/Inf\n"
 
 
+def test_cli_overflowing_run_prints_one_line(tmp_path):
+    # The oracle overflows at x0; numpy's RuntimeWarnings must not reach
+    # stderr beside the one-line error. A subprocess, because pytest
+    # captures warnings in process.
+    cfg = _write_cfg(tmp_path, "problem = synthetic\nsynthetic_features = 2\n"
+                               "x0 = 1e300,1e300\nk_max = 3\nnum_simulations = 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(motr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "motr.cli", "run", cfg,
+                           "--output", str(tmp_path / "rows.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr == "runtime error: objective sample contains NaN/Inf\n"
+
+
 def test_cli_default_length_synthetic_run_completes(tmp_path):
     # At k_max = 500 the radius falls far enough that delta^-4 overflows a
     # float; the group-size cap must apply first.
@@ -426,3 +559,14 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, "problem = test1\nk_max = 2\n"
                                "num_simulations = 1\nparallelism = 1\n")
     assert main(["run", cfg, "--output", "/nonexistent/dir/out.csv"]) == EXIT_RUNTIME
+
+
+def test_every_tracer_boundary_resolves(monkeypatch):
+    # perfbench/tracer.py wraps each (owner, attribute) of its BOUNDARIES
+    # through vars(owner)[attr]; removing one of those names from motr would
+    # end the benchmark's traced runs in a KeyError.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    resolve = tracer.Tracer(motr)._owner
+    for layer, owner_path, attr in tracer.BOUNDARIES:
+        assert attr in vars(resolve(owner_path)), f"{layer}: motr.{owner_path}.{attr}"

@@ -323,14 +323,16 @@ def _assert_same_run(a_x, a_hist, b_x, b_hist):
                 assert type(va) is type(vb) and repr(va) == repr(vb), f.name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(_BATCH_CASES), size=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), exact_metrics=st.booleans(),
-       refine_steps=st.sampled_from([0, 0, 2]), keep_history=st.booleans())
+       refine_steps=st.sampled_from([0, 0, 2]), keep_history=st.booleans(),
+       smg=st.sampled_from([None, None, (0.5, 1.0), (0.1, 2.0)]))
 def test_batch_composition_invariance(case, size, seed, exact_metrics, refine_steps,
-                                      keep_history):
+                                      keep_history, smg):
     # Every state of a batch of any size ends exactly as its own run would:
     # the same records, field for field and bit for bit, and the same x.
+    # That holds for the trust-region step and for the smg step rule.
     name, make_oracle, mode = case
     oracle = make_oracle()
     rng = np.random.default_rng(seed)
@@ -341,10 +343,14 @@ def test_batch_composition_invariance(case, size, seed, exact_metrics, refine_st
     seeds = rng.integers(0, 2**62, size=size).tolist()
     cfg = SolverConfig(k_max=12, hessian_mode=mode, exact_metrics=exact_metrics,
                        refine_steps=refine_steps)
-    states = run_batch(oracle, cfg, x0s, seeds, keep_history=keep_history)
+    states = run_batch(oracle, cfg, x0s, seeds, keep_history=keep_history, smg=smg)
     for state, x0, s in zip(states, x0s, seeds):
         assert state.error is None and state.k == cfg.k_max
-        x, history = run_final(make_oracle(), cfg.with_(seed=s), x0)
+        if smg is None:
+            x, history = run_final(make_oracle(), cfg.with_(seed=s), x0)
+        else:
+            alone, = run_batch(make_oracle(), cfg, [x0], [s], smg=smg)
+            x, history = alone.x, alone.history
         if not keep_history:
             assert state.history == []
             history = []
