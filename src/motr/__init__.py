@@ -19,7 +19,6 @@ from .core import (
     SolverConfig,
     SummableToOneAlpha,
     alpha_at,
-    scalar_representation,
 )
 from .marginal import (
     MarginalSolution,
@@ -41,6 +40,7 @@ from .oracles import (
 )
 from .pareto import FrontConfig, dominance_filter, init_front, front_round, run_front
 from .solver import (
+    Batch,
     IterationRecord,
     ModelSet,
     TrustRegionState,
@@ -51,7 +51,6 @@ from .solver import (
     run,
     run_batch,
     run_final,
-    smop_iterate,
 )
 
 __version__ = "0.1.0"

@@ -56,13 +56,13 @@ def main(argv: list[str] | None = None) -> int:
         # is reported below as the one-line runtime error.
         with np.errstate(all="ignore"):
             if args.command == "run":
-                histories, summary = run_experiment(spec)
-                emit(histories, spec.output_path, spec.output_format, summary)
-                print(f"wrote {sum(map(len, histories))} rows to {spec.output_path}")
+                batch, summary = run_experiment(spec)
+                emit(batch, spec.output_path, spec.output_format, summary)
+                print(f"wrote {batch.k.sum()} rows to {spec.output_path}")
             else:
                 oracle = spec.build_oracle()
                 rng = RngStream(spec.solver.seed, stream_id=999).generator()
-                archive = run_front(oracle, front_cfg, spec.solver, rng)
+                archive = run_front(oracle, front_cfg, spec.solver, rng, smg=spec.smg)
                 export_archive_csv(archive, spec.output_path)
                 print(f"wrote {len(archive)} archive members to {spec.output_path}")
     except Exception as exc:

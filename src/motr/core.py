@@ -33,12 +33,6 @@ def as_decision_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
-def scalar_representation(values) -> float:
-    """Max over objective components: the scalar merit used for acceptance tests."""
-    v = np.asarray(values, dtype=float)
-    return float(np.max(v))
-
-
 def as_decision_batch(X, n: int) -> np.ndarray:
     """Validate and return a finite (B, n) float64 stack of decision vectors."""
     V = np.asarray(X, dtype=float)
@@ -192,9 +186,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_id + 1) * 1_000_003 + index)
 
 
 @dataclass(frozen=True)
@@ -524,14 +515,6 @@ def check_length(section: str, attr: str, length: int, dimension: int | None) ->
     if dimension not in (None, length):
         key = next(r.key for r in CONFIG_KEYS.values() if r.section == section and r.attr == attr)
         raise ConfigError(f"{key} has {length} entries, problem dimension is {dimension}")
-
-
-def solver_config_from_mapping(mapping: dict[str, str]) -> SolverConfig:
-    return SolverConfig(**parse_config(mapping)["solver"])
-
-
-def solver_config_to_mapping(config: SolverConfig) -> dict[str, str]:
-    return format_config("solver", config)
 
 
 class Oracle(abc.ABC):

@@ -17,8 +17,6 @@ from .core import (
     SolverConfig,
     check_length,
     format_config,
-    load_config,
-    parse_config,
 )
 # solve_marginal and run_final stay importable here: perfbench/tracer.py wraps
 # harness.solve_marginal and harness.run_final.
@@ -32,7 +30,7 @@ from .oracles import (
     load_dataset,
     make_synthetic_logistic,
 )
-from .solver import IterationRecord, run_batch, run_final  # noqa: F401
+from .solver import Batch, run_batch, run_final  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,14 @@ class ExperimentSpec:
         a dataset, whose n is checked when the oracle is built."""
         return {"test1": 2, "test2": 2, "synthetic": self.synthetic_features}.get(self.problem)
 
+    @property
+    def smg(self) -> tuple[float, float] | None:
+        """The smg step rule ``(t0, radius)`` of ``run_batch`` (radius
+        ``smg_delta``, default ``delta0``); None for smop and dmop."""
+        if self.algorithm != "smg":
+            return None
+        return (self.smg_t0, self.smg_delta or self.solver.delta0)
+
     def build_oracle(self) -> Oracle:
         if self.problem in ("test1", "test2"):
             oracle: Oracle = AnalyticOracle(AnalyticProblem(self.problem), self.noise)
@@ -121,82 +127,65 @@ def experiment_spec(sections: dict[str, dict]) -> ExperimentSpec:
                           noise=NoiseSpec(**sections["noise"]), **sections["experiment"])
 
 
-def experiment_spec_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
-    return experiment_spec(parse_config(mapping))
-
-
-def load_experiment_spec(path: str, overrides: dict[str, str] | None = None) -> ExperimentSpec:
-    return experiment_spec(load_config(path, [f"{k}={v}" for k, v in (overrides or {}).items()]))
-
-
-def run_experiment(spec: ExperimentSpec) -> tuple[list[list[IterationRecord]], dict]:
-    """Run num_simulations independent seeded runs and return each one's
-    iteration history, in simulation order, with a summary.
+def run_experiment(spec: ExperimentSpec) -> tuple[Batch, dict]:
+    """Run num_simulations independent seeded runs as one batch (simulation
+    i is state i and depends only on its seed) and return it with a summary.
 
     Exact marginal/scalar metrics are instrumentation: they consume no run
     randomness and never count toward scalar products. The summary reports
     per-simulation final points, their exact objective values, and the value
     at the mean final point. One oracle (one dataset parse) serves all
-    simulations and the summary. Every algorithm runs the simulations as one
-    batch (simulation i depends only on its seed); smg as the step rule of
-    ``run_batch`` at radius ``smg_delta`` (default ``delta0``). The error of
-    the first failed simulation is raised.
+    simulations and the summary. The error of the first failed simulation
+    is raised.
     """
     oracle = spec.build_oracle()
     seeds = [spec.solver.seed + sim for sim in range(spec.num_simulations)]
-    smg = None
-    if spec.algorithm == "smg":
-        smg = (spec.smg_t0, spec.solver.delta0 if spec.smg_delta is None else spec.smg_delta)
-    states = run_batch(oracle, spec.solver, [spec.x0] * len(seeds), seeds, smg=smg)
-    for s in states:
-        if s.error is not None:
-            raise s.error
-    finals = [list(map(float, s.x)) for s in states]
+    batch = run_batch(oracle, spec.solver, [spec.x0] * len(seeds), seeds, smg=spec.smg)
+    for error in batch.errors:
+        if error is not None:
+            raise error
 
-    final_f = []
-    for x in finals:
-        values, _, _ = oracle.exact_evaluate(np.array(x))
-        final_f.append([float(v) for v in values])
-    mean_x = np.mean(np.array(finals), axis=0)
+    final_f, _, _ = oracle.exact_evaluate_batch(batch.x)
+    mean_x = np.mean(batch.x, axis=0)
     mean_values, _, _ = oracle.exact_evaluate(mean_x)
     summary = {
         "algorithm": spec.algorithm,
         "problem": spec.problem,
         "num_simulations": spec.num_simulations,
-        "final_points": finals,
-        "final_objectives": final_f,
-        "mean_final_point": [float(v) for v in mean_x],
-        "objectives_at_mean": [float(v) for v in mean_values],
+        "final_points": batch.x.tolist(),
+        "final_objectives": final_f.tolist(),
+        "mean_final_point": mean_x.tolist(),
+        "objectives_at_mean": mean_values.tolist(),
         "smg_note": "simplified multi-gradient baseline" if spec.algorithm == "smg" else None,
         "config": format_config("solver", spec.solver),
     }
-    return [s.history for s in states], summary
+    return batch, summary
 
 
-_CSV_HEADER = "simulation,k,omega_true,phi_true,scalar_products,delta,success"
+# Emitted column -> trace column.
+_COLUMNS = {"k": "k", "omega_true": "omega_true", "phi_true": "phi_true",
+            "scalar_products": "cost_so_far", "delta": "delta", "success": "success"}
 
 
 def _fmt_opt(value) -> str:
-    return "" if value is None else repr(float(value))
+    return "" if value is None else repr(value)
 
 
-def emit(histories: list[list[IterationRecord]], path: str, format: str,
-         summary: dict | None = None) -> None:
-    """Write the metric table of the simulations' histories (simulation i
-    is ``histories[i]``) as CSV or JSON plus a sidecar summary file."""
-    records = ((sim, r) for sim, history in enumerate(histories) for r in history)
+def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> None:
+    """Write the metric table of the batch's trace (simulation i is state i)
+    as CSV or JSON plus a sidecar summary file; a column the run did not
+    compute is empty (CSV) or null (JSON)."""
+    columns = [batch.trace[name].T.tolist() if name in batch.trace else None
+               for name in _COLUMNS.values()]
+    rows = [(sim, *row) for sim, k in enumerate(batch.k.tolist())
+            for row in zip(*([None] * k if c is None else c[sim][:k] for c in columns))]
     if format == "csv":
         with open(path, "w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for sim, r in records:
-                fh.write(f"{sim},{r.k},{_fmt_opt(r.omega_true)},"
-                         f"{_fmt_opt(r.phi_true)},{r.cost_so_far},"
-                         f"{r.delta!r},{int(r.success)}\n")
+            fh.write(",".join(["simulation", *_COLUMNS]) + "\n")
+            fh.writelines(f"{sim},{k},{_fmt_opt(omega)},{_fmt_opt(phi)},{cost},{delta!r},"
+                          f"{int(success)}\n" for sim, k, omega, phi, cost, delta, success in rows)
     elif format == "json":
-        payload = [{"simulation": sim, "k": r.k,
-                    "omega_true": r.omega_true, "phi_true": r.phi_true,
-                    "scalar_products": r.cost_so_far, "delta": r.delta,
-                    "success": r.success} for sim, r in records]
+        payload = [dict(zip(["simulation", *_COLUMNS], row)) for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -113,9 +113,11 @@ def init_front(front_config: FrontConfig, oracle: Oracle,
 
 def front_round(archive: list[ArchiveMember], oracle: Oracle,
                 front_config: FrontConfig, solver_config: SolverConfig,
-                rng: np.random.Generator) -> list[ArchiveMember]:
+                rng: np.random.Generator,
+                smg: tuple[float, float] | None = None) -> list[ArchiveMember]:
     """One round: retain the archive, add perturbations, run solver restarts
-    from every candidate, evaluate exactly, filter dominated points."""
+    from every candidate (with the step rule ``smg`` of ``run_batch``, if
+    given), evaluate exactly, filter dominated points."""
     if not archive:
         raise ValueError("archive must be non-empty")
     candidates = list(archive)
@@ -132,7 +134,7 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
     cfg = solver_config.with_(k_max=front_config.n_q, exact_metrics=False)
     try:        # one restart per start, all advancing together
         results = [s.error or s.x
-                   for s in run_batch(oracle, cfg, starts, seeds, keep_history=False)]
+                   for s in run_batch(oracle, cfg, starts, seeds, keep_history=False, smg=smg)]
     except Exception as exc:
         results = [exc] * len(starts)
     for result in results:
@@ -148,11 +150,11 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
 
 
 def run_front(oracle: Oracle, front_config: FrontConfig,
-              solver_config: SolverConfig,
-              rng: np.random.Generator) -> list[ArchiveMember]:
+              solver_config: SolverConfig, rng: np.random.Generator,
+              smg: tuple[float, float] | None = None) -> list[ArchiveMember]:
     archive = init_front(front_config, oracle, rng)
     for _ in range(front_config.rounds):
-        archive = front_round(archive, oracle, front_config, solver_config, rng)
+        archive = front_round(archive, oracle, front_config, solver_config, rng, smg)
     return archive
 
 

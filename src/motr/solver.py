@@ -12,7 +12,7 @@ batch it runs in; a single run is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,12 +58,9 @@ class ModelSet:
     beta: float | np.ndarray
 
     def take(self, index) -> "ModelSet":
+        """The models at ``index``; an int gives one state's model."""
         return ModelSet(self.base_values[index], self.base_gradients[index],
                         self.hessian[index], self.beta[index])
-
-    def state(self, b: int) -> "ModelSet":
-        return ModelSet(self.base_values[b], self.base_gradients[b], self.hessian[b],
-                        float(self.beta[b]))
 
 
 def combine_hessians(hessians: np.ndarray | None, weights: np.ndarray | None,
@@ -117,7 +114,7 @@ def build_model(sample: ObjectiveSample, hessian_mode: HessianMode,
     """``build_model_batch`` for one sample."""
     return build_model_batch(_as_batch(sample), hessian_mode,
                              None if weights is None else np.asarray(weights)[None],
-                             combine, oracle).state(0)
+                             combine, oracle).take(0)
 
 
 def evaluate_model(model: ModelSet, d) -> float:
@@ -233,39 +230,55 @@ class IterationRecord:
     beta: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrustRegionState:
-    """Mutable per-run state; owned by exactly one run. ``error`` holds the
-    exception that stopped the run, if any."""
+    """State b of a ``Batch``, read-only; ``error`` stopped it, if set."""
 
     x: np.ndarray
     delta: float
-    rng: np.random.Generator
-    k: int = 0
-    cumulative_cost: int = 0
-    history: list[IterationRecord] = field(default_factory=list)
-    error: Exception | None = None
+    k: int
+    history: list[IterationRecord]
+    error: Exception | None
 
 
-def init_state(x0, config: SolverConfig, n: int | None = None,
-               seed: int | None = None) -> TrustRegionState:
-    """A fresh state at ``x0`` whose stream is seeded by ``seed``
-    (default ``config.seed``)."""
-    return TrustRegionState(x=as_decision_vector(x0, n), delta=config.delta0,
-                            rng=RngStream(config.seed if seed is None else seed).generator())
+@dataclass(eq=False)
+class Batch:
+    """A lockstep run's states as columns (``x`` (B, n); ``delta``, ``cost``,
+    ``k`` (B,)) with their random streams and errors; ``batch[b]`` is state b.
+    ``trace[name][k, b]`` is field ``name`` of state b's IterationRecord k
+    (set for k < ``batch.k[b]``); a field not computed has no column (None in
+    the records), and ``trace`` is None without a history."""
+
+    x: np.ndarray
+    delta: np.ndarray
+    cost: np.ndarray
+    k: np.ndarray
+    rngs: list[np.random.Generator]
+    errors: list[Exception | None]
+    trace: dict[str, np.ndarray] | None
+
+    def __getitem__(self, b: int) -> TrustRegionState:
+        k = int(self.k[b])
+        history = [] if self.trace is None else [self.record(b, j) for j in range(k)]
+        return TrustRegionState(self.x[b].copy(), float(self.delta[b]), k, history, self.errors[b])
+
+    def record(self, b: int, k: int) -> IterationRecord:
+        values = dict.fromkeys(f.name for f in fields(IterationRecord))
+        for name, column in self.trace.items():
+            cell = column[k, b]
+            values[name] = cell.item() if cell.ndim == 0 else cell.copy()
+        return IterationRecord(**values)
 
 
-def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
-                  config: SolverConfig, keep_history: bool = True,
+def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                   smg: tuple[float, float] | None = None) -> None:
     """One full trust-region iteration of every state that has not failed,
-    in lockstep; appends an IterationRecord to each (unless not
-    ``keep_history``).
+    in lockstep; fills row k of the trace (which has ``config.k_max`` rows).
 
     A state draws from its own stream in the order of a single run: its
     sample, then its trial point if it has a descent direction. A state
-    whose sample or trial is invalid gets ``error`` set, keeps its iterate,
-    radius and history, and takes no further part.
+    whose sample or trial is invalid gets its error set, keeps its iterate,
+    radius and trace, and takes no further part.
 
     With ``smg = (t0, radius)`` each state takes the stochastic
     multi-gradient step (Liu & Vicente, 2021) instead: ``x - t_k * lambda @
@@ -273,48 +286,44 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
     ``t_k = t0 / sqrt(k + 1)``. There is no model and no trial; the step
     always succeeds and the radius stays where ``run_batch`` set it.
     """
-    for s in states:
-        if s.error is None and not s.delta > 0:
-            s.error = ValueError("delta must be positive")
-    live = [s for s in states if s.error is None]
-    if not live:
+    for b in np.flatnonzero(~(batch.delta > 0)).tolist():
+        if batch.errors[b] is None:
+            batch.errors[b] = ValueError("delta must be positive")
+    live = np.flatnonzero([e is None for e in batch.errors])
+    if not live.size:
         return
-    alphas = [alpha_at(config.alpha_schedule, s.k, oracle.q) for s in live]
-    X = np.array([s.x for s in live])
-    deltas = np.array([s.delta for s in live])
+    alphas = [alpha_at(config.alpha_schedule, k, oracle.q) for k in batch.k[live].tolist()]
     need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
-    sample = oracle.evaluate_batch(X, deltas, alphas, [s.rng for s in live],
-                                   need_hessians=need_h)
+    sample = oracle.evaluate_batch(batch.x[live], batch.delta[live], alphas,
+                                   [batch.rngs[b] for b in live], need_hessians=need_h)
     if sample.errors:
-        for b, exc in sample.errors.items():
-            live[b].error = exc
-        keep = [b for b in range(len(live)) if b not in sample.errors]
-        live, alphas = [live[b] for b in keep], [alphas[b] for b in keep]
-        X, deltas, sample = X[keep], deltas[keep], sample.take(keep)
-        if not live:
-            return
+        for j, exc in sample.errors.items():
+            batch.errors[live[j]] = exc
+        keep = [j for j in range(live.size) if j not in sample.errors]
+        live, alphas, sample = live[keep], [alphas[j] for j in keep], sample.take(keep)
+    ks, X, deltas = batch.k[live], batch.x[live], batch.delta[live]
     marg = solve_marginal_batch(sample.gradients, tolerance=config.marginal_tol)
     phi_tilde = sample.values.max(axis=1)
 
-    B = len(live)
-    omega_true = phi_true = [None] * B
+    B = live.size
+    exact = {}
     if config.exact_metrics and oracle.exact_available:
         # Instrumentation only: no rng draws, not counted as cost.
         values, gradients, _ = oracle.exact_evaluate_batch(X)
-        omega_true = solve_marginal_batch(gradients, config.marginal_tol).omega.tolist()
-        phi_true = values.max(axis=1).tolist()
+        exact = dict(omega_true=solve_marginal_batch(gradients, config.marginal_tol).omega,
+                     phi_true=values.max(axis=1))
 
     rho = np.full(B, -math.inf)
     success = np.zeros(B, dtype=bool)
     step = np.zeros_like(X)
     predicted = np.zeros(B)
     beta = np.ones(B)
-    cost = sample.cost.copy()
+    cost = batch.cost[live] + sample.cost
     if smg is None:
         act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
     else:
         act = np.empty(0, dtype=int)
-        t = smg[0] / np.sqrt(np.array([s.k for s in live]) + 1.0)
+        t = smg[0] / np.sqrt(ks + 1.0)
         step = -t[:, None] * (marg.weights[:, None, :] @ sample.gradients)[:, 0]
         success[:] = True
     if act.size:
@@ -323,70 +332,64 @@ def iterate_batch(states: list[TrustRegionState], oracle: Oracle,
         d, pred = cauchy_step_batch(model, marg.omega[act], marg.direction[act], deltas[act])
         if config.refine_steps:
             for j, b in enumerate(act.tolist()):
-                d[j], pred[j] = refine_step(model.state(j), d[j], deltas[b], pred[j],
+                d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],
                                             config.refine_steps)
         trial = oracle.evaluate_batch(X[act] + d, deltas[act], [alphas[b] for b in act],
-                                      [live[b].rng for b in act])
+                                      [batch.rngs[live[b]] for b in act])
         guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[act]))
         rho[act] = compute_rho(phi_tilde[act], trial.values.max(axis=1), pred, guard)
         success[act] = (rho[act] >= config.eta1) & (marg.omega[act] > config.theta * deltas[act])
         step[act], predicted[act], beta[act] = d, pred, model.beta
         cost[act] += trial.cost
         for j, exc in trial.errors.items():
-            live[act[j]].error = exc
+            batch.errors[live[act[j]]] = exc
 
-    X = np.where(success[:, None], X + step, X)
+    ok = np.array([batch.errors[b] is None for b in live.tolist()], dtype=bool)
+    rows = live[ok]
+    if batch.trace is not None:
+        columns = dict(k=ks, omega_m=marg.omega, phi_tilde=phi_tilde, rho=rho, delta=deltas,
+                       success=success, **exact, cost_so_far=cost,
+                       step_norm=np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]),
+                       sample_sizes=sample.sample_sizes, predicted_reduction=predicted, beta=beta)
+        for name, column in columns.items():
+            if name not in batch.trace:
+                batch.trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
+                                             column.dtype)
+            batch.trace[name][ks[ok], rows] = column[ok]
+    batch.x[rows] = np.where(success[:, None], X + step, X)[ok]
     if smg is None:
-        deltas = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
-                          config.gamma1 * deltas)
-    rows = zip(live, X, deltas.tolist(), cost.tolist(), marg.omega.tolist(), omega_true,
-               phi_tilde.tolist(), phi_true, rho.tolist(), success.tolist(),
-               np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]).tolist(),
-               predicted.tolist(), beta.tolist(), sample.sample_sizes)
-    for (s, x, delta, c, om, ot, pt, ptrue, r, ok, norm, pred, bt, sizes) in rows:
-        if s.error is not None:
-            continue
-        delta_k = s.delta
-        s.x, s.delta = x, delta
-        s.cumulative_cost += c
-        if keep_history:
-            s.history.append(IterationRecord(
-                k=s.k, omega_m=om, omega_true=ot, phi_tilde=pt, phi_true=ptrue, rho=r,
-                delta=delta_k, success=ok, step_norm=norm, cost_so_far=s.cumulative_cost,
-                sample_sizes=sizes.copy(), predicted_reduction=pred, beta=bt))
-        s.k += 1
+        batch.delta[rows] = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
+                                     config.gamma1 * deltas)[ok]
+    batch.cost[rows] = cost[ok]
+    batch.k[rows] += 1
 
 
-def smop_iterate(state: TrustRegionState, oracle: Oracle,
-                 config: SolverConfig) -> TrustRegionState:
-    """``iterate_batch`` for one state; raises the state's error."""
-    iterate_batch([state], oracle, config)
-    if state.error is not None:
-        raise state.error
-    return state
+# Kept only because perfbench/tracer.py wraps the name; no code calls it.
+smop_iterate = iterate_batch
 
 
 def run_batch(oracle: Oracle, config: SolverConfig, x0s, seeds,
               keep_history: bool = True,
-              smg: tuple[float, float] | None = None) -> list[TrustRegionState]:
+              smg: tuple[float, float] | None = None) -> Batch:
     """One state per (x0, seed) pair, run in lockstep for k_max iterations.
 
     State b is seeded with ``seeds[b]`` and ends as a single run from
     ``x0s[b]`` with that seed would. A state that fails stops with its
-    ``error`` set; the others go on. Without ``keep_history`` the states
-    keep no records, which a batch holds for all its states at once.
-    ``smg = (t0, radius)`` runs the stochastic multi-gradient step of
-    ``iterate_batch`` at that fixed radius.
+    error set; the others go on. Without ``keep_history`` the batch keeps
+    no trace. ``smg = (t0, radius)`` runs the stochastic multi-gradient
+    step of ``iterate_batch`` at that fixed radius.
     """
-    states = [init_state(x0, config, oracle.n, seed) for x0, seed in zip(x0s, seeds)]
-    if smg is not None:
-        if not (smg[0] > 0 and smg[1] > 0):
-            raise ValueError("smg step size and radius must be positive")
-        for s in states:
-            s.delta = float(smg[1])
+    if smg is not None and not (smg[0] > 0 and smg[1] > 0):
+        raise ValueError("smg step size and radius must be positive")
+    X = np.array([as_decision_vector(x0, oracle.n) for x0 in x0s]).reshape(-1, oracle.n)
+    B = len(X)
+    batch = Batch(X, np.full(B, float(config.delta0 if smg is None else smg[1])),
+                  np.zeros(B, dtype=int), np.zeros(B, dtype=int),
+                  [RngStream(seed).generator() for seed in seeds], [None] * B,
+                  {} if keep_history else None)
     for _ in range(config.k_max):
-        iterate_batch(states, oracle, config, keep_history, smg)
-    return states
+        iterate_batch(batch, oracle, config, smg)
+    return batch
 
 
 def run(oracle: Oracle, config: SolverConfig, x0) -> list[IterationRecord]:
@@ -398,7 +401,7 @@ def run_final(oracle: Oracle, config: SolverConfig, x0) -> tuple[np.ndarray, lis
     """``run_batch`` for one state seeded with ``config.seed``; deterministic.
     Returns the final iterate and the iteration history, or raises the
     error that stopped the run."""
-    state, = run_batch(oracle, config, [x0], [config.seed])
+    state = run_batch(oracle, config, [x0], [config.seed])[0]
     if state.error is not None:
         raise state.error
     return state.x, state.history

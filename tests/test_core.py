@@ -28,13 +28,11 @@ from motr.core import (
     format_config,
     parse_config,
     parse_kv_text,
-    scalar_representation,
-    solver_config_from_mapping,
-    solver_config_to_mapping,
 )
 from motr.harness import ExperimentSpec, experiment_spec
-from motr.oracles import NoiseSpec
+from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
 from motr.pareto import FrontConfig
+from motr.solver import run
 
 
 def test_alpha_fixed_constant():
@@ -77,10 +75,14 @@ def test_alpha_schedule_validation():
 
 
 def test_scalar_representation_examples():
-    assert scalar_representation([3.0, 5.0]) == 5.0
-    assert scalar_representation([7.0]) == 7.0
-    # Both objectives of the first analytic benchmark at (9, 9).
-    assert scalar_representation([162.0, 32.0]) == 162.0
+    # The scalar merit is the max over objective components, values.max().
+    assert np.array([3.0, 5.0]).max() == 5.0
+    assert np.array([7.0]).max() == 7.0
+    # Both objectives of the first analytic benchmark at (9, 9), as the
+    # solver records its merit there.
+    assert np.array([162.0, 32.0]).max() == 162.0
+    oracle = AnalyticOracle(AnalyticProblem("test1"))
+    assert run(oracle, SolverConfig(k_max=1), [9.0, 9.0])[0].phi_tilde == 162.0
 
 
 def test_scalar_representation_monotone():
@@ -88,7 +90,7 @@ def test_scalar_representation_monotone():
     for _ in range(100):
         v = rng.normal(size=4)
         w = v + rng.uniform(0, 1, size=4)
-        assert scalar_representation(v) <= scalar_representation(w)
+        assert v.max() <= w.max()
 
 
 def test_as_decision_vector_validation():
@@ -126,7 +128,7 @@ def test_rng_stream_reproducible_and_independent():
     c = RngStream(42, 1).generator().random(8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert RngStream(42, 0).substream(3) != RngStream(42, 0).substream(4)
+    assert RngStream(42, 3) != RngStream(42, 4)
 
 
 def test_solver_config_gamma_consistency():
@@ -242,7 +244,8 @@ def test_config_round_trip(spec, front):
     sections = parse_config(parse_kv_text("".join(f"{k} = {v}\n" for k, v in mapping.items())))
     assert repr(experiment_spec(sections)) == repr(spec)
     assert repr(FrontConfig(**sections["front"])) == repr(front)
-    assert repr(solver_config_from_mapping(solver_config_to_mapping(spec.solver))) == repr(spec.solver)
+    solver_only = parse_config(format_config("solver", spec.solver))["solver"]
+    assert repr(SolverConfig(**solver_only)) == repr(spec.solver)
 
 
 def test_readme_config_schema_names_every_key():
@@ -251,19 +254,23 @@ def test_readme_config_schema_names_every_key():
     assert sorted(re.findall(r"^\| `(\w+)` \|", schema, flags=re.M)) == sorted(CONFIG_KEYS)
 
 
+def _solver_config(mapping):
+    return SolverConfig(**parse_config(mapping)["solver"])
+
+
 def test_solver_config_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        solver_config_from_mapping({"delta_zero": "1.0"})
+        _solver_config({"delta_zero": "1.0"})
     with pytest.raises(ConfigError):
-        solver_config_from_mapping({"alpha_value": "0.5"})
+        _solver_config({"alpha_value": "0.5"})
     with pytest.raises(ConfigError):
-        solver_config_from_mapping({"alpha_kind": "banana"})
+        _solver_config({"alpha_kind": "banana"})
     with pytest.raises(ConfigError):
-        solver_config_from_mapping({"k_max": "many"})
+        _solver_config({"k_max": "many"})
 
 
 def test_solver_config_mapping_parses_types():
-    cfg = solver_config_from_mapping({
+    cfg = _solver_config({
         "delta0": "0.5", "k_max": "12", "alpha_kind": "fixed",
         "alpha_value": "0.9", "hessian_mode": "subsampled",
         "exact_metrics": "false", "seed": "4"})

@@ -1,6 +1,7 @@
 """Experiment harness and CLI: spec parsing, runs, emission, exit codes."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -31,17 +32,13 @@ from motr.core import (
     SolverConfig,
     alpha_at,
     load_config,
+    parse_config,
 )
-from motr.harness import (
-    ExperimentSpec,
-    emit,
-    experiment_spec_from_mapping,
-    load_experiment_spec,
-    run_experiment,
-)
+from motr.harness import ExperimentSpec, emit, experiment_spec, run_experiment
 from motr.marginal import solve_marginal
 from motr.oracles import NoiseSpec
-from motr.solver import IterationRecord, run_batch
+from motr.pareto import FrontConfig, export_archive_csv, front_round, init_front
+from motr.solver import Batch, IterationRecord, run_batch
 
 
 def _tiny_spec(**kwargs):
@@ -49,6 +46,11 @@ def _tiny_spec(**kwargs):
                 solver=SolverConfig(k_max=5))
     base.update(kwargs)
     return ExperimentSpec(**base)
+
+
+def _histories(batch):
+    """Each state's IterationRecord history, in state order."""
+    return [s.history for s in batch]
 
 
 def _plain(histories):
@@ -65,6 +67,24 @@ def _record(k, **fields):
     return IterationRecord(**base)
 
 
+def _batch_of(histories):
+    """A Batch whose trace holds these records (state b's are histories[b]);
+    a field that is None in every record has no column."""
+    B, K = len(histories), max(map(len, histories), default=0)
+    trace = {}
+    for f in dataclasses.fields(IterationRecord):
+        cells = [getattr(r, f.name) for h in histories for r in h]
+        if cells and all(c is not None for c in cells):
+            column = np.zeros((K, B) + np.shape(cells[0]), dtype=np.asarray(cells[0]).dtype)
+            for b, h in enumerate(histories):
+                for k, r in enumerate(h):
+                    column[k, b] = getattr(r, f.name)
+            trace[f.name] = column
+    return Batch(x=np.zeros((B, 2)), delta=np.ones(B), cost=np.zeros(B, dtype=int),
+                 k=np.array([len(h) for h in histories], dtype=int), rngs=[None] * B,
+                 errors=[None] * B, trace=trace)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ExperimentSpec(problem="test9")
@@ -79,10 +99,10 @@ def test_spec_validation():
 
 
 def test_spec_from_mapping_splits_solver_keys():
-    spec = experiment_spec_from_mapping({
+    spec = experiment_spec(parse_config({
         "problem": "test2", "noise_sigma": "0.01", "x0": "-0.5,1",
         "num_simulations": "3", "k_max": "7", "theta": "0.4", "eta1": "0.4",
-        "seed": "11"})
+        "seed": "11"}))
     assert spec.problem == "test2"
     assert spec.x0 == (-0.5, 1.0)
     assert spec.noise.sigma == 0.01
@@ -93,20 +113,21 @@ def test_spec_from_mapping_splits_solver_keys():
 
 def test_spec_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        experiment_spec_from_mapping({"problem": "test1", "noise_stdev": "0.1"})
+        experiment_spec(parse_config({"problem": "test1", "noise_stdev": "0.1"}))
 
 
 def test_load_experiment_spec_with_overrides(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("problem = test1\nnum_simulations = 2\nk_max = 3\n")
-    spec = load_experiment_spec(str(cfg), overrides={"num_simulations": "5"})
+    spec = experiment_spec(load_config(str(cfg), ["num_simulations=5"]))
     assert spec.num_simulations == 5
     assert spec.solver.k_max == 3
 
 
 def test_run_experiment_row_count_and_summary():
     spec = _tiny_spec(num_simulations=1, solver=SolverConfig(k_max=1))
-    histories, summary = run_experiment(spec)
+    batch, summary = run_experiment(spec)
+    histories = _histories(batch)
     assert [len(h) for h in histories] == [1]
     assert histories[0][0].k == 0
     assert len(summary["final_points"]) == 1
@@ -116,16 +137,15 @@ def test_run_experiment_row_count_and_summary():
 
 def test_scalar_products_non_decreasing_per_simulation():
     spec = _tiny_spec(noise=NoiseSpec(sigma=0.1))
-    histories, _ = run_experiment(spec)
-    for history in histories:
+    for history in _histories(run_experiment(spec)[0]):
         costs = [r.cost_so_far for r in history]
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
 def test_dmop_simulations_identical():
     spec = _tiny_spec(algorithm="dmop", num_simulations=3)
-    histories, _ = run_experiment(spec)
-    traces = [[(r.omega_true, r.delta, r.success) for r in h] for h in histories]
+    traces = [[(r.omega_true, r.delta, r.success) for r in h]
+              for h in _histories(run_experiment(spec)[0])]
     assert len(traces) == 3 and all(t == traces[0] for t in traces[1:])
 
 
@@ -215,9 +235,9 @@ def test_smg_matches_reference_loop(kwargs):
     # The batched step rule writes the same columns, bit for bit, as the
     # per-simulation loop it replaced.
     spec = _tiny_spec(algorithm="smg", **kwargs)
-    histories, summary = run_experiment(spec)
+    batch, summary = run_experiment(spec)
     got = [(sim, r.k, r.omega_true, r.phi_true, r.cost_so_far, r.delta, r.success)
-           for sim, h in enumerate(histories) for r in h]
+           for sim, h in enumerate(_histories(batch)) for r in h]
     rows, finals = _smg_reference(spec)
     assert repr(got) == repr(rows)
     assert summary["final_points"] == finals
@@ -225,18 +245,18 @@ def test_smg_matches_reference_loop(kwargs):
 
 def test_smg_algorithm_runs():
     spec = _tiny_spec(algorithm="smg", num_simulations=1)
-    histories, summary = run_experiment(spec)
-    assert [len(h) for h in histories] == [5]
+    batch, summary = run_experiment(spec)
+    assert [len(h) for h in _histories(batch)] == [5]
     assert summary["smg_note"] is not None
 
 
 def test_emit_csv(tmp_path):
     path = tmp_path / "out.csv"
-    emit([], str(path), "csv")
+    emit(_batch_of([]), str(path), "csv")
     assert path.read_text() == "simulation,k,omega_true,phi_true,scalar_products,delta,success\n"
     histories = [[_record(k, cost_so_far=10 * k, success=k % 2 == 0) for k in range(3)]
                  for s in range(2)]
-    emit(histories, str(path), "csv")
+    emit(_batch_of(histories), str(path), "csv")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 7
     assert lines[1] == "0,0,1.5,2.5,0,1.0,1"
@@ -246,7 +266,7 @@ def test_emit_json_round_trip(tmp_path):
     path = tmp_path / "out.json"
     histories = [[_record(0, omega_true=None, phi_true=3.25, cost_so_far=12, delta=0.5,
                           success=True)]]
-    emit(histories, str(path), "json", summary={"note": "x"})
+    emit(_batch_of(histories), str(path), "json", summary={"note": "x"})
     data = json.loads(path.read_text())
     assert data == [{"simulation": 0, "k": 0, "omega_true": None,
                      "phi_true": 3.25, "scalar_products": 12, "delta": 0.5,
@@ -255,11 +275,52 @@ def test_emit_json_round_trip(tmp_path):
     assert sidecar == {"note": "x"}
 
 
+def _reference_emit(batch, format) -> str:
+    """The metric table written record by record from ``batch[b].history``."""
+    def opt(value):
+        return "" if value is None else repr(float(value))
+
+    records = [(sim, r) for sim, state in enumerate(batch) for r in state.history]
+    if format == "csv":
+        return "simulation,k,omega_true,phi_true,scalar_products,delta,success\n" + "".join(
+            f"{sim},{r.k},{opt(r.omega_true)},{opt(r.phi_true)},{r.cost_so_far},"
+            f"{r.delta!r},{int(r.success)}\n" for sim, r in records)
+    return json.dumps([{"simulation": sim, "k": r.k, "omega_true": r.omega_true,
+                        "phi_true": r.phi_true, "scalar_products": r.cost_so_far,
+                        "delta": r.delta, "success": r.success} for sim, r in records],
+                      indent=1, sort_keys=True) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(format=st.sampled_from(["csv", "json"]), exact_metrics=st.booleans(),
+       smg=st.sampled_from([None, (0.5, 1.0)]), size=st.integers(1, 4),
+       fail_first=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       k_max=st.integers(1, 8))
+def test_emit_writes_the_records_of_every_state(format, exact_metrics, smg, size,
+                                                  fail_first, seed, k_max):
+    # emit writes from the trace columns exactly what the states' records
+    # say, also when a state failed and has fewer rows than the others.
+    rng = np.random.default_rng(seed)
+    x0s = rng.uniform(-1.0, 6.0, size=(size, 2))
+    is_bad = (lambda X: np.all(X == x0s[0], axis=1)) if fail_first else (
+        lambda X: np.zeros(len(X), dtype=bool))
+    cfg = SolverConfig(k_max=k_max, exact_metrics=exact_metrics)
+    batch = run_batch(PoisonedOracle(is_bad), cfg, x0s, rng.integers(0, 2**62, size).tolist(),
+                      smg=smg)
+    assert (batch.errors[0] is not None) == fail_first
+    assert "omega_true" not in batch.trace or exact_metrics
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        emit(batch, path, format)
+        with open(path) as fh:
+            assert fh.read() == _reference_emit(batch, format)
+
+
 def test_parallel_and_serial_runs_match():
     # parallelism is accepted for old configs but has no effect.
     noise = NoiseSpec(sigma=0.1)
-    runs = [_plain(run_experiment(_tiny_spec(noise=noise, num_simulations=3,
-                                             parallelism=workers))[0])
+    runs = [_plain(_histories(run_experiment(_tiny_spec(noise=noise, num_simulations=3,
+                                                        parallelism=workers))[0]))
             for workers in (0, 1, 2)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -278,9 +339,9 @@ def test_serial_run_parses_dataset_once(tmp_path, monkeypatch):
     real = harness.load_dataset
     monkeypatch.setattr(harness, "load_dataset",
                         lambda *a, **kw: parses.append(a) or real(*a, **kw))
-    histories, _ = run_experiment(spec)
+    batch, _ = run_experiment(spec)
     assert len(parses) == 1
-    assert [len(h) for h in histories] == [40] * 3
+    assert [len(h) for h in _histories(batch)] == [40] * 3
 
 
 @pytest.mark.parametrize("problem, noise", [
@@ -291,11 +352,12 @@ def test_batch_simulations_match_single_runs(problem, noise):
     # of that simulation alone with seed + i.
     spec = _tiny_spec(problem=problem, noise=noise, num_simulations=4, x0=(2.0, -0.5),
                       solver=SolverConfig(k_max=60, seed=3))
-    histories, summary = run_experiment(spec)
+    batch, summary = run_experiment(spec)
+    histories = _histories(batch)
     for sim in range(4):
         alone, alone_summary = run_experiment(
             replace(spec, num_simulations=1, solver=SolverConfig(k_max=60, seed=3 + sim)))
-        assert _plain(alone) == _plain([histories[sim]])
+        assert _plain(_histories(alone)) == _plain([histories[sim]])
         assert alone_summary["final_points"] == [summary["final_points"][sim]]
         assert alone_summary["final_objectives"] == [summary["final_objectives"][sim]]
 
@@ -553,6 +615,29 @@ def test_cli_front_writes_archive(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x_1,x_2,f_1,f_2"
     assert len(lines) >= 2
+
+
+def test_cli_front_honours_smg(tmp_path):
+    # With algorithm = smg the front's restarts take the smg step rule: the
+    # archive differs from smop's and equals a round run with the rule.
+    text = ("problem = test1\nnoise_sigma = 0.1\nfront_rounds = 1\n"
+            "front_init_count = 5\nfront_n_q = 5\nsmg_t0 = 0.3\n")
+    outs = {}
+    for algorithm in ("smop", "smg"):
+        cfg = _write_cfg(tmp_path, text + f"algorithm = {algorithm}\n")
+        outs[algorithm] = tmp_path / f"{algorithm}.csv"
+        assert main(["front", cfg, "--output", str(outs[algorithm])]) == EXIT_OK
+    assert outs["smg"].read_bytes() != outs["smop"].read_bytes()
+
+    sections = load_config(cfg)
+    spec, front_cfg = experiment_spec(sections), FrontConfig(**sections["front"])
+    assert spec.smg == (0.3, spec.solver.delta0)
+    oracle = spec.build_oracle()
+    rng = RngStream(spec.solver.seed, stream_id=999).generator()
+    archive = front_round(init_front(front_cfg, oracle, rng), oracle, front_cfg,
+                          spec.solver, rng, smg=(0.3, spec.solver.delta0))
+    export_archive_csv(archive, str(tmp_path / "direct.csv"))
+    assert (tmp_path / "direct.csv").read_bytes() == outs["smg"].read_bytes()
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):

@@ -35,11 +35,9 @@ from motr.solver import (
     combine_hessians,
     compute_rho,
     evaluate_model,
-    init_state,
     run,
     run_batch,
     run_final,
-    smop_iterate,
     spectral_norm,
 )
 
@@ -180,8 +178,7 @@ def test_iterate_at_critical_point_shrinks_radius():
     # (2.5, 2.5) is Pareto critical for the first benchmark.
     oracle = _exact_oracle()
     cfg = SolverConfig()
-    state = init_state([2.5, 2.5], cfg)
-    smop_iterate(state, oracle, cfg)
+    state = run_batch(oracle, cfg.with_(k_max=1), [[2.5, 2.5]], [cfg.seed])[0]
     rec = state.history[0]
     assert not rec.success
     np.testing.assert_array_equal(state.x, [2.5, 2.5])
@@ -191,8 +188,7 @@ def test_iterate_at_critical_point_shrinks_radius():
 def test_first_iteration_successful_from_far_point():
     oracle = _exact_oracle()
     cfg = SolverConfig()
-    state = init_state([9.0, 9.0], cfg)
-    smop_iterate(state, oracle, cfg)
+    state = run_batch(oracle, cfg.with_(k_max=1), [[9.0, 9.0]], [cfg.seed])[0]
     rec = state.history[0]
     assert rec.success
     assert rec.omega_m == pytest.approx(8.0 * np.sqrt(2.0), abs=1e-9)
