@@ -145,9 +145,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[Batch, dict]:
         if error is not None:
             raise error
 
-    final_f, _, _ = oracle.exact_evaluate_batch(batch.x)
     mean_x = np.mean(batch.x, axis=0)
-    mean_values, _, _ = oracle.exact_evaluate(mean_x)
+    values, _, _ = oracle.exact_evaluate_batch(np.vstack([batch.x, mean_x]))
+    final_f, mean_values = values[:-1], values[-1]
     summary = {
         "algorithm": spec.algorithm,
         "problem": spec.problem,

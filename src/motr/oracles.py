@@ -118,21 +118,6 @@ class NoiseSpec:
             raise ConfigError("bounded noise caps must be positive")
 
 
-@functools.lru_cache(maxsize=16)
-def _noise_layout(noise: NoiseSpec, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the value and gradient noise in one state's draws when no
-    bounded draw is rejected: per objective its value noise, then its
-    gradient noise vector (drawn once, after the first value, when shared)."""
-    if noise.shared_gradient_noise:
-        value_pos = np.r_[0, np.arange(1 + n, q + n)]
-        grad_pos = np.tile(np.arange(1, 1 + n), (q, 1))
-    else:
-        value_pos = np.arange(q) * (1 + n)
-        grad_pos = value_pos[:, None] + 1 + np.arange(n)
-    value_pos.flags.writeable = grad_pos.flags.writeable = False    # cached
-    return value_pos, grad_pos
-
-
 def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
     """One state's bounded noise draw by draw, rejection by rejection, as
     (value noise (q,), gradient noise (q, n)). ``first`` holds the draws
@@ -159,16 +144,22 @@ def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
 
 def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Value noise (B, q) and gradient noise (B, q, n), state b drawing from
-    ``rngs[b]`` in the same order as a one-state draw.
+    ``rngs[b]`` in the same order as a one-state draw: per objective its value
+    noise, then its gradient noise vector (drawn once, after the first value,
+    when shared).
 
     Each state takes the fewest draws its sequence can use in one call. With
     ``bounded`` set, a state whose draws are not all clearly within the caps
     is replayed draw by draw, with the rejection rule applied exactly.
     """
-    value_pos, grad_pos = _noise_layout(noise, q, n)
-    m = int(max(value_pos.max(), grad_pos.max())) + 1
+    m = q + n if noise.shared_gradient_noise else q * (1 + n)
     Z = np.array([rng.normal(0.0, noise.sigma, size=m) for rng in rngs]).reshape(-1, m)
-    eps_f, eps_g = Z[:, value_pos], Z[:, grad_pos]
+    if noise.shared_gradient_noise:
+        eps_f = np.delete(Z, np.s_[1:1 + n], axis=1)
+        eps_g = np.repeat(Z[:, None, 1:1 + n], q, axis=1)
+    else:
+        eps_f = Z[:, ::1 + n].copy()
+        eps_g = np.delete(Z, np.s_[::1 + n], axis=1).reshape(-1, q, n)
     if noise.bounded:
         # A norm computed differently may differ in the last bits, so only
         # states clearly inside the caps skip the exact replay.

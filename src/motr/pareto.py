@@ -5,7 +5,7 @@ filter dominated points."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,17 @@ class FrontConfig:
                 raise ConfigError("init_box intervals must be non-degenerate")
 
 
-def _exact_f(oracle: Oracle, x) -> np.ndarray:
-    values, _, _ = oracle.exact_evaluate(x)
-    return np.asarray(values, dtype=float)
+def _members(oracle: Oracle, X: np.ndarray, warning: str) -> list[ArchiveMember]:
+    """Members of the (k, n) block X, from one ``exact_evaluate_batch``; a row
+    whose x or exact values are not finite logs ``<warning>: <cause>`` instead."""
+    finite = np.isfinite(X).all(axis=1)
+    F = np.full((len(X), oracle.q), np.nan)
+    if finite.any():
+        F[finite] = oracle.exact_evaluate_batch(X[finite])[0]
+    ok = np.isfinite(F).all(axis=1)
+    for x_finite in finite[~ok].tolist():
+        logger.warning("%s: non-finite %s", warning, "exact values" if x_finite else "x")
+    return [ArchiveMember(x=x, f=f) for x, f in zip(X[ok], F[ok])]
 
 
 def dominance_filter(members: list[ArchiveMember],
@@ -85,19 +93,23 @@ def _dedup(members: list[ArchiveMember], tol: float = 1e-12) -> list[ArchiveMemb
 
 def _thin(members: list[ArchiveMember], max_size: int) -> list[ArchiveMember]:
     """Crowding-based thinning: repeatedly drop the member whose nearest
-    neighbor in objective space is closest. The distance matrix is computed
-    once; a dropped member's row and column are deleted from it."""
-    members = list(members)
+    neighbor in objective space is closest (the first one on a tie). The
+    distance matrix is computed once; a dropped member's column becomes inf,
+    and only the rows whose nearest neighbor it was are scanned again."""
     if len(members) <= max_size:
-        return members
+        return list(members)
     F = np.array([m.f for m in members])
     dist = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
-    while len(members) > max_size:
-        drop = int(np.argmin(dist.min(axis=1)))
-        members.pop(drop)
-        dist = np.delete(np.delete(dist, drop, axis=0), drop, axis=1)
-    return members
+    nearest = dist.min(axis=1)
+    alive = np.ones(len(members), dtype=bool)
+    for _ in range(len(members) - max_size):
+        drop = np.flatnonzero(alive)[np.argmin(nearest[alive])]
+        alive[drop] = False
+        stale = alive & (dist[:, drop] == nearest)
+        dist[:, drop] = np.inf
+        nearest[stale] = dist[stale].min(axis=1)
+    return [m for m, keep in zip(members, alive) if keep]
 
 
 def init_front(front_config: FrontConfig, oracle: Oracle,
@@ -107,7 +119,7 @@ def init_front(front_config: FrontConfig, oracle: Oracle,
     if box.shape[0] != oracle.n:
         raise ConfigError(f"init_box has {box.shape[0]} intervals, problem dimension is {oracle.n}")
     pts = rng.uniform(box[:, 0], box[:, 1], size=(front_config.init_count, oracle.n))
-    members = [ArchiveMember(x=p, f=_exact_f(oracle, p)) for p in pts]
+    members = _members(oracle, pts, "skipping failed initial point")
     return dominance_filter(_dedup(members), front_config.weak_dominance)
 
 
@@ -120,30 +132,21 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
     given), evaluate exactly, filter dominated points."""
     if not archive:
         raise ValueError("archive must be non-empty")
-    candidates = list(archive)
-    for m in archive:
-        for _ in range(front_config.n_r):
-            xp = m.x + front_config.perturb_scale * rng.standard_normal(oracle.n)
-            try:
-                candidates.append(ArchiveMember(x=xp, f=_exact_f(oracle, xp)))
-            except Exception:
-                logger.warning("skipping failed perturbation point", exc_info=True)
+    points = np.repeat([m.x for m in archive], front_config.n_r, axis=0)
+    points = points + front_config.perturb_scale * rng.standard_normal(points.shape)
+    candidates = list(archive) + _members(oracle, points, "skipping failed perturbation point")
 
-    starts = [m.x for m in candidates for _ in range(front_config.n_p)]
-    seeds = [int(rng.integers(0, 2**62)) for _ in starts]
+    starts = np.repeat([m.x for m in candidates], front_config.n_p, axis=0)
+    seeds = rng.integers(0, 2**62, size=len(starts)).tolist()
     cfg = solver_config.with_(k_max=front_config.n_q, exact_metrics=False)
     try:        # one restart per start, all advancing together
-        results = [s.error or s.x
-                   for s in run_batch(oracle, cfg, starts, seeds, keep_history=False, smg=smg)]
+        batch = run_batch(oracle, cfg, starts, seeds, keep_history=False, smg=smg)
+        ends, errors = batch.x, batch.errors
     except Exception as exc:
-        results = [exc] * len(starts)
-    for result in results:
-        try:
-            if isinstance(result, Exception):
-                raise result
-            candidates.append(ArchiveMember(x=result, f=_exact_f(oracle, result)))
-        except Exception:
-            logger.warning("skipping failed solver restart", exc_info=True)
+        ends, errors = starts, [exc] * len(starts)
+    for error in filter(None, errors):
+        logger.warning("skipping failed solver restart: %s", error)
+    candidates += _members(oracle, ends[[e is None for e in errors]], "skipping failed solver restart")
 
     filtered = dominance_filter(_dedup(candidates), front_config.weak_dominance)
     return _thin(filtered, front_config.max_size)

@@ -277,8 +277,9 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
 
     A state draws from its own stream in the order of a single run: its
     sample, then its trial point if it has a descent direction. A state
-    whose sample or trial is invalid gets its error set, keeps its iterate,
-    radius and trace, and takes no further part.
+    whose sample or trial is invalid, or whose new iterate is not finite,
+    gets its error set, keeps its iterate, radius and trace, and takes no
+    further part.
 
     With ``smg = (t0, radius)`` each state takes the stochastic
     multi-gradient step (Liu & Vicente, 2021) instead: ``x - t_k * lambda @
@@ -344,6 +345,9 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
         for j, exc in trial.errors.items():
             batch.errors[live[act[j]]] = exc
 
+    new_x = np.where(success[:, None], X + step, X)
+    for j in np.flatnonzero(~np.isfinite(new_x).all(axis=1)).tolist():
+        batch.errors[live[j]] = batch.errors[live[j]] or ValueError("iterate is not finite")
     ok = np.array([batch.errors[b] is None for b in live.tolist()], dtype=bool)
     rows = live[ok]
     if batch.trace is not None:
@@ -356,7 +360,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                 batch.trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
                                              column.dtype)
             batch.trace[name][ks[ok], rows] = column[ok]
-    batch.x[rows] = np.where(success[:, None], X + step, X)[ok]
+    batch.x[rows] = new_x[ok]
     if smg is None:
         batch.delta[rows] = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
                                      config.gamma1 * deltas)[ok]

@@ -1,6 +1,10 @@
 """Non-dominated archive maintenance and front exploration rounds."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,10 @@ from conftest import PoisonedOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motr
 from motr import pareto
 from motr.core import ConfigError, RngStream, SolverConfig
+from motr.harness import ExperimentSpec, run_experiment
 from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
 from motr.solver import run_final
 from motr.pareto import (
@@ -50,6 +56,33 @@ def test_dominance_filter_rejects_non_finite():
     with pytest.raises(ValueError):
         dominance_filter(bad)
     assert dominance_filter([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.integers(1, 3), size=st.integers(0, 30), coarse=st.booleans())
+def test_dominance_filter_laws(data, q, size, coarse):
+    # Coarse values give ties and duplicate rows, where strict and weak
+    # dominance differ.
+    value = (st.integers(0, 3).map(float) if coarse
+             else st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    members = _members(data.draw(st.lists(st.lists(value, min_size=q, max_size=q),
+                                          min_size=size, max_size=size)))
+
+    def dominates(a, b, weak):
+        return (np.all(a.f <= b.f) and np.any(a.f < b.f)) if weak else np.all(a.f < b.f)
+
+    kept = {}
+    for weak in (False, True):
+        kept[weak] = dominance_filter(members, weak)
+        ids = [id(m) for m in kept[weak]]
+        assert ids == [id(m) for m in members if id(m) in ids]      # input order
+        for a in kept[weak]:
+            assert not any(dominates(b, a, weak) for b in kept[weak])
+        for m in members:
+            if id(m) not in ids:
+                assert any(dominates(b, m, weak) for b in kept[weak])
+        assert [id(m) for m in dominance_filter(kept[weak], weak)] == ids
+    assert {id(m) for m in kept[True]} <= {id(m) for m in kept[False]}
 
 
 def test_dedup_merges_identical_points():
@@ -154,7 +187,8 @@ def test_front_round_skips_only_the_failed_restart(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="motr.pareto"):
         result = front_round(archive, oracle, fc, sc, rng)
 
-    assert [r.getMessage() for r in caplog.records] == ["skipping failed solver restart"]
+    assert [r.getMessage() for r in caplog.records] == \
+        ["skipping failed solver restart: objective sample contains NaN/Inf"]
     (_, cfg, starts, seeds), states = batches[0]
     assert [b for b, s in enumerate(states) if s.error is not None] == [1]
     clean = PoisonedOracle(lambda X: np.zeros(len(X), dtype=bool))
@@ -186,8 +220,92 @@ def test_front_round_skips_every_restart_when_the_batch_fails(caplog):
         result = front_round(archive, oracle, fc, SolverConfig(), rng)
     restarts = 2 * len(archive)         # each member and its perturbation
     assert [r.getMessage() for r in caplog.records] == \
-        ["skipping failed solver restart"] * restarts
+        ["skipping failed solver restart: oracle down"] * restarts
     assert result and len(dominance_filter(result)) == len(result)
+
+
+class CountingOracle(AnalyticOracle):
+    """Noisy test1 that counts its exact evaluations, one-row and batched;
+    exact values are inf where ``is_bad`` (rows -> bool) holds."""
+
+    def __init__(self, is_bad=lambda X: np.zeros(len(X), dtype=bool)):
+        super().__init__(AnalyticProblem("test1"), NoiseSpec(sigma=0.1, bounded=True))
+        self.is_bad, self.rows, self.batches = is_bad, 0, 0
+
+    def exact_evaluate(self, x, need_hessians=False):
+        self.rows += 1
+        return super().exact_evaluate(x, need_hessians)
+
+    def exact_evaluate_batch(self, X, need_hessians=False):
+        self.batches += 1
+        f, g, h = super().exact_evaluate_batch(X, need_hessians)
+        f[self.is_bad(X)] = np.inf
+        return f, g, h
+
+
+def test_front_evaluates_each_block_in_one_call(monkeypatch):
+    oracle = CountingOracle()
+    fc = FrontConfig(init_count=8, n_q=5, rounds=1)
+    rng = RngStream(37).generator()
+    front_round(init_front(fc, oracle, rng), oracle, fc, SolverConfig(), rng)
+    # The initial points, the perturbations and the restart ends.
+    assert (oracle.batches, oracle.rows) == (3, 0)
+    monkeypatch.setattr(ExperimentSpec, "build_oracle", lambda spec: oracle)
+    run_experiment(ExperimentSpec(num_simulations=3,
+                                  solver=SolverConfig(k_max=4)))
+    assert oracle.rows == 0
+
+
+def test_members_skips_each_non_finite_row_with_one_warning(caplog):
+    oracle = CountingOracle(lambda X: X[:, 0] > 4.0)
+    X = np.array([[1.0, 1.0], [5.0, 1.0], [np.nan, 0.0], [2.0, np.inf], [3.0, 0.5]])
+    with caplog.at_level(logging.WARNING, logger="motr.pareto"):
+        members = pareto._members(oracle, X, "skipping failed test point")
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping failed test point: non-finite exact values",
+        "skipping failed test point: non-finite x",
+        "skipping failed test point: non-finite x"]
+    assert oracle.batches == 1
+    np.testing.assert_array_equal([m.x for m in members], X[[0, 4]])
+    np.testing.assert_array_equal([m.f for m in members],
+                                  oracle.exact_evaluate_batch(X[[0, 4]])[0])
+
+
+def test_init_front_skips_exactly_the_rows_with_non_finite_values(caplog):
+    oracle = CountingOracle(lambda X: X[:, 0] > 3.0)
+    fc = FrontConfig(init_count=30)
+    with caplog.at_level(logging.WARNING, logger="motr.pareto"):
+        archive = init_front(fc, oracle, RngStream(38).generator())
+    box = np.array(fc.init_box)
+    pts = RngStream(38).generator().uniform(box[:, 0], box[:, 1], size=(30, 2))
+    bad = pts[:, 0] > 3.0
+    assert 0 < bad.sum() < 30
+    assert [r.getMessage() for r in caplog.records] == \
+        ["skipping failed initial point: non-finite exact values"] * int(bad.sum())
+    clean = [ArchiveMember(x=x, f=oracle.exact_evaluate(x)[0]) for x in pts[~bad]]
+    expected = dominance_filter(_dedup(clean))
+    np.testing.assert_array_equal([m.x for m in archive], [m.x for m in expected])
+    np.testing.assert_array_equal([m.f for m in archive], [m.f for m in expected])
+
+
+@pytest.mark.parametrize("overrides", [
+    ["algorithm=smg", "smg_t0=1e300", "front_rounds=1", "front_n_q=3"],
+    ["front_init_box=0:1e155,0:1", "front_rounds=1"],
+])
+def test_cli_front_skips_failed_points_without_a_traceback(tmp_path, overrides):
+    # A subprocess, because under pytest the log records never reach stderr.
+    cfg = tmp_path / "front.cfg"
+    cfg.write_text("problem = test1\nnoise_sigma = 0.1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(motr.__file__).resolve().parents[1]))
+    args = [sys.executable, "-m", "motr.cli", "front", str(cfg),
+            "--output", str(tmp_path / "front.csv")]
+    for setting in overrides:
+        args += ["--set", setting]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("skipping failed ") for line in lines), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_front_round_requires_non_empty_archive():

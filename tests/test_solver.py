@@ -374,3 +374,19 @@ def test_failed_state_leaves_the_others_unchanged(where):
                          *run_final(clean, cfg.with_(seed=seeds[b]), x0s[b]))
     with pytest.raises(ValueError, match="NaN/Inf"):
         run_final(oracle, cfg.with_(seed=seeds[1]), x0s[1])
+
+
+def test_non_finite_iterate_stops_only_its_own_state():
+    # This smg step overflows from (9, 9). (2.5, 2.5) is Pareto critical on
+    # exact test1, so its step is zero and it runs on as it would alone.
+    oracle = AnalyticOracle(AnalyticProblem("test1"))
+    cfg, smg = SolverConfig(k_max=2), (1e308, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(oracle, cfg, [[9.0, 9.0], [2.5, 2.5]], [0, 1], smg=smg)
+        alone = run_batch(oracle, cfg, [[2.5, 2.5]], [1], smg=smg)[0]
+    assert isinstance(batch.errors[0], ValueError)
+    assert str(batch.errors[0]) == "iterate is not finite"
+    assert batch[0].k == 0 and batch[0].history == []
+    np.testing.assert_array_equal(batch.x[0], [9.0, 9.0])
+    assert batch.errors[1] is None and alone.error is None and alone.k == 2
+    _assert_same_run(batch[1].x, batch[1].history, alone.x, alone.history)
