@@ -521,45 +521,38 @@ class Oracle(abc.ABC):
     """Vector-objective evaluation backend.
 
     Implementations declare the problem dimension ``n``, objective count
-    ``q``, whether evaluation is ``stochastic`` and whether exact values are
-    available for instrumentation (``exact_available``).
+    ``q`` and whether exact values are available (``exact_available``), and
+    implement ``evaluate_batch`` and optionally ``exact_evaluate_batch``;
+    ``evaluate`` and ``exact_evaluate`` are their one-point forms.
     """
 
     n: int
     q: int
-    stochastic: bool
     exact_available: bool
 
     @abc.abstractmethod
-    def evaluate(self, x, delta: float, alpha: float,
-                 rng: np.random.Generator, need_hessians: bool = False) -> ObjectiveSample:
-        """Return an ObjectiveSample targeted at accuracy radius ``delta``."""
-
-    @abc.abstractmethod
-    def evaluate_batch(self, X, deltas, alphas, rngs,
+    def evaluate_batch(self, X, deltas, alpha: float, rngs,
                        need_hessians: bool = False) -> SampleBatch:
-        """One sample per row of ``X``: row b at radius ``deltas[b]`` and
-        accuracy ``alphas[b]``, drawing only from ``rngs[b]``, in the order
-        a one-row call would draw."""
+        """One sample per row of ``X``, all at accuracy ``alpha``: row b at
+        radius ``deltas[b]``, drawing only from ``rngs[b]``, in the order a
+        one-row call would draw."""
 
-    def evaluate_one(self, x, delta: float, alpha: float, rng: np.random.Generator,
-                     need_hessians: bool = False) -> ObjectiveSample:
-        """``evaluate`` through ``evaluate_batch``, as a batch of one."""
+    def evaluate(self, x, delta: float, alpha: float, rng: np.random.Generator,
+                 need_hessians: bool = False) -> ObjectiveSample:
+        """The ObjectiveSample of ``evaluate_batch`` at the one point ``x``."""
         x = as_decision_vector(x, self.n)
-        return self.evaluate_batch(x[None], np.array([delta], dtype=float), [alpha], [rng],
+        return self.evaluate_batch(x[None], np.array([delta], dtype=float), alpha, [rng],
                                    need_hessians).sample(0)
 
     def exact_evaluate(self, x, need_hessians: bool = False):
-        """Exact (values, gradients, hessians); deterministic.
-
-        Hessians are returned only on request (``need_hessians``); otherwise
-        the third element is None.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
+        """``exact_evaluate_batch`` at the one point ``x``: exact values,
+        gradients and hessians (None unless ``need_hessians``)."""
+        f, g, h = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
+        return f[0], g[0], None if h is None else h[0]
 
     def exact_evaluate_batch(self, X, need_hessians: bool = False):
-        """``exact_evaluate`` of every row of ``X``, stacked along a leading
-        axis."""
+        """Exact values (B, q), gradients (B, q, n) and hessians (B, q, n,
+        n) or None of every row of ``X``."""
         raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
 
     def exact_cost(self) -> int:

@@ -175,10 +175,10 @@ def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> N
     """Write the metric table of the batch's trace (simulation i is state i)
     as CSV or JSON plus a sidecar summary file; a column the run did not
     compute is empty (CSV) or null (JSON)."""
-    columns = [batch.trace[name].T.tolist() if name in batch.trace else None
-               for name in _COLUMNS.values()]
-    rows = [(sim, *row) for sim, k in enumerate(batch.k.tolist())
-            for row in zip(*([None] * k if c is None else c[sim][:k] for c in columns))]
+    columns = [batch.trace.get(name) for name in _COLUMNS.values()]
+    # A generator, so that only one simulation's rows are held as objects.
+    rows = ((sim, *row) for sim, k in enumerate(batch.k.tolist())
+            for row in zip(*([None] * k if c is None else c[:k, sim].tolist() for c in columns)))
     if format == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(["simulation", *_COLUMNS]) + "\n")

@@ -24,31 +24,24 @@ class NonFiniteGradientError(ValueError):
 class MarginalSolution:
     """Criticality value ``omega``, descent ``direction`` (zero at critical
     points), dual simplex ``weights`` and the certified duality gap
-    ``residual``."""
+    ``residual``. A batch's solutions carry a leading state axis on every
+    field: omega (B,), direction (B, n), weights (B, q), residual (B,)."""
 
-    omega: float
+    omega: float | np.ndarray
     direction: np.ndarray
     weights: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
     @property
-    def converged(self) -> bool:
-        return self.residual <= 1e-8 * max(1.0, self.omega)
+    def converged(self):
+        return self.residual <= 1e-8 * np.maximum(1.0, self.omega)
 
-
-@dataclass(frozen=True)
-class MarginalBatch:
-    """MarginalSolution fields stacked along a leading batch axis: omega (B,),
-    direction (B, n), weights (B, q), residual (B,)."""
-
-    omega: np.ndarray
-    direction: np.ndarray
-    weights: np.ndarray
-    residual: np.ndarray
-
-    def solution(self, b: int) -> MarginalSolution:
-        return MarginalSolution(float(self.omega[b]), self.direction[b],
-                                self.weights[b], float(self.residual[b]))
+    def take(self, index) -> "MarginalSolution":
+        """The solutions at ``index``; an int gives one state's solution,
+        with float omega and residual."""
+        one = float if np.ndim(index) == 0 else np.asarray
+        return MarginalSolution(one(self.omega[index]), self.direction[index],
+                                self.weights[index], one(self.residual[index]))
 
 
 def _check_gradients(gradients) -> np.ndarray:
@@ -64,14 +57,14 @@ def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _exact(G: np.ndarray, lam: np.ndarray, tolerance: float) -> MarginalBatch:
+def _exact(G: np.ndarray, lam: np.ndarray, tolerance: float) -> MarginalSolution:
     """Omega and direction at the exact dual weights ``lam`` (B, q); the
     duality gap is zero up to rounding, and reported as 0."""
     y = (lam[:, None, :] @ G)[:, 0]
     omega = np.sqrt(_dot(y, y))
     descent = omega > tolerance
     direction = np.where(descent[:, None], -y / np.where(descent, omega, 1.0)[:, None], 0.0)
-    return MarginalBatch(omega, direction, lam, np.zeros_like(omega))
+    return MarginalSolution(omega, direction, lam, np.zeros_like(omega))
 
 
 def _closed_form_q2(G: np.ndarray) -> np.ndarray:
@@ -86,7 +79,7 @@ def _closed_form_q2(G: np.ndarray) -> np.ndarray:
 
 
 def solve_marginal_batch(gradients, tolerance: float = 1e-10,
-                         max_iters: int | None = None) -> MarginalBatch:
+                         max_iters: int | None = None) -> MarginalSolution:
     """Solve -min_{||d||<=1} max_i <g_i, d> for each (q, n) matrix of a (B,
     q, n) stack via the dual min-norm-point problem.
 
@@ -98,19 +91,16 @@ def solve_marginal_batch(gradients, tolerance: float = 1e-10,
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    G = np.asarray(gradients, dtype=float)
-    if not np.all(np.isfinite(G)):
-        raise NonFiniteGradientError("gradient matrix contains NaN/Inf")
+    G = _check_gradients(gradients)
     B, q, n = G.shape
     if q == 1:
         return _exact(G, np.ones((B, 1)), tolerance)
     if q == 2:
         return _exact(G, _closed_form_q2(G), tolerance)
     sols = [frank_wolfe(g, tolerance, max_iters) for g in G]
-    return MarginalBatch(np.array([s.omega for s in sols]).reshape(B),
-                         np.array([s.direction for s in sols]).reshape(B, n),
-                         np.array([s.weights for s in sols]).reshape(B, q),
-                         np.array([s.residual for s in sols]).reshape(B))
+    return MarginalSolution(*(np.array([getattr(s, f) for s in sols]).reshape((B,) + shape)
+                              for f, shape in (("omega", ()), ("direction", (n,)),
+                                               ("weights", (q,)), ("residual", ()))))
 
 
 def solve_marginal(gradients, tolerance: float = 1e-10,
@@ -122,8 +112,7 @@ def solve_marginal(gradients, tolerance: float = 1e-10,
     the Frank-Wolfe iteration cap is hit first, the best-effort solution is
     returned with residual > tolerance rather than raising.
     """
-    G = _check_gradients(gradients)
-    return solve_marginal_batch(G[None], tolerance, max_iters).solution(0)
+    return solve_marginal_batch(np.atleast_2d(gradients)[None], tolerance, max_iters).take(0)
 
 
 def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10,
@@ -196,7 +185,7 @@ def solve_marginal_q2_closed_form(g1, g2) -> MarginalSolution:
     the lam* = 0 convention (weights (0, 1)).
     """
     G = np.stack([_check_gradients(g1)[0], _check_gradients(g2)[0]])
-    return solve_marginal_batch(G[None]).solution(0)
+    return solve_marginal_batch(G[None]).take(0)
 
 
 def brute_force_marginal(gradients, num_directions: int,

@@ -179,20 +179,15 @@ class AnalyticOracle(Oracle):
         self.noise = noise if noise is not None else NoiseSpec()
         self.n = problem.n
         self.q = problem.q
-        self.stochastic = self.noise.sigma > 0
         self.exact_available = True
 
-    def exact_evaluate(self, x, need_hessians=False):
-        f, g, h = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
-        return f[0], g[0], None if h is None else h[0]
+    # The one-point forms, in this class's namespace for perfbench/tracer.py.
+    evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
 
     def exact_evaluate_batch(self, X, need_hessians=False):
         return self.problem.exact_batch(X, need_hessians)
 
-    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
-
-    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
         """Exact arrays of every state plus its radius-scaled noise: values
         get eps * delta^2 and gradients eps * delta."""
         f, g, h = self.problem.exact_batch(X, need_hessians)
@@ -339,7 +334,6 @@ class FiniteSumOracle(Oracle):
         self.constant_value = constant_value
         self.n = problem.n
         self.q = problem.q
-        self.stochastic = True
         self.exact_available = True
         self._max_feature_norm = float(np.linalg.norm(problem.features, axis=1).max())
         self._mask = problem.reg_mask()
@@ -350,6 +344,9 @@ class FiniteSumOracle(Oracle):
             self._blocks.append((problem.features[order], problem.labels[order]))
         self._memo: OrderedDict = OrderedDict()
         self._memo_points = _MEMO_POINTS
+
+    # The one-point forms, in this class's namespace for perfbench/tracer.py.
+    evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
 
     def group_sizes(self) -> np.ndarray:
         return np.array(self._sizes, dtype=int)
@@ -414,10 +411,6 @@ class FiniteSumOracle(Oracle):
             self._memo.pop((i, point), None)
             self._memo[(i, point)] = (float(f[j]), g[j], None if H is None else H[j])
 
-    def exact_evaluate(self, x, need_hessians=False):
-        f, g, H = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
-        return f[0], g[0], None if H is None else H[0]
-
     def exact_evaluate_batch(self, X, need_hessians=False):
         X = as_decision_batch(X, self.n)
         return self._evaluate(X, [[None] * self.q] * X.shape[0], need_hessians)
@@ -429,22 +422,19 @@ class FiniteSumOracle(Oracle):
         c = self.constant_value
         return [c] * self.q, [c] * self.q
 
-    def _sample_sizes(self, X, deltas, alphas) -> np.ndarray:
+    def _sample_sizes(self, X, deltas, alpha) -> np.ndarray:
         """(B, q) subsample sizes from the scalar formula; a repeated
         (constants, delta, alpha) is served by ``_group_sample_size``'s cache."""
         sizes = []
-        for x, delta, alpha in zip(X, np.asarray(deltas, dtype=float).tolist(), alphas):
+        for x, delta in zip(X, np.asarray(deltas, dtype=float).tolist()):
             F, G = self._bound_constants(x)
             sizes.append([_group_sample_size(F[i], G[i], delta, float(alpha), size)
                           for i, size in enumerate(self._sizes)])
         return np.array(sizes, dtype=int).reshape(X.shape[0], self.q)
 
-    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
-
-    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
         X = as_decision_batch(X, self.n)
-        sizes = self._sample_sizes(X, deltas, alphas)
+        sizes = self._sample_sizes(X, deltas, alpha)
         # State b draws group 0's subsample, then group 1's, ... from rngs[b].
         rows = [[np.sort(rng.choice(group, size=m, replace=False)) if m < size else None
                  for m, size, group in zip(ms, self._sizes, self.problem.groups)]
@@ -537,11 +527,10 @@ class ExactOracle(Oracle):
         self.inner = inner
         self.n = inner.n
         self.q = inner.q
-        self.stochastic = False
         self.exact_available = True
 
-    def exact_evaluate(self, x, need_hessians=False):
-        return self.inner.exact_evaluate(x, need_hessians)
+    # The one-point forms, in this class's namespace for perfbench/tracer.py.
+    evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
 
     def exact_evaluate_batch(self, X, need_hessians=False):
         return self.inner.exact_evaluate_batch(X, need_hessians)
@@ -552,10 +541,7 @@ class ExactOracle(Oracle):
     def group_sizes(self) -> np.ndarray:
         return self.inner.group_sizes()
 
-    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
-
-    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
         f, g, h = self.inner.exact_evaluate_batch(X, need_hessians)
         B = f.shape[0]
         return SampleBatch(values=f, gradients=g, delta=deltas,

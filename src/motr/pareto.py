@@ -25,13 +25,14 @@ class ArchiveMember:
 @dataclass(frozen=True)
 class FrontConfig:
     """Front-procedure parameters: restarts per point (n_p), solver iterations
-    per restart (n_q), perturbations per point (n_r), initial sampling box and
-    count, perturbation scale, number of rounds, and archive management."""
+    per restart (n_q), perturbations per point (n_r), initial sampling box
+    (None: (-1, 6) per coordinate) and count, perturbation scale, number of
+    rounds, and archive management."""
 
     n_p: int = 1
     n_q: int = 40
     n_r: int = 1
-    init_box: tuple[tuple[float, float], ...] = ((-1.0, 6.0), (-1.0, 6.0))
+    init_box: tuple[tuple[float, float], ...] | None = None
     init_count: int = 20
     perturb_scale: float = 0.5
     rounds: int = 5
@@ -43,9 +44,16 @@ class FrontConfig:
             raise ConfigError("all front counts must be >= 1")
         if self.perturb_scale <= 0 or self.max_size < 1:
             raise ConfigError("bad perturb_scale or max_size")
-        for lo, hi in self.init_box:
+        for lo, hi in self.init_box or ():
             if not lo < hi:
                 raise ConfigError("init_box intervals must be non-degenerate")
+
+    def box(self, n: int) -> np.ndarray:
+        """The (n, 2) initial sampling box of an n-dimensional problem."""
+        box = np.array([(-1.0, 6.0)] * n if self.init_box is None else self.init_box, dtype=float)
+        if box.shape[0] != n:
+            raise ConfigError(f"init_box has {box.shape[0]} intervals, problem dimension is {n}")
+        return box
 
 
 def _members(oracle: Oracle, X: np.ndarray, warning: str) -> list[ArchiveMember]:
@@ -61,6 +69,23 @@ def _members(oracle: Oracle, X: np.ndarray, warning: str) -> list[ArchiveMember]
     return [ArchiveMember(x=x, f=f) for x, f in zip(X[ok], F[ok])]
 
 
+# Rows per block of a pairwise pass: the (N, N, width) comparison is built
+# 64 rows at a time, so an archive of N members holds 64 * N * width cells.
+_BLOCK = 64
+
+
+def _pairwise(A: np.ndarray, op) -> np.ndarray:
+    """The (N, N) array ``op(A[:, None, :], A[None, :, :])`` of the rows of
+    ``A`` (N, width), where ``op`` reduces the last axis, built by row blocks."""
+    out = None
+    for i in range(0, len(A), _BLOCK):
+        block = op(A[i:i + _BLOCK, None, :], A[None, :, :])
+        if out is None:
+            out = np.empty((len(A), len(A)), block.dtype)
+        out[i:i + _BLOCK] = block
+    return out
+
+
 def dominance_filter(members: list[ArchiveMember],
                      weak: bool = False) -> list[ArchiveMember]:
     """Maximal non-dominated subset under strict dominance (f(y) < f(x) in all
@@ -70,12 +95,10 @@ def dominance_filter(members: list[ArchiveMember],
     F = np.array([m.f for m in members])
     if not np.all(np.isfinite(F)):
         raise ValueError("archive member has non-finite objective values")
-    less = F[:, None, :] < F[None, :, :]
     if weak:
-        leq = F[:, None, :] <= F[None, :, :]
-        dom = np.all(leq, axis=2) & np.any(less, axis=2)
+        dom = _pairwise(F, lambda a, b: np.all(a <= b, axis=2) & np.any(a < b, axis=2))
     else:
-        dom = np.all(less, axis=2)
+        dom = _pairwise(F, lambda a, b: np.all(a < b, axis=2))
     np.fill_diagonal(dom, False)
     dominated = dom.any(axis=0)
     return [m for m, d in zip(members, dominated) if not d]
@@ -85,7 +108,7 @@ def _dedup(members: list[ArchiveMember], tol: float = 1e-12) -> list[ArchiveMemb
     if len(members) <= 1:
         return list(members)
     X = np.array([m.x for m in members])
-    close = np.all(np.abs(X[:, None, :] - X[None, :, :]) <= tol, axis=2)
+    close = _pairwise(X, lambda a, b: np.all(np.abs(a - b) <= tol, axis=2))
     # Keep the first member of every near-identical group.
     dup = np.triu(close, k=1).any(axis=0)
     return [m for m, d in zip(members, dup) if not d]
@@ -99,7 +122,7 @@ def _thin(members: list[ArchiveMember], max_size: int) -> list[ArchiveMember]:
     if len(members) <= max_size:
         return list(members)
     F = np.array([m.f for m in members])
-    dist = np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2)
+    dist = _pairwise(F, lambda a, b: np.linalg.norm(a - b, axis=2))
     np.fill_diagonal(dist, np.inf)
     nearest = dist.min(axis=1)
     alive = np.ones(len(members), dtype=bool)
@@ -115,11 +138,11 @@ def _thin(members: list[ArchiveMember], max_size: int) -> list[ArchiveMember]:
 def init_front(front_config: FrontConfig, oracle: Oracle,
                rng: np.random.Generator) -> list[ArchiveMember]:
     """Uniform sample in the init box, exactly evaluated and filtered."""
-    box = np.array(front_config.init_box, dtype=float)
-    if box.shape[0] != oracle.n:
-        raise ConfigError(f"init_box has {box.shape[0]} intervals, problem dimension is {oracle.n}")
+    box = front_config.box(oracle.n)
     pts = rng.uniform(box[:, 0], box[:, 1], size=(front_config.init_count, oracle.n))
     members = _members(oracle, pts, "skipping failed initial point")
+    if not members:
+        raise ValueError(f"all {len(pts)} initial points failed")
     return dominance_filter(_dedup(members), front_config.weak_dominance)
 
 

@@ -63,13 +63,11 @@ class ModelSet:
                         self.hessian[index], self.beta[index])
 
 
-def combine_hessians(hessians: np.ndarray | None, weights: np.ndarray | None,
+def combine_hessians(hessians: np.ndarray, weights: np.ndarray | None,
                      mode: HessianCombine, n: int) -> np.ndarray:
     """Single model Hessian from per-objective ones: dual-weight average by
     default, uniform average as the ablation alternative. Takes (q, n, n)
     Hessians with (q,) weights, or a (B, q, n, n) stack with (B, q)."""
-    if hessians is None:
-        return np.zeros((n, n))
     H = np.asarray(hessians, dtype=float)
     if mode is HessianCombine.UNIFORM or weights is None:
         return H.mean(axis=-3)
@@ -293,15 +291,17 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     live = np.flatnonzero([e is None for e in batch.errors])
     if not live.size:
         return
-    alphas = [alpha_at(config.alpha_schedule, k, oracle.q) for k in batch.k[live].tolist()]
+    # A state that fails never runs again, so the live states share k, and
+    # with it the accuracy target alpha_k of their samples and trials.
+    alpha = alpha_at(config.alpha_schedule, int(batch.k[live[0]]), oracle.q)
     need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
-    sample = oracle.evaluate_batch(batch.x[live], batch.delta[live], alphas,
+    sample = oracle.evaluate_batch(batch.x[live], batch.delta[live], alpha,
                                    [batch.rngs[b] for b in live], need_hessians=need_h)
     if sample.errors:
         for j, exc in sample.errors.items():
             batch.errors[live[j]] = exc
         keep = [j for j in range(live.size) if j not in sample.errors]
-        live, alphas, sample = live[keep], [alphas[j] for j in keep], sample.take(keep)
+        live, sample = live[keep], sample.take(keep)
     ks, X, deltas = batch.k[live], batch.x[live], batch.delta[live]
     marg = solve_marginal_batch(sample.gradients, tolerance=config.marginal_tol)
     phi_tilde = sample.values.max(axis=1)
@@ -335,7 +335,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
             for j, b in enumerate(act.tolist()):
                 d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],
                                             config.refine_steps)
-        trial = oracle.evaluate_batch(X[act] + d, deltas[act], [alphas[b] for b in act],
+        trial = oracle.evaluate_batch(X[act] + d, deltas[act], alpha,
                                       [batch.rngs[live[b]] for b in act])
         guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[act]))
         rho[act] = compute_rho(phi_tilde[act], trial.values.max(axis=1), pred, guard)
@@ -362,8 +362,10 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
             batch.trace[name][ks[ok], rows] = column[ok]
     batch.x[rows] = new_x[ok]
     if smg is None:
+        # A shrink that would round the radius to 0 stops at the least
+        # positive float (5e-324) instead, so a long run does not fail.
         batch.delta[rows] = np.where(success, np.minimum(config.delta_max, config.gamma2 * deltas),
-                                     config.gamma1 * deltas)[ok]
+                                     np.maximum(config.gamma1 * deltas, 5e-324))[ok]
     batch.cost[rows] = cost[ok]
     batch.k[rows] += 1
 

@@ -152,17 +152,13 @@ def test_dmop_simulations_identical():
 class _FixedGradients(Oracle):
     """The same exact gradients ``G`` (q, n) at every point; values 0."""
 
-    stochastic = False
     exact_available = False
 
     def __init__(self, G):
         self.G = np.asarray(G, dtype=float)
         self.q, self.n = self.G.shape
 
-    def evaluate(self, x, delta, alpha, rng, need_hessians=False):
-        return self.evaluate_one(x, delta, alpha, rng, need_hessians)
-
-    def evaluate_batch(self, X, deltas, alphas, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
         B = len(X)
         return SampleBatch(values=np.zeros((B, self.q)),
                            gradients=np.broadcast_to(self.G, (B, self.q, self.n)),
@@ -206,8 +202,7 @@ def _smg_reference(spec):
         x = np.array(spec.x0, dtype=float)
         cost = 0
         for k in range(cfg.k_max):
-            sample = oracle.evaluate_one(x, delta, alpha_at(cfg.alpha_schedule, k, oracle.q),
-                                         rng)
+            sample = oracle.evaluate(x, delta, alpha_at(cfg.alpha_schedule, k, oracle.q), rng)
             cost += int(sample.cost)
             omega_true = phi_true = None
             if cfg.exact_metrics:
@@ -579,6 +574,35 @@ def test_cli_default_length_synthetic_run_completes(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["run", cfg, "--seed", "0", "--output", str(out)]) == EXIT_OK
     assert len(out.read_text().strip().splitlines()) == 1 + 500
+
+
+def test_cli_exact_run_past_the_radius_underflow_completes(tmp_path):
+    # Without noise every step near the solution is rejected, so the radius
+    # halves each iteration and would round to 0 after about 1,075 of them.
+    cfg = _write_cfg(tmp_path, "problem = test1\nk_max = 1100\nnum_simulations = 1\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", cfg, "--output", str(out)]) == EXIT_OK
+    rows = out.read_text().strip().splitlines()
+    delta = np.array([float(row.split(",")[5]) for row in rows[1:]])
+    assert len(delta) == 1100 and (delta > 0).all() and delta[-1] == 5e-324
+
+
+def test_cli_synthetic_front_without_init_box_runs(tmp_path, capsys):
+    # The default box is (-1, 6) per coordinate, whatever the dimension.
+    cfg = _write_cfg(tmp_path, "problem = synthetic\nx0 = " + ",".join(["0"] * 10)
+                     + "\nfront_rounds = 1\nfront_init_count = 4\nfront_n_q = 3\n")
+    out = tmp_path / "front.csv"
+    assert main(["validate", cfg]) == EXIT_OK
+    assert main(["front", cfg, "--output", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[0].count(",") == 10 + 2 - 1
+    assert "runtime error" not in capsys.readouterr().err
+
+
+def test_cli_front_names_the_cause_when_every_initial_point_fails(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "problem = test1\nnoise_sigma = 0.1\nfront_init_count = 5\n"
+                               "front_init_box = 1e155:1e156,0:1\n")
+    assert main(["front", cfg, "--output", str(tmp_path / "front.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: all 5 initial points failed\n"
 
 
 def test_cli_missing_file():

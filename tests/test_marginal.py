@@ -189,7 +189,7 @@ def test_batched_closed_form_agrees_with_frank_wolfe(pairs, n):
     G = np.array([[(list(g1) * n)[:n], (list(g2) * n)[:n]] for g1, g2 in pairs], dtype=float)
     batch = solve_marginal_batch(G, _TOL)
     for b, g in enumerate(G):
-        _check_against_frank_wolfe(g, batch.solution(b))
+        _check_against_frank_wolfe(g, batch.take(b))
         single = solve_marginal(g)
         assert single.omega == batch.omega[b]
         np.testing.assert_array_equal(single.direction, batch.direction[b])

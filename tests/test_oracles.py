@@ -389,38 +389,37 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
 
 
 _BATCH_STATE = st.tuples(st.integers(0, 2),                       # point: states share x
-                         st.sampled_from([1e-4, 0.9, 1.3, 2.0, 10.0, 60.0]),  # radius
-                         st.sampled_from([0.3, 0.5]))              # alpha
+                         st.sampled_from([1e-4, 0.9, 1.3, 2.0, 10.0, 60.0]))  # radius
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(6, 60),
        num_features=st.integers(2, 5), num_groups=st.integers(1, 3),
-       states=st.lists(_BATCH_STATE, min_size=1, max_size=6),
+       states=st.lists(_BATCH_STATE, min_size=1, max_size=6), alpha=st.sampled_from([0.3, 0.5]),
        mode=st.sampled_from(["estimated", "analytic"]), need_h=st.booleans(),
        exact_h=st.booleans(), rounds=st.integers(1, 3))
 def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, num_groups,
-                                                 states, mode, need_h, exact_h, rounds):
+                                                 states, alpha, mode, need_h, exact_h, rounds):
     # A batch evaluates the blocks of all its states together: bucketed by
     # row count, full blocks memoised and shared by states at the same x.
     # Each state must still get, bit for bit, what a call of its own on a
-    # fresh oracle gives, and draw the same numbers from its own stream.
+    # fresh oracle gives at its radius and the batch's alpha, and draw the
+    # same numbers from its own stream.
     problem = _unsorted_problem(seed, num_rows, num_features, num_groups)
     points = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, size=(3, num_features))
-    X = points[[p for p, _, _ in states]]
-    deltas = np.array([d for _, d, _ in states])
-    alphas = [a for _, _, a in states]
+    X = points[[p for p, _ in states]]
+    deltas = np.array([d for _, d in states])
     oracle = FiniteSumOracle(problem, mode)
     rngs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     refs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     for _ in range(rounds):                 # later rounds are served by the memo
-        batch = oracle.evaluate_batch(X, deltas, alphas, rngs, need_hessians=need_h)
+        batch = oracle.evaluate_batch(X, deltas, alpha, rngs, need_hessians=need_h)
         f, g, H = oracle.exact_evaluate_batch(X, need_hessians=exact_h)
         assert (H is None) != exact_h
         for b in range(len(states)):
             alone = FiniteSumOracle(problem, mode)
             _assert_same_sample(batch.sample(b), alone.evaluate(
-                X[b], deltas[b], alphas[b], refs[b], need_hessians=need_h))
+                X[b], deltas[b], alpha, refs[b], need_hessians=need_h))
             assert batch.cost[b] == batch.sample_sizes[b].sum()
             np.testing.assert_equal(rngs[b].bit_generator.state, refs[b].bit_generator.state)
             want = FiniteSumOracle(problem, mode).exact_evaluate(X[b], need_hessians=exact_h)

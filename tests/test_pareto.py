@@ -129,6 +129,32 @@ def test_thin_matches_reference_loop(data, q, size, max_size, coarse):
     assert [id(m) for m in got] == [id(m) for m in want]
 
 
+@pytest.mark.parametrize("N", [65, 64 * 3 + 1])
+@pytest.mark.parametrize("coarse", [True, False])
+def test_blocked_pairwise_passes_equal_the_whole_matrix_formulas(N, coarse):
+    # The archive passes build their (N, N) matrices 64 rows at a time; with
+    # more rows than one block they must equal the one-shot formulas, ties
+    # and duplicate rows included.
+    rng = np.random.default_rng(N + coarse)
+    F = rng.integers(0, 4, size=(N, 3)).astype(float) if coarse else rng.normal(size=(N, 3))
+    F[N // 2] = F[0]
+    members = [ArchiveMember(x=f[:2].copy(), f=f) for f in F]
+    X = F[:, :2]
+    close = np.all(np.abs(X[:, None, :] - X[None, :, :]) <= 1e-12, axis=2)
+    keep = ~np.triu(close, k=1).any(axis=0)
+    assert [id(m) for m in _dedup(members)] == [id(m) for m, k in zip(members, keep) if k]
+    less, leq = F[:, None, :] < F[None, :, :], F[:, None, :] <= F[None, :, :]
+    for weak, dom in ((False, less.all(axis=2)), (True, leq.all(axis=2) & less.any(axis=2))):
+        np.fill_diagonal(dom, False)
+        want = [id(m) for m, d in zip(members, dom.any(axis=0)) if not d]
+        assert [id(m) for m in dominance_filter(members, weak)] == want
+    np.testing.assert_array_equal(
+        pareto._pairwise(F, lambda a, b: np.linalg.norm(a - b, axis=2)),
+        np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2))
+    assert ([id(m) for m in _thin(members, N - 8)]
+            == [id(m) for m in _thin_reference(members, N - 8)])
+
+
 def test_front_config_validation():
     with pytest.raises(ConfigError):
         FrontConfig(n_q=0)
@@ -276,7 +302,7 @@ def test_init_front_skips_exactly_the_rows_with_non_finite_values(caplog):
     fc = FrontConfig(init_count=30)
     with caplog.at_level(logging.WARNING, logger="motr.pareto"):
         archive = init_front(fc, oracle, RngStream(38).generator())
-    box = np.array(fc.init_box)
+    box = fc.box(2)
     pts = RngStream(38).generator().uniform(box[:, 0], box[:, 1], size=(30, 2))
     bad = pts[:, 0] > 3.0
     assert 0 < bad.sum() < 30

@@ -106,7 +106,6 @@ def test_combine_hessians_modes():
         combine_hessians(H, w, HessianCombine.LAMBDA, 2), np.diag([1.0, 3.0]))
     np.testing.assert_allclose(
         combine_hessians(H, w, HessianCombine.UNIFORM, 2), np.diag([2.0, 2.0]))
-    assert not np.any(combine_hessians(None, w, HessianCombine.LAMBDA, 2))
 
 
 def test_evaluate_model_examples():
