@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .core import ConfigError, RngStream, check_length, load_config
+from .core import ConfigError, RngStream, load_config
 from .harness import emit, experiment_spec, run_experiment
 from .pareto import FrontConfig, export_archive_csv, run_front
 
@@ -41,8 +41,8 @@ def main(argv: list[str] | None = None) -> int:
         sections = load_config(args.config, args.set, args.seed, getattr(args, "output", None))
         spec = experiment_spec(sections)
         front_cfg = FrontConfig(**sections["front"])
-        if "init_box" in sections["front"]:
-            check_length("front", "init_box", len(front_cfg.init_box), spec.dimension)
+        if spec.dimension is not None:      # a dataset's n is checked at run time
+            front_cfg.box(spec.dimension)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -509,26 +509,21 @@ def load_config(path: str, sets: Iterable[str] = (), seed: int | None = None,
     return parse_config(mapping)
 
 
-def check_length(section: str, attr: str, length: int, dimension: int | None) -> None:
-    """Reject a vector-valued setting whose length is not the problem's
-    dimension (None: not known before the data is loaded)."""
-    if dimension not in (None, length):
-        key = next(r.key for r in CONFIG_KEYS.values() if r.section == section and r.attr == attr)
-        raise ConfigError(f"{key} has {length} entries, problem dimension is {dimension}")
-
-
 class Oracle(abc.ABC):
     """Vector-objective evaluation backend.
 
-    Implementations declare the problem dimension ``n``, objective count
-    ``q`` and whether exact values are available (``exact_available``), and
-    implement ``evaluate_batch`` and optionally ``exact_evaluate_batch``;
+    Implementations declare the problem dimension ``n`` and objective count
+    ``q`` and implement ``evaluate_batch`` and optionally ``exact_evaluate_batch``;
     ``evaluate`` and ``exact_evaluate`` are their one-point forms.
     """
 
     n: int
     q: int
-    exact_available: bool
+
+    @property
+    def exact_available(self) -> bool:
+        """Whether the class implements ``exact_evaluate_batch``."""
+        return type(self).exact_evaluate_batch is not Oracle.exact_evaluate_batch
 
     @abc.abstractmethod
     def evaluate_batch(self, X, deltas, alpha: float, rngs,
@@ -555,9 +550,6 @@ class Oracle(abc.ABC):
         n) or None of every row of ``X``."""
         raise NotImplementedError(f"{type(self).__name__} has no exact oracle")
 
-    def exact_cost(self) -> int:
-        """Scalar products consumed by one full-accuracy evaluation."""
-        return 0
-
     def group_sizes(self) -> np.ndarray:
+        """Rows per objective; a full-accuracy evaluation costs their sum."""
         return np.zeros(self.q, dtype=int)

@@ -15,13 +15,13 @@ from .core import (
     LabelConvention,
     Oracle,
     SolverConfig,
-    check_length,
     format_config,
 )
 # solve_marginal and run_final stay importable here: perfbench/tracer.py wraps
 # harness.solve_marginal and harness.run_final.
 from .marginal import solve_marginal  # noqa: F401
 from .oracles import (
+    ANALYTIC,
     AnalyticOracle,
     AnalyticProblem,
     ExactOracle,
@@ -63,7 +63,7 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.problem not in ("test1", "test2", "synthetic", "dataset"):
+        if self.problem not in (*ANALYTIC, "synthetic", "dataset"):
             raise ConfigError(f"bad problem {self.problem!r}")
         if self.problem == "dataset" and not self.dataset_path:
             raise ConfigError("dataset problem requires dataset_path")
@@ -84,13 +84,21 @@ class ExperimentSpec:
             raise ConfigError("smg_t0 must be positive")
         if self.smg_delta is not None and not self.smg_delta > 0:
             raise ConfigError("smg_delta must be positive")
-        check_length("experiment", "x0", len(self.x0), self.dimension)
+        if not self.constant_value > 0:
+            raise ConfigError("constant_value must be positive")
+        if self.synthetic_samples < 2:
+            raise ConfigError("synthetic_samples must be >= 2 (one row per group)")
+        if self.dimension not in (None, len(self.x0)):
+            raise ConfigError(f"x0 has {len(self.x0)} entries, "
+                              f"problem dimension is {self.dimension}")
 
     @property
     def dimension(self) -> int | None:
         """The problem's n where it is known without loading data; None for
         a dataset, whose n is checked when the oracle is built."""
-        return {"test1": 2, "test2": 2, "synthetic": self.synthetic_features}.get(self.problem)
+        if self.problem in ANALYTIC:
+            return ANALYTIC[self.problem][0]
+        return self.synthetic_features if self.problem == "synthetic" else None
 
     @property
     def smg(self) -> tuple[float, float] | None:
@@ -101,7 +109,7 @@ class ExperimentSpec:
         return (self.smg_t0, self.smg_delta or self.solver.delta0)
 
     def build_oracle(self) -> Oracle:
-        if self.problem in ("test1", "test2"):
+        if self.problem in ANALYTIC:
             oracle: Oracle = AnalyticOracle(AnalyticProblem(self.problem), self.noise)
         else:
             if self.problem == "synthetic":

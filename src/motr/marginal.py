@@ -78,14 +78,13 @@ def _closed_form_q2(G: np.ndarray) -> np.ndarray:
     return np.stack([lam, 1.0 - lam], axis=1)
 
 
-def solve_marginal_batch(gradients, tolerance: float = 1e-10,
-                         max_iters: int | None = None) -> MarginalSolution:
+def solve_marginal_batch(gradients, tolerance: float = 1e-10) -> MarginalSolution:
     """Solve -min_{||d||<=1} max_i <g_i, d> for each (q, n) matrix of a (B,
     q, n) stack via the dual min-norm-point problem.
 
     One objective gives omega = ||g|| and two the closed form; both are exact
     up to rounding, with residual 0. Three or more go through
-    ``frank_wolfe``, matrix by matrix, with ``tolerance`` and ``max_iters``.
+    ``frank_wolfe``, matrix by matrix, with ``tolerance``.
     A direction is returned only where omega exceeds both ``tolerance`` and
     the residual.
     """
@@ -97,14 +96,13 @@ def solve_marginal_batch(gradients, tolerance: float = 1e-10,
         return _exact(G, np.ones((B, 1)), tolerance)
     if q == 2:
         return _exact(G, _closed_form_q2(G), tolerance)
-    sols = [frank_wolfe(g, tolerance, max_iters) for g in G]
+    sols = [frank_wolfe(g, tolerance) for g in G]
     return MarginalSolution(*(np.array([getattr(s, f) for s in sols]).reshape((B,) + shape)
                               for f, shape in (("omega", ()), ("direction", (n,)),
                                                ("weights", (q,)), ("residual", ()))))
 
 
-def solve_marginal(gradients, tolerance: float = 1e-10,
-                   max_iters: int | None = None) -> MarginalSolution:
+def solve_marginal(gradients, tolerance: float = 1e-10) -> MarginalSolution:
     """``solve_marginal_batch`` for one (q, n) gradient matrix.
 
     Returns omega together with an optimal unit-ball direction and dual
@@ -112,11 +110,10 @@ def solve_marginal(gradients, tolerance: float = 1e-10,
     the Frank-Wolfe iteration cap is hit first, the best-effort solution is
     returned with residual > tolerance rather than raising.
     """
-    return solve_marginal_batch(np.atleast_2d(gradients)[None], tolerance, max_iters).take(0)
+    return solve_marginal_batch(np.atleast_2d(gradients)[None], tolerance).take(0)
 
 
-def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10,
-                max_iters: int | None = None) -> MarginalSolution:
+def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10) -> MarginalSolution:
     """Min-norm point of the hull of the rows of ``G`` (q, n) by Frank-Wolfe
     with away steps and exact line search (Lacoste-Julien & Jaggi 2015)."""
     if tolerance <= 0:
@@ -126,14 +123,13 @@ def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10,
     M = G @ G.T
     lam = np.zeros(q)
     lam[int(np.argmin(np.diag(M)))] = 1.0
-    cap = max_iters if max_iters is not None else 10 * q * n + 1000
     # Below this the simplex gap is indistinguishable from rounding noise in
     # M @ lam, so further iterations cannot certify a smaller residual.
     gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(M).max()))
 
     grad = M @ lam
     residual = np.inf
-    for _ in range(cap):
+    for _ in range(10 * q * n + 1000):
         grad = M @ lam
         sq = float(lam @ grad)
         ub = np.sqrt(max(sq, 0.0))
@@ -188,21 +184,20 @@ def solve_marginal_q2_closed_form(g1, g2) -> MarginalSolution:
     return solve_marginal_batch(G[None]).take(0)
 
 
-def brute_force_marginal(gradients, num_directions: int,
-                         seed: int = 1234, refine: bool = True) -> float:
+def brute_force_marginal(gradients, num_directions: int) -> float:
     """Sampling-based lower bound on omega, used only as a test oracle.
 
     Evaluates -max_i <g_i, d> over ``num_directions`` random unit directions
     augmented with the normalized (negated) gradients and random convex
-    combinations, then optionally hill-climbs by shrinking-neighborhood
-    sampling (the objective is concave on the ball, so local refinement is
-    global). Always >= true omega minus the sampling resolution.
+    combinations, then hill-climbs by shrinking-neighborhood sampling (the
+    objective is concave on the ball, so local refinement is global). Always
+    >= true omega minus the sampling resolution.
     """
     if num_directions < 1000:
         raise ValueError("num_directions must be >= 1000")
     G = _check_gradients(gradients)
     q, n = G.shape
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([1234, 0], dtype=np.uint64)))
 
     def value(D: np.ndarray) -> np.ndarray:
         return -(D @ G.T).max(axis=1)
@@ -227,8 +222,6 @@ def brute_force_marginal(gradients, num_directions: int,
     best = float(vals.max())
     if best <= 0.0:
         return 0.0
-    if not refine:
-        return best
 
     # Shrinking-neighborhood polish around the incumbent; stays pure sampling.
     incumbent = candidates[int(np.argmax(vals))]

@@ -70,25 +70,28 @@ def _test2(X, need_hessians):
     return f, g, h
 
 
-_ANALYTIC = {"test1": _test1, "test2": _test2}
+# name -> (n, q, batch function); test1's front is convex, test2's is not.
+ANALYTIC = {"test1": (2, 2, _test1), "test2": (2, 2, _test2)}
 
 
 @dataclass(frozen=True)
 class AnalyticProblem:
-    """Named 2-D, 2-objective benchmark ('test1' convex front, 'test2' non-convex)."""
+    """Named benchmark of the ``ANALYTIC`` table, with its n and q."""
 
     name: str
-    n: int = 2
-    q: int = 2
+    n: int = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self):
-        if self.name not in _ANALYTIC:
+        if self.name not in ANALYTIC:
             raise ConfigError(f"unknown analytic problem {self.name!r}")
+        object.__setattr__(self, "n", ANALYTIC[self.name][0])
+        object.__setattr__(self, "q", ANALYTIC[self.name][1])
 
     def exact_batch(self, X, need_hessians: bool = True):
         """Values (B, q), gradients (B, q, n) and Hessians (B, q, n, n), or
         None in their place when not ``need_hessians``."""
-        return _ANALYTIC[self.name](as_decision_batch(X, self.n), need_hessians)
+        return ANALYTIC[self.name][2](as_decision_batch(X, self.n), need_hessians)
 
     def exact(self, x):
         f, g, h = self.exact_batch(as_decision_vector(x, self.n)[None])
@@ -179,7 +182,6 @@ class AnalyticOracle(Oracle):
         self.noise = noise if noise is not None else NoiseSpec()
         self.n = problem.n
         self.q = problem.q
-        self.exact_available = True
 
     # The one-point forms, in this class's namespace for perfbench/tracer.py.
     evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
@@ -334,7 +336,6 @@ class FiniteSumOracle(Oracle):
         self.constant_value = constant_value
         self.n = problem.n
         self.q = problem.q
-        self.exact_available = True
         self._max_feature_norm = float(np.linalg.norm(problem.features, axis=1).max())
         self._mask = problem.reg_mask()
         self._sizes = [rows.size for rows in problem.groups]
@@ -343,16 +344,12 @@ class FiniteSumOracle(Oracle):
             order = np.sort(rows)
             self._blocks.append((problem.features[order], problem.labels[order]))
         self._memo: OrderedDict = OrderedDict()
-        self._memo_points = _MEMO_POINTS
 
     # The one-point forms, in this class's namespace for perfbench/tracer.py.
     evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
 
     def group_sizes(self) -> np.ndarray:
         return np.array(self._sizes, dtype=int)
-
-    def exact_cost(self) -> int:
-        return self.problem.N
 
     def _evaluate(self, X, rows, need_hessians):
         """Values (B, q), gradients (B, q, n) and Hessians (B, q, n, n) or
@@ -364,7 +361,6 @@ class FiniteSumOracle(Oracle):
         (its stored block, broadcast), or the subsamples of one size.
         """
         B, q, n = X.shape[0], self.q, self.n
-        self._memo_points = _MEMO_POINTS * B
         subs = [sub for state_rows in rows for sub in state_rows]     # cell b * q + i
         f, g = np.empty(B * q), np.empty((B * q, n))
         H = np.empty((B * q, n, n)) if need_hessians else None
@@ -396,7 +392,7 @@ class FiniteSumOracle(Oracle):
                 H[cells] = Hk
             if isinstance(bucket, tuple):
                 self._remember(bucket[1], [points[b] for b in bs.tolist()], fk, gk, Hk)
-        while len(self._memo) > self._memo_points * q:
+        while len(self._memo) > _MEMO_POINTS * B * q:
             self._memo.popitem(last=False)
         return (f.reshape(B, q), g.reshape(B, q, n),
                 None if H is None else H.reshape(B, q, n, n))
@@ -488,26 +484,22 @@ def analytic_bound_constants(max_feature_norm: float, regularizers,
 
 
 def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float,
-                        rng: np.random.Generator, need_hessians: bool = False,
-                        bound_constants=None) -> ObjectiveSample:
+                        rng: np.random.Generator, need_hessians: bool = False) -> ObjectiveSample:
     """Evaluate each group loss on a uniform without-replacement subsample.
 
     One subsample per group serves values, gradients and (optionally)
-    Hessians; its size is the max of the value and gradient requirements.
-    Cost is the total number of subsampled rows (one scalar product each).
+    Hessians; its size is the max of the value and gradient requirements,
+    with bound constants 1. Cost is the number of subsampled rows (one
+    scalar product each).
     FiniteSumOracle.evaluate gives the same bits and rng draws; this is the
     plain reference, with no stored blocks and no memo: one group at a time
     through the same kernel.
     """
     x = as_decision_vector(x, problem.n)
-    if bound_constants is None:
-        F = G = np.ones(problem.q)
-    else:
-        F, G = bound_constants
     mask = problem.reg_mask()
     parts, sizes = [], []
-    for i, (rows, lam) in enumerate(zip(problem.groups, problem.regularizers)):
-        m = _group_sample_size(F[i], G[i], delta, alpha, rows.size)
+    for rows, lam in zip(problem.groups, problem.regularizers):
+        m = _group_sample_size(1.0, 1.0, delta, alpha, rows.size)
         sub = np.sort(rows if m >= rows.size else rng.choice(rows, size=m, replace=False))
         parts.append(_logistic_stack(problem.features[sub][None], problem.labels[sub][None],
                                      x[None], np.array([lam]), mask, need_hessians))
@@ -519,7 +511,8 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
 
 class ExactOracle(Oracle):
     """Deterministic full-accuracy adapter: every evaluation is exact and
-    costs one full batch. Used by the deterministic baseline."""
+    costs one full batch (the sum of the group sizes). Used by the
+    deterministic baseline."""
 
     def __init__(self, inner: Oracle):
         if not inner.exact_available:
@@ -527,7 +520,6 @@ class ExactOracle(Oracle):
         self.inner = inner
         self.n = inner.n
         self.q = inner.q
-        self.exact_available = True
 
     # The one-point forms, in this class's namespace for perfbench/tracer.py.
     evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
@@ -535,18 +527,15 @@ class ExactOracle(Oracle):
     def exact_evaluate_batch(self, X, need_hessians=False):
         return self.inner.exact_evaluate_batch(X, need_hessians)
 
-    def exact_cost(self) -> int:
-        return self.inner.exact_cost()
-
     def group_sizes(self) -> np.ndarray:
         return self.inner.group_sizes()
 
     def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
         f, g, h = self.inner.exact_evaluate_batch(X, need_hessians)
-        B = f.shape[0]
+        B, sizes = f.shape[0], self.group_sizes()
         return SampleBatch(values=f, gradients=g, delta=deltas,
-                           sample_sizes=np.tile(self.group_sizes(), (B, 1)),
-                           cost=np.full(B, self.exact_cost()), hessians=h)
+                           sample_sizes=np.tile(sizes, (B, 1)),
+                           cost=np.full(B, sizes.sum()), hessians=h)
 
 
 # ---------------------------------------------------------------------------

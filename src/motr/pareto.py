@@ -52,7 +52,7 @@ class FrontConfig:
         """The (n, 2) initial sampling box of an n-dimensional problem."""
         box = np.array([(-1.0, 6.0)] * n if self.init_box is None else self.init_box, dtype=float)
         if box.shape[0] != n:
-            raise ConfigError(f"init_box has {box.shape[0]} intervals, problem dimension is {n}")
+            raise ConfigError(f"front_init_box has {len(box)} entries, problem dimension is {n}")
         return box
 
 

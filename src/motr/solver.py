@@ -64,7 +64,7 @@ class ModelSet:
 
 
 def combine_hessians(hessians: np.ndarray, weights: np.ndarray | None,
-                     mode: HessianCombine, n: int) -> np.ndarray:
+                     mode: HessianCombine) -> np.ndarray:
     """Single model Hessian from per-objective ones: dual-weight average by
     default, uniform average as the ablation alternative. Takes (q, n, n)
     Hessians with (q,) weights, or a (B, q, n, n) stack with (B, q)."""
@@ -72,8 +72,8 @@ def combine_hessians(hessians: np.ndarray, weights: np.ndarray | None,
     if mode is HessianCombine.UNIFORM or weights is None:
         return H.mean(axis=-3)
     w = np.asarray(weights, dtype=float)
-    flat = H.reshape(H.shape[:-2] + (n * n,))
-    return (w[..., None, :] @ flat)[..., 0, :].reshape(H.shape[:-3] + (n, n))
+    flat = H.reshape(H.shape[:-2] + (-1,))
+    return (w[..., None, :] @ flat)[..., 0, :].reshape(H.shape[:-3] + H.shape[-2:])
 
 
 def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
@@ -88,7 +88,7 @@ def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
     if hessian_mode is HessianMode.SUBSAMPLED:
         if sample.hessians is None:
             raise InconsistentSampleError("subsampled mode needs per-objective hessians")
-        H = combine_hessians(sample.hessians, weights, combine, n)
+        H = combine_hessians(sample.hessians, weights, combine)
         H = 0.5 * (H + H.swapaxes(1, 2))
         beta = 1.0 + spectral_norm(H)
     else:

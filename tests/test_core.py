@@ -205,9 +205,9 @@ def _experiment_specs(draw):
         label_column=draw(st.integers()), sensitive_column=draw(st.integers()),
         label_convention=draw(st.sampled_from(LabelConvention)),
         has_header=draw(st.booleans()), keep_sensitive=draw(st.booleans()),
-        regularizer=draw(_FINITE), synthetic_samples=draw(st.integers()),
+        regularizer=draw(_FINITE), synthetic_samples=draw(st.integers(min_value=2)),
         synthetic_features=features, synthetic_seed=draw(st.integers(0, 2**64 - 1)),
-        constants_mode=draw(st.sampled_from(ConstantsMode)), constant_value=draw(_FINITE),
+        constants_mode=draw(st.sampled_from(ConstantsMode)), constant_value=draw(_POSITIVE),
         algorithm=draw(st.sampled_from(["smop", "dmop", "smg"])),
         x0=tuple(draw(st.lists(_FINITE, min_size=n, max_size=n))),
         num_simulations=draw(st.integers(1, 10**6)), output_path=draw(_TEXT),

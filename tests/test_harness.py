@@ -36,7 +36,7 @@ from motr.core import (
 )
 from motr.harness import ExperimentSpec, emit, experiment_spec, run_experiment
 from motr.marginal import solve_marginal
-from motr.oracles import NoiseSpec
+from motr.oracles import ExactOracle, NoiseSpec
 from motr.pareto import FrontConfig, export_archive_csv, front_round, init_front
 from motr.solver import Batch, IterationRecord, run_batch
 
@@ -152,8 +152,6 @@ def test_dmop_simulations_identical():
 class _FixedGradients(Oracle):
     """The same exact gradients ``G`` (q, n) at every point; values 0."""
 
-    exact_available = False
-
     def __init__(self, G):
         self.G = np.asarray(G, dtype=float)
         self.q, self.n = self.G.shape
@@ -164,6 +162,13 @@ class _FixedGradients(Oracle):
                            gradients=np.broadcast_to(self.G, (B, self.q, self.n)),
                            delta=deltas, sample_sizes=np.zeros((B, self.q), dtype=int),
                            cost=np.zeros(B, dtype=int))
+
+
+def test_exact_oracle_rejects_an_oracle_without_exact_values():
+    # _FixedGradients has no exact_evaluate_batch, so exact_available is False.
+    assert not _FixedGradients([[1.0, 0.0]]).exact_available
+    with pytest.raises(ConfigError, match="no exact evaluation"):
+        ExactOracle(_FixedGradients([[1.0, 0.0]]))
 
 
 def _smg_step(x0, G, t0=0.5, radius=1.0):
@@ -517,6 +522,42 @@ def test_cli_validate_rejects_wrong_dimension(tmp_path, capsys, lines):
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert "problem dimension is" in err
+
+
+def test_cli_init_box_length_error_reads_the_same_at_validate_and_run_time(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "problem = test1\nfront_init_box = 0:1,0:1,0:1\n")
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: front_init_box has 3 entries, problem dimension is 2\n")
+    # A dataset's n is known only once the file is read, so front reports it:
+    # label, sensitive column, one feature and the intercept make n = 3.
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{i % 2},{i // 2 % 2},{i / 7!r}\n" for i in range(12)))
+    cfg = _write_cfg(tmp_path, f"problem = dataset\ndataset_path = {data}\n"
+                               "label_convention = zeroone\nfront_init_box = 0:1,0:1\n")
+    assert main(["validate", cfg]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["front", cfg, "--output", str(tmp_path / "front.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime error: front_init_box has 2 entries, problem dimension is 3\n")
+
+
+@pytest.mark.parametrize("line", ["constant_value = 0", "constant_value = -1",
+                                  "synthetic_samples = 1", "synthetic_samples = 0",
+                                  "synthetic_samples = -3"])
+def test_cli_validate_rejects_finite_sum_values_the_run_rejects(tmp_path, capsys, line):
+    cfg = _write_cfg(tmp_path, f"problem = synthetic\nsynthetic_features = 2\n{line}\n"
+                               "k_max = 2\nnum_simulations = 1\n")
+    for command in ("validate", "run", "front"):
+        assert main([command, cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {line.split()[0]} ") and err.count("\n") == 1
+
+
+def test_cli_two_synthetic_samples_run(tmp_path):
+    cfg = _write_cfg(tmp_path, "problem = synthetic\nsynthetic_features = 2\n"
+                               "synthetic_samples = 2\nk_max = 2\nnum_simulations = 1\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_OK
 
 
 def test_cli_validate_accepts_matching_dimensions(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from motr.core import ConfigError, ObjectiveSample, RngStream
 from motr.oracles import (
+    ANALYTIC,
     AnalyticOracle,
     AnalyticProblem,
     EmptyGroupError,
@@ -35,6 +36,19 @@ def test_analytic_problem_names():
     assert AnalyticProblem("test1").q == 2
     with pytest.raises(ConfigError):
         AnalyticProblem("test3")
+
+
+def test_analytic_table_rows_match_their_functions():
+    # A row's (n, q) is the problem's only declaration of its shape.
+    rng = np.random.default_rng(5)
+    for name, (n, q, batch) in ANALYTIC.items():
+        X = rng.uniform(-3.0, 3.0, size=(4, n))
+        f, g, h = batch(X, True)
+        assert (f.shape, g.shape, h.shape) == ((4, q), (4, q, n), (4, q, n, n))
+        assert batch(X, False)[2] is None
+        assert (AnalyticProblem(name).n, AnalyticProblem(name).q) == (n, q)
+    with pytest.raises(TypeError):
+        AnalyticProblem("test1", n=3)
 
 
 def test_test1_values_and_gradients():
@@ -567,6 +581,9 @@ def test_exact_oracle_adapter():
     assert a.cost == 40
     f, _, _ = inner.exact_evaluate(x)
     np.testing.assert_allclose(a.values, f)
+    # An analytic oracle has no rows: a full evaluation costs nothing.
+    analytic = ExactOracle(AnalyticOracle(AnalyticProblem("test1")))
+    assert analytic.evaluate(np.zeros(2), 1.0, 0.5, rng).cost == 0
 
 
 def test_finite_sum_oracle_constants_modes():

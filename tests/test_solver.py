@@ -103,9 +103,9 @@ def test_combine_hessians_modes():
     H = np.stack([np.diag([4.0, 0.0]), np.diag([0.0, 4.0])])
     w = np.array([0.25, 0.75])
     np.testing.assert_allclose(
-        combine_hessians(H, w, HessianCombine.LAMBDA, 2), np.diag([1.0, 3.0]))
+        combine_hessians(H, w, HessianCombine.LAMBDA), np.diag([1.0, 3.0]))
     np.testing.assert_allclose(
-        combine_hessians(H, w, HessianCombine.UNIFORM, 2), np.diag([2.0, 2.0]))
+        combine_hessians(H, w, HessianCombine.UNIFORM), np.diag([2.0, 2.0]))
 
 
 def test_evaluate_model_examples():
