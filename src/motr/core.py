@@ -38,7 +38,7 @@ def as_decision_batch(X, n: int) -> np.ndarray:
     V = np.asarray(X, dtype=float)
     if V.ndim != 2 or V.shape[1] != n:
         raise DimensionMismatchError(f"expected decision vectors of shape (B, {n}), got {V.shape}")
-    if not np.all(np.isfinite(V)):
+    if not np.isfinite(V).all():
         raise ValueError("decision vector contains NaN/Inf")
     return V
 
@@ -59,9 +59,12 @@ def sample_errors(values: np.ndarray, gradients: np.ndarray, delta: np.ndarray,
         raise ValueError("gradients must have shape (q, n)")
     if hessians is not None and (hessians.ndim != 4 or hessians.shape[:2] != (B, q)):
         raise ValueError("hessians must have shape (q, n, n)")
-    if (hessians is None and np.isfinite(values).all() and np.isfinite(gradients).all()
-            and (delta > 0).all() and (cost >= 0).all() and (sample_sizes >= 0).all()):
-        return {}           # the common case, without per-sample bookkeeping
+    # The common case, without per-sample bookkeeping: a sum is finite only
+    # if every term is (one that overflows takes the slow path).
+    if (hessians is None and math.isfinite(values.sum() + gradients.sum())
+            and delta.min(initial=math.inf) > 0 and cost.min(initial=0) >= 0
+            and sample_sizes.min(initial=0) >= 0):
+        return {}
     finite = np.isfinite(values).all(axis=1) & np.isfinite(gradients).all(axis=(1, 2))
     if hessians is not None:
         finite &= np.isfinite(hessians).all(axis=(1, 2, 3))

@@ -46,7 +46,7 @@ class MarginalSolution:
 
 def _check_gradients(gradients) -> np.ndarray:
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise NonFiniteGradientError("gradient matrix contains NaN/Inf")
     return G
 
@@ -62,8 +62,8 @@ def _exact(G: np.ndarray, lam: np.ndarray, tolerance: float) -> MarginalSolution
     duality gap is zero up to rounding, and reported as 0."""
     y = (lam[:, None, :] @ G)[:, 0]
     omega = np.sqrt(_dot(y, y))
-    descent = omega > tolerance
-    direction = np.where(descent[:, None], -y / np.where(descent, omega, 1.0)[:, None], 0.0)
+    direction = np.divide(np.negative(y, out=y), omega[:, None], out=np.zeros_like(y),
+                          where=(omega > tolerance)[:, None])
     return MarginalSolution(omega, direction, lam, np.zeros_like(omega))
 
 
@@ -73,9 +73,12 @@ def _closed_form_q2(G: np.ndarray) -> np.ndarray:
     g1, g2 = G[:, 0], G[:, 1]
     diff = g1 - g2
     dd = _dot(diff, diff)
-    ratio = _dot(g2, g2 - g1) / np.where(dd > 0, dd, 1.0)
-    lam = np.where(dd > 0, np.minimum(np.maximum(ratio, 0.0), 1.0), 0.0)
-    return np.stack([lam, 1.0 - lam], axis=1)
+    apart = dd > 0
+    ratio = _dot(g2, g2 - g1) / np.where(apart, dd, 1.0)
+    lam = np.empty((G.shape[0], 2))
+    lam[:, 0] = np.where(apart, np.minimum(np.maximum(ratio, 0.0), 1.0), 0.0)
+    np.subtract(1.0, lam[:, 0], out=lam[:, 1])
+    return lam
 
 
 def solve_marginal_batch(gradients, tolerance: float = 1e-10) -> MarginalSolution:

@@ -145,6 +145,19 @@ def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
     return eps_f, eps_g
 
 
+@functools.lru_cache(maxsize=None)
+def _noise_columns(q: int, n: int, shared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Where a state's draws go: the columns of its value noise (q,) and of
+    its gradient noise (q, n) in its row of draws; shared, so read-only."""
+    if shared:      # f_1, the shared gradient vector, f_2, ..., f_q
+        f, g = np.r_[0, n + 1:n + q], np.tile(np.arange(1, n + 1), (q, 1))
+    else:           # per objective: f_i, then g_i
+        cols = np.arange(q * (1 + n)).reshape(q, 1 + n)
+        f, g = cols[:, 0], cols[:, 1:]
+    f.flags.writeable = g.flags.writeable = False
+    return f, g
+
+
 def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Value noise (B, q) and gradient noise (B, q, n), state b drawing from
     ``rngs[b]`` in the same order as a one-state draw: per objective its value
@@ -157,12 +170,8 @@ def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.n
     """
     m = q + n if noise.shared_gradient_noise else q * (1 + n)
     Z = np.array([rng.normal(0.0, noise.sigma, size=m) for rng in rngs]).reshape(-1, m)
-    if noise.shared_gradient_noise:
-        eps_f = np.delete(Z, np.s_[1:1 + n], axis=1)
-        eps_g = np.repeat(Z[:, None, 1:1 + n], q, axis=1)
-    else:
-        eps_f = Z[:, ::1 + n].copy()
-        eps_g = np.delete(Z, np.s_[::1 + n], axis=1).reshape(-1, q, n)
+    f_cols, g_cols = _noise_columns(q, n, noise.shared_gradient_noise)
+    eps_f, eps_g = Z[:, f_cols], Z[:, g_cols]
     if noise.bounded:
         # A norm computed differently may differ in the last bits, so only
         # states clearly inside the caps skip the exact replay.
@@ -304,9 +313,14 @@ def _group_sample_size(F: float, G: float, delta: float, alpha: float,
 
 
 # A rejected iteration re-evaluates x, an accepted one moves to the last trial
-# point, and exact_evaluate(x) follows evaluate(x): four points per state in
-# the batch cover reuse.
+# point, and exact_evaluate(x) follows evaluate(x): four points per state of
+# the largest batch served cover reuse, also across smaller calls.
 _MEMO_POINTS = 4
+
+# The rows of a subsample bucket are gathered in chunks of at most this many
+# bytes (one cell at least): the gather is a run's largest temporary, and the
+# cells are independent, so the chunks change no result.
+_GATHER_BYTES = 1 << 18
 
 
 class FiniteSumOracle(Oracle):
@@ -319,10 +333,11 @@ class FiniteSumOracle(Oracle):
     Each group's rows are stored once as a contiguous block in ascending row
     order. A batch draws every state's subsamples from that state's stream,
     then evaluates all (state, group) blocks of one row count in one
-    ``_logistic_stack`` call. A full-batch group evaluation draws no
-    randomness, so its result is memoised for the last few points of every
-    state in the batch; results are bit-identical to ``subsampled_evaluate``
-    and costs count the rows requested, memo hits included.
+    ``_logistic_stack`` call per 256 KiB of gathered rows. A full-batch
+    group evaluation draws no randomness, so its result is memoised for the
+    last few points of every state of the largest batch served; results are
+    bit-identical to ``subsampled_evaluate`` and costs count the rows
+    requested, memo hits included.
     """
 
     def __init__(self, problem: FiniteSumProblem, constants_mode: str = "estimated",
@@ -344,6 +359,7 @@ class FiniteSumOracle(Oracle):
             order = np.sort(rows)
             self._blocks.append((problem.features[order], problem.labels[order]))
         self._memo: OrderedDict = OrderedDict()
+        self._memo_capacity = 0
 
     # The one-point forms, in this class's namespace for perfbench/tracer.py.
     evaluate, exact_evaluate = Oracle.evaluate, Oracle.exact_evaluate
@@ -356,9 +372,10 @@ class FiniteSumOracle(Oracle):
         None: group i of state b on the sorted rows ``rows[b][i]``, or on its
         whole block, memoised, where that is None.
 
-        Memo hits are served first. The other blocks are bucketed, and each
-        bucket is one ``_logistic_stack`` call: the whole blocks of one group
-        (its stored block, broadcast), or the subsamples of one size.
+        Memo hits are served first. The other blocks are bucketed: the whole
+        blocks of one group (its stored block, broadcast) are one
+        ``_logistic_stack`` call, the subsamples of one size one call per
+        ``_GATHER_BYTES`` of gathered rows.
         """
         B, q, n = X.shape[0], self.q, self.n
         subs = [sub for state_rows in rows for sub in state_rows]     # cell b * q + i
@@ -376,7 +393,12 @@ class FiniteSumOracle(Oracle):
             f[c], g[c] = hit[0], hit[1]
             if need_hessians:
                 H[c] = hit[2]
+        chunks = []
         for bucket, cells in buckets.items():
+            step = (len(cells) if isinstance(bucket, tuple)
+                    else max(1, _GATHER_BYTES // (8 * n * bucket)))
+            chunks += [(bucket, cells[i:i + step]) for i in range(0, len(cells), step)]
+        for bucket, cells in chunks:
             cells = np.array(cells)
             bs, gs = np.divmod(cells, q)
             if isinstance(bucket, tuple):
@@ -387,12 +409,14 @@ class FiniteSumOracle(Oracle):
                 A, y = self.problem.features[idx], self.problem.labels[idx]
             fk, gk, Hk = _logistic_stack(A, y, X[bs], self.problem.regularizers[gs],
                                          self._mask, need_hessians)
+            del A, y        # a gathered block is freed before the next gather
             f[cells], g[cells] = fk, gk
             if need_hessians:
                 H[cells] = Hk
             if isinstance(bucket, tuple):
                 self._remember(bucket[1], [points[b] for b in bs.tolist()], fk, gk, Hk)
-        while len(self._memo) > _MEMO_POINTS * B * q:
+        self._memo_capacity = max(self._memo_capacity, _MEMO_POINTS * B * q)
+        while len(self._memo) > self._memo_capacity:
             self._memo.popitem(last=False)
         return (f.reshape(B, q), g.reshape(B, q, n),
                 None if H is None else H.reshape(B, q, n, n))

@@ -94,8 +94,7 @@ def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
     else:
         H = np.zeros((B, n, n))
         beta = np.ones(B)
-    return ModelSet(base_values=sample.values.copy(),
-                    base_gradients=sample.gradients.copy(),
+    return ModelSet(base_values=sample.values, base_gradients=sample.gradients,
                     hessian=H, beta=beta)
 
 
@@ -134,9 +133,9 @@ def cauchy_step_batch(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
     once; the first one with the least model value wins, and alpha = 0 comes
     first, so a candidate is taken only on strict decrease.
     """
-    if np.any(delta <= 0):
+    if (delta <= 0).any():
         raise ValueError("delta must be positive")
-    if np.any((omega <= 0) | ~direction.any(axis=1)):
+    if (omega <= 0).any() or not direction.any(axis=1).all():
         raise DegenerateDirectionError("omega = 0: no descent direction")
     vals = model.base_values
     d = direction[:, :, None]
@@ -149,21 +148,25 @@ def cauchy_step_batch(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
         alpha = numerator / np.where(valid, denominator, 1.0)
         return np.where(valid & (0.0 < alpha) & (alpha < delta), alpha, np.nan)
 
-    candidates = [np.zeros_like(delta), delta, np.minimum(delta, omega / model.beta)]
     q = vals.shape[1]
     curved = curv > 0
+    vertex = bool(curved.any())         # else no piece has a vertex
+    alphas = np.empty((delta.size, 3 + q * vertex + q * (q - 1) // 2))
+    alphas[:, 0], alphas[:, 1], alphas[:, 2] = 0.0, delta, np.minimum(delta, omega / model.beta)
+    c = 3
     for i in range(q):
-        if curved.any():                # else no piece has a vertex
-            candidates.append(inside(-slopes[:, i], curv, curved))
+        if vertex:
+            alphas[:, c] = inside(-slopes[:, i], curv, curved)
+            c += 1
         for j in range(i + 1, q):
             denom = slopes[:, i] - slopes[:, j]
-            candidates.append(inside(vals[:, j] - vals[:, i], denom, denom != 0.0))
-    alphas = np.stack(candidates, axis=1)
+            alphas[:, c] = inside(vals[:, j] - vals[:, i], denom, denom != 0.0)
+            c += 1
     m0 = vals.max(axis=1)
     value = ((vals[:, None, :] + alphas[:, :, None] * slopes[:, None, :]).max(axis=2)
              + 0.5 * curv[:, None] * alphas * alphas)
     value[np.isnan(value)] = np.inf
-    best = np.argmin(value, axis=1)
+    best = value.argmin(axis=1)
     rows = np.arange(best.size)
     return alphas[rows, best][:, None] * direction, m0 - value[rows, best]
 
@@ -268,6 +271,12 @@ class Batch:
         return IterationRecord(**values)
 
 
+def _positions(index: np.ndarray, size: int):
+    """``index``, ascending positions in an axis of ``size``; the whole axis
+    as a slice, which indexes by view, when it names every position."""
+    return slice(None) if index.size == size else index
+
+
 def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                   smg: tuple[float, float] | None = None) -> None:
     """One full trust-region iteration of every state that has not failed,
@@ -292,8 +301,10 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     if not live.size:
         return
     # A state that fails never runs again, so the live states share k, and
-    # with it the accuracy target alpha_k of their samples and trials.
-    alpha = alpha_at(config.alpha_schedule, int(batch.k[live[0]]), oracle.q)
+    # with it the accuracy target alpha_k of their samples and trials and
+    # their trace row. Read before the samples, which may all fail.
+    k = int(batch.k[live[0]])
+    alpha = alpha_at(config.alpha_schedule, k, oracle.q)
     need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
     sample = oracle.evaluate_batch(batch.x[live], batch.delta[live], alpha,
                                    [batch.rngs[b] for b in live], need_hessians=need_h)
@@ -302,17 +313,23 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
             batch.errors[live[j]] = exc
         keep = [j for j in range(live.size) if j not in sample.errors]
         live, sample = live[keep], sample.take(keep)
-    ks, X, deltas = batch.k[live], batch.x[live], batch.delta[live]
+    X, deltas = batch.x[live], batch.delta[live]
     marg = solve_marginal_batch(sample.gradients, tolerance=config.marginal_tol)
     phi_tilde = sample.values.max(axis=1)
 
     B = live.size
+    trace = batch.trace
     exact = {}
-    if config.exact_metrics and oracle.exact_available:
-        # Instrumentation only: no rng draws, not counted as cost.
-        values, gradients, _ = oracle.exact_evaluate_batch(X)
-        exact = dict(omega_true=solve_marginal_batch(gradients, config.marginal_tol).omega,
-                     phi_true=values.max(axis=1))
+    if trace is not None and config.exact_metrics and oracle.exact_available:
+        # Instrumentation only: no rng draws, not counted as cost. An iterate
+        # that did not move at k - 1 repeats its row k - 1.
+        exact = {name: trace[name][k - 1, live] if k else np.empty(B)
+                 for name in ("omega_true", "phi_true")}
+        moved = np.flatnonzero(trace["success"][k - 1, live]) if k else np.arange(B)
+        if moved.size:
+            values, gradients, _ = oracle.exact_evaluate_batch(X[moved])
+            exact["omega_true"][moved] = solve_marginal_batch(gradients, config.marginal_tol).omega
+            exact["phi_true"][moved] = values.max(axis=1)
 
     rho = np.full(B, -math.inf)
     success = np.zeros(B, dtype=bool)
@@ -324,42 +341,42 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
         act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
     else:
         act = np.empty(0, dtype=int)
-        t = smg[0] / np.sqrt(ks + 1.0)
-        step = -t[:, None] * (marg.weights[:, None, :] @ sample.gradients)[:, 0]
+        step = -(smg[0] / np.sqrt(k + 1.0)) * (marg.weights[:, None, :] @ sample.gradients)[:, 0]
         success[:] = True
     if act.size:
+        at = _positions(act, B)
         model = build_model_batch(sample, config.hessian_mode, weights=marg.weights,
-                                  combine=config.hessian_combine, oracle=oracle).take(act)
-        d, pred = cauchy_step_batch(model, marg.omega[act], marg.direction[act], deltas[act])
+                                  combine=config.hessian_combine, oracle=oracle).take(at)
+        d, pred = cauchy_step_batch(model, marg.omega[at], marg.direction[at], deltas[at])
         if config.refine_steps:
             for j, b in enumerate(act.tolist()):
                 d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],
                                             config.refine_steps)
-        trial = oracle.evaluate_batch(X[act] + d, deltas[act], alpha,
-                                      [batch.rngs[live[b]] for b in act])
-        guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[act]))
-        rho[act] = compute_rho(phi_tilde[act], trial.values.max(axis=1), pred, guard)
-        success[act] = (rho[act] >= config.eta1) & (marg.omega[act] > config.theta * deltas[act])
-        step[act], predicted[act], beta[act] = d, pred, model.beta
-        cost[act] += trial.cost
+        trial = oracle.evaluate_batch(X[at] + d, deltas[at], alpha,
+                                      [batch.rngs[b] for b in live[act].tolist()])
+        guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[at]))
+        rho[at] = compute_rho(phi_tilde[at], trial.values.max(axis=1), pred, guard)
+        success[at] = (rho[at] >= config.eta1) & (marg.omega[at] > config.theta * deltas[at])
+        step[at], predicted[at], beta[at] = d, pred, model.beta
+        cost[at] += trial.cost
         for j, exc in trial.errors.items():
             batch.errors[live[act[j]]] = exc
 
     new_x = np.where(success[:, None], X + step, X)
     for j in np.flatnonzero(~np.isfinite(new_x).all(axis=1)).tolist():
         batch.errors[live[j]] = batch.errors[live[j]] or ValueError("iterate is not finite")
-    ok = np.array([batch.errors[b] is None for b in live.tolist()], dtype=bool)
-    rows = live[ok]
-    if batch.trace is not None:
-        columns = dict(k=ks, omega_m=marg.omega, phi_tilde=phi_tilde, rho=rho, delta=deltas,
-                       success=success, **exact, cost_so_far=cost,
+    ok = np.flatnonzero([batch.errors[b] is None for b in live.tolist()])
+    rows, ok = _positions(live[ok], len(batch.rngs)), _positions(ok, B)
+    if trace is not None:
+        columns = dict(k=np.full(B, k), omega_m=marg.omega, phi_tilde=phi_tilde, rho=rho,
+                       delta=deltas, success=success, **exact, cost_so_far=cost,
                        step_norm=np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]),
                        sample_sizes=sample.sample_sizes, predicted_reduction=predicted, beta=beta)
         for name, column in columns.items():
-            if name not in batch.trace:
-                batch.trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
-                                             column.dtype)
-            batch.trace[name][ks[ok], rows] = column[ok]
+            if name not in trace:
+                trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
+                                       column.dtype)
+            trace[name][k, rows] = column[ok]
     batch.x[rows] = new_x[ok]
     if smg is None:
         # A shrink that would round the radius to 0 stops at the least

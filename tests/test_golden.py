@@ -28,6 +28,13 @@ CONFIGS = {
     "dmop_synthetic": ("run", {"problem": "synthetic", "algorithm": "dmop", "x0": ZEROS10,
                                "exact_metrics": "false", "k_max": "20",
                                "num_simulations": "2", "seed": "1"}),
+    "test1_bounded_shared": ("run", {"problem": "test1", "noise_sigma": "0.5",
+                                     "noise_bounded": "true", "noise_shared_gradient": "true",
+                                     "noise_cap_f": "0.6", "noise_cap_g": "0.6",
+                                     "k_max": "60", "num_simulations": "3", "seed": "4"}),
+    "smop_synthetic": ("run", {"problem": "synthetic", "x0": ZEROS10,
+                               "hessian_mode": "subsampled", "exact_metrics": "true",
+                               "k_max": "40", "num_simulations": "2", "seed": "6"}),
     "front_test1": ("front", {"problem": "test1", "noise_sigma": "0.1", "front_rounds": "1",
                               "seed": "2"}),
 }
@@ -51,6 +58,18 @@ GOLDEN = {
         "174270cc503c3014ef0401d5e6f390fe3b59e0a3a278aa9fd40eab6025dbaa6f",
     "dmop_synthetic/out.summary.json":
         "69e00508622e2d38830c80a4144b8790fb76f2d7ed3ac28eea8b82c58496ebb9",
+    "test1_bounded_shared/stdout":
+        "2e13bc3662419b12d84da61908b54237c97a455634a5d1fdf4b8f39d20f8c87d",
+    "test1_bounded_shared/out":
+        "8535fbccdecd80af0a654b069b96ffd93e33170a8ebbb380fb2a9a668f56d3c5",
+    "test1_bounded_shared/out.summary.json":
+        "d452274aca0998dede435b15879763403c6500dc327806087168e9c4f97d53b9",
+    "smop_synthetic/stdout":
+        "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
+    "smop_synthetic/out":
+        "000576fef24499f68b5eaee1f80408fe9b3825cf463263df905630f897eb2c3d",
+    "smop_synthetic/out.summary.json":
+        "25094781c86e6986a18237f3fae5e2e5af62c811c92cab9947266a5416817567",
     "front_test1/stdout":
         "1bbb4c543215875a964de829cf3d2c33900e84f49d851179c79e32d9bc2281df",
     "front_test1/out":

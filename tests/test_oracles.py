@@ -3,12 +3,14 @@
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motr import oracles
 from motr.core import ConfigError, ObjectiveSample, RngStream
 from motr.oracles import (
     ANALYTIC,
@@ -402,6 +404,26 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
         H[0, 0] = 1.0
 
 
+def test_small_call_keeps_a_larger_batchs_memo(monkeypatch):
+    # The memo is sized from the largest batch served, so a one-point call
+    # (a moved state's exact metrics, a front member) does not evict the
+    # entries of the ten-point batch before it.
+    oracle = FiniteSumOracle(make_synthetic_logistic(40, 3, seed=2))
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(10, 3))
+    oracle.exact_evaluate_batch(X)
+    for shift in (1.0, 2.0, 3.0):
+        oracle.exact_evaluate_batch(X[:1] + shift)
+    rows = []
+
+    def counted(A, *rest):
+        rows.append(A.shape[0])
+        return _logistic_stack(A, *rest)
+
+    monkeypatch.setattr(oracles, "_logistic_stack", counted)
+    oracle.exact_evaluate_batch(X)
+    assert rows == []
+
+
 _BATCH_STATE = st.tuples(st.integers(0, 2),                       # point: states share x
                          st.sampled_from([1e-4, 0.9, 1.3, 2.0, 10.0, 60.0]))  # radius
 
@@ -411,11 +433,15 @@ _BATCH_STATE = st.tuples(st.integers(0, 2),                       # point: state
        num_features=st.integers(2, 5), num_groups=st.integers(1, 3),
        states=st.lists(_BATCH_STATE, min_size=1, max_size=6), alpha=st.sampled_from([0.3, 0.5]),
        mode=st.sampled_from(["estimated", "analytic"]), need_h=st.booleans(),
-       exact_h=st.booleans(), rounds=st.integers(1, 3))
+       exact_h=st.booleans(), rounds=st.integers(1, 3),
+       gather_bytes=st.sampled_from([oracles._GATHER_BYTES, 1, 600]))
 def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, num_groups,
-                                                 states, alpha, mode, need_h, exact_h, rounds):
+                                                 states, alpha, mode, need_h, exact_h, rounds,
+                                                 gather_bytes):
     # A batch evaluates the blocks of all its states together: bucketed by
-    # row count, full blocks memoised and shared by states at the same x.
+    # row count (a subsample bucket gathered in chunks of ``gather_bytes``;
+    # 1 gives one call per block), full blocks memoised and shared by
+    # states at the same x.
     # Each state must still get, bit for bit, what a call of its own on a
     # fresh oracle gives at its radius and the batch's alpha, and draw the
     # same numbers from its own stream.
@@ -427,7 +453,8 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
     rngs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     refs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     for _ in range(rounds):                 # later rounds are served by the memo
-        batch = oracle.evaluate_batch(X, deltas, alpha, rngs, need_hessians=need_h)
+        with mock.patch.object(oracles, "_GATHER_BYTES", gather_bytes):
+            batch = oracle.evaluate_batch(X, deltas, alpha, rngs, need_hessians=need_h)
         f, g, H = oracle.exact_evaluate_batch(X, need_hessians=exact_h)
         assert (H is None) != exact_h
         for b in range(len(states)):

@@ -16,7 +16,7 @@ from motr.core import (
     RngStream,
     SolverConfig,
 )
-from motr.marginal import solve_marginal
+from motr.marginal import solve_marginal, solve_marginal_batch
 from motr.oracles import (
     AnalyticOracle,
     AnalyticProblem,
@@ -26,6 +26,7 @@ from motr.oracles import (
     make_synthetic_logistic,
 )
 from motr.solver import (
+    Batch,
     DegenerateDirectionError,
     InconsistentSampleError,
     IterationRecord,
@@ -35,6 +36,7 @@ from motr.solver import (
     combine_hessians,
     compute_rho,
     evaluate_model,
+    iterate_batch,
     run,
     run_batch,
     run_final,
@@ -271,6 +273,80 @@ def test_instrumentation_purity():
         assert a.phi_tilde == b.phi_tilde
         assert a.cost_so_far == b.cost_so_far
         assert b.omega_true is None and a.omega_true is not None
+
+
+_REUSE_CASES = {
+    "noisy-test1": (lambda: AnalyticOracle(AnalyticProblem("test1"), NoiseSpec(sigma=0.1)),
+                    HessianMode.ZERO, None),
+    "finite-sum": (lambda: FiniteSumOracle(make_synthetic_logistic(60, 4, seed=3)),
+                   HessianMode.SUBSAMPLED, None),
+    "smg": (lambda: AnalyticOracle(AnalyticProblem("test1"), NoiseSpec(sigma=0.1)),
+            HessianMode.ZERO, (0.2, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+def test_exact_metrics_equal_a_fresh_solve_at_every_row(case):
+    # The exact columns are computed only where an iterate moved and
+    # repeated while it stays put; row k must still equal a fresh exact
+    # evaluation and subproblem solve at x_k, the final x of the same run
+    # stopped after k iterations.
+    make_oracle, mode, smg = _REUSE_CASES[case]
+    x0s = np.array([[9.0, 9.0], [1.0, 4.0], [3.0, -1.0]])
+    if case == "finite-sum":
+        x0s = np.random.default_rng(1).uniform(-1.0, 1.0, size=(3, 4))
+    seeds, cfg = [21, 22, 23], SolverConfig(k_max=14, hessian_mode=mode)
+    trace = run_batch(make_oracle(), cfg, x0s, seeds, smg=smg).trace
+    if smg is None:     # rows that repeat the one before as well as new ones
+        assert 0 < trace["success"].sum() < trace["success"].size
+    for k in range(cfg.k_max):
+        x_k = x0s if k == 0 else run_batch(make_oracle(), cfg.with_(k_max=k), x0s, seeds,
+                                           keep_history=False, smg=smg).x
+        values, gradients, _ = make_oracle().exact_evaluate_batch(x_k)
+        np.testing.assert_array_equal(
+            trace["omega_true"][k], solve_marginal_batch(gradients, cfg.marginal_tol).omega)
+        np.testing.assert_array_equal(trace["phi_true"][k], values.max(axis=1))
+
+
+class _ExactCalls(AnalyticOracle):
+    """Noisy test1 that records the points of every exact evaluation."""
+
+    def __init__(self):
+        super().__init__(AnalyticProblem("test1"), NoiseSpec(sigma=0.1))
+        self.calls = []
+
+    def exact_evaluate_batch(self, X, need_hessians=False):
+        self.calls.append(np.array(X))
+        return super().exact_evaluate_batch(X, need_hessians)
+
+
+@pytest.mark.parametrize("keep_history", [True, False])
+@pytest.mark.parametrize("smg", [None, (0.2, 1.0)])
+def test_exact_evaluation_only_where_an_iterate_moved(keep_history, smg):
+    # The instrumentation evaluates exactly at k = 0 and, after that, only
+    # the iterates that moved at k - 1; never without a trace to keep it.
+    oracle = _ExactCalls()
+    x0s, seeds = [[9.0, 9.0], [1.0, 4.0], [2.5, 2.5]], [31, 32, 33]
+    cfg = SolverConfig(k_max=40)
+    batch = Batch(np.array(x0s), np.full(3, cfg.delta0 if smg is None else smg[1]),
+                  np.zeros(3, dtype=int), np.zeros(3, dtype=int),
+                  [RngStream(s).generator() for s in seeds], [None] * 3,
+                  {} if keep_history else None)
+    moved = np.ones(3, dtype=bool)
+    for k in range(cfg.k_max):
+        x_k = batch.x.copy()
+        iterate_batch(batch, oracle, cfg, smg)
+        if not keep_history:
+            assert oracle.calls == []
+            continue
+        want = [x_k[moved]] if moved.any() else []
+        assert len(oracle.calls) == len(want), k
+        for got, x in zip(oracle.calls, want):
+            np.testing.assert_array_equal(got, x)
+        oracle.calls.clear()
+        moved = batch.trace["success"][k]
+    if keep_history and smg is None:
+        assert 0 < batch.trace["success"].sum() < batch.trace["success"].size
 
 
 def test_refine_step_never_worse():
