@@ -245,7 +245,7 @@ class FiniteSumProblem:
         if len(self.groups) != self.regularizers.shape[0]:
             raise ValueError("one regularizer per group required")
         seen = np.concatenate(self.groups) if self.groups else np.array([], dtype=int)
-        if sorted(seen.tolist()) != list(range(A.shape[0])):
+        if not np.array_equal(np.sort(seen), np.arange(A.shape[0])):
             raise ValueError("groups must partition the rows")
         for i, g in enumerate(self.groups):
             if g.size == 0:
@@ -330,10 +330,12 @@ class FiniteSumOracle(Oracle):
     uses a fixed constant (default 1.0, the practical law), 'analytic' the
     closed-form value/gradient bounds which grow like e^||x||.
 
-    Each group's rows are stored once as a contiguous block in ascending row
-    order. A batch draws every state's subsamples from that state's stream,
-    then evaluates all (state, group) blocks of one row count in one
-    ``_logistic_stack`` call per 256 KiB of gathered rows. A full-batch
+    Group i's block is its rows in ascending order: a view of the
+    problem's arrays when they form one range (every ``load_dataset`` and
+    ``make_synthetic_logistic`` problem), a copy otherwise. A batch draws
+    every state's subsamples from that state's stream, then evaluates all
+    (state, group) blocks of one row count in one ``_logistic_stack``
+    call per 256 KiB of gathered rows. A full-batch
     group evaluation draws no randomness, so its result is memoised for the
     last few points of every state of the largest batch served; results are
     bit-identical to ``subsampled_evaluate`` and costs count the rows
@@ -351,13 +353,17 @@ class FiniteSumOracle(Oracle):
         self.constant_value = constant_value
         self.n = problem.n
         self.q = problem.q
-        self._max_feature_norm = float(np.linalg.norm(problem.features, axis=1).max())
+        step = max(1, _GATHER_BYTES // (8 * self.n))
+        self._max_feature_norm = max(
+            float(np.linalg.norm(problem.features[i:i + step], axis=1).max())
+            for i in range(0, problem.N, step))
         self._mask = problem.reg_mask()
         self._sizes = [rows.size for rows in problem.groups]
         self._blocks = []
         for rows in problem.groups:
-            order = np.sort(rows)
-            self._blocks.append((problem.features[order], problem.labels[order]))
+            pick = (slice(rows[0], rows[-1] + 1) if (np.diff(rows) == 1).all()
+                    else np.sort(rows))
+            self._blocks.append((problem.features[pick], problem.labels[pick]))
         self._memo: OrderedDict = OrderedDict()
         self._memo_capacity = 0
 
@@ -579,30 +585,37 @@ def _binarize(column: np.ndarray) -> np.ndarray:
     return (column > np.median(column)).astype(int)
 
 
-def _map_labels(raw: np.ndarray, convention: str) -> np.ndarray:
+def _map_labels(labels: np.ndarray, convention: str) -> None:
+    """Check ``labels`` against ``convention`` and map them to -1/+1 in place."""
     if convention == "pm1":
-        if not (np.abs(raw) == 1.0).all():
+        if not (np.abs(labels) == 1.0).all():
             raise LabelDomainError("labels not in {-1, +1}")
-        return raw
-    if convention == "zeroone":
-        if not ((raw == 0.0) | (raw == 1.0)).all():
+    elif convention == "zeroone":
+        if not ((labels == 0.0) | (labels == 1.0)).all():
             raise LabelDomainError("labels not in {0, 1}")
-        return 2.0 * raw - 1.0
-    raise ConfigError(f"bad label convention {convention!r}")
+        labels *= 2.0
+        labels -= 1.0
+    else:
+        raise ConfigError(f"bad label convention {convention!r}")
 
 
-def _lines(path: str):
-    """(line number, stripped line) of a UTF-8 text file."""
+def _lines(path: str, has_header: bool = False):
+    """(line number, stripped line) of the data lines of a UTF-8 text file:
+    the non-blank ones, after the first line when ``has_header``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not (has_header and lineno == 1):
+                    yield lineno, line
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_csv(path: str, has_header: bool) -> np.ndarray:
     """Dense float table; the first line is skipped as a header when
-    ``has_header``, blank lines are skipped and there are no comments."""
+    ``has_header``, blank lines are skipped and there are no comments. A
+    non-finite value is an error naming its line and column (from 0)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)    # no data: reported below
@@ -612,6 +625,12 @@ def _parse_csv(path: str, has_header: bool) -> np.ndarray:
         table = _scan_csv(path, has_header)
     if table.size == 0:
         raise ParseError(f"{path}: no data rows")
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, column = divmod(int(np.argmin(finite)), table.shape[1])
+        lineno = [lineno for lineno, _ in _lines(path, has_header)][row]
+        raise ParseError(f"{path}:{lineno}: column {column}: "
+                         f"non-finite value {float(table[row, column])!r}")
     return table
 
 
@@ -619,9 +638,7 @@ def _scan_csv(path: str, has_header: bool) -> np.ndarray:
     """``_parse_csv`` line by line, so that an error names its line; this
     also reads whitespace-only lines, which ``np.loadtxt`` rejects."""
     rows, width = [], None
-    for lineno, line in _lines(path):
-        if not line or (has_header and lineno == 1):
-            continue
+    for lineno, line in _lines(path, has_header):
         try:
             row = np.loadtxt([line], delimiter=",", comments=None, dtype=float)
         except ValueError as exc:      # numpy's position is within the one line
@@ -639,17 +656,21 @@ def _parse_libsvm(path: str) -> tuple[np.ndarray, np.ndarray]:
     entries = []
     max_idx = 0
     for lineno, line in _lines(path):
-        if not line:
-            continue
         parts = line.split()
         try:
-            labels.append(float(parts[0]))
+            label = float(parts[0])
             row = {}
             for item in parts[1:]:
                 idx, val = item.split(":")
                 row[int(idx)] = float(val)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if row and min(row) < 1:
+            raise ParseError(f"{path}:{lineno}: feature index must be >= 1")
+        for column, val in [(0, label), *row.items()]:    # the label is column 0
+            if not math.isfinite(val):
+                raise ParseError(f"{path}:{lineno}: column {column}: non-finite value {val!r}")
+        labels.append(label)
         if row:
             max_idx = max(max_idx, max(row))
         entries.append(row)
@@ -670,31 +691,40 @@ def load_dataset(path: str, format: str, sensitive_column: int,
 
     An intercept column of ones is appended as the last feature column;
     ``sensitive_column`` indexes the feature columns after the label is
-    removed (CSV) or the raw feature columns (LIBSVM).
+    removed (CSV) or the raw feature columns (LIBSVM, indices from 1).
+    The data is held once, with rows stored group by group, each in file
+    order: ``features`` row i is in general not file row i. Non-finite
+    values are a ParseError.
     """
     if format == "csv":
         table = _parse_csv(path, has_header)
         if not 0 <= label_column < table.shape[1]:
             raise ConfigError("label_column out of range")
         raw_labels = table[:, label_column]
-        X = np.delete(table, label_column, axis=1)
+        columns = [c for c in range(table.shape[1]) if c != label_column]
     elif format == "libsvm":
-        X, raw_labels = _parse_libsvm(path)
+        table, raw_labels = _parse_libsvm(path)
+        columns = list(range(table.shape[1]))
     else:
         raise ConfigError(f"bad dataset format {format!r}")
 
-    if not 0 <= sensitive_column < X.shape[1]:
+    if not 0 <= sensitive_column < len(columns):
         raise ConfigError("sensitive_column out of range")
-    y = _map_labels(raw_labels, label_convention)
-    split = _binarize(X[:, sensitive_column])
+    _map_labels(raw_labels, label_convention)      # in place: the table is ours
+    split = _binarize(table[:, columns[sensitive_column]])
     if not keep_sensitive:
-        X = np.delete(X, sensitive_column, axis=1)
-    X = np.hstack([X, np.ones((X.shape[0], 1))])
-    groups = (np.flatnonzero(split == 0), np.flatnonzero(split == 1))
+        del columns[sensitive_column]
+    order = np.argsort(split, kind="stable")
+    X = np.empty((order.size, len(columns) + 1))
+    for j, c in enumerate(columns):
+        X[:, j] = table[order, c]
+    X[:, -1] = 1.0
+    n0 = order.size - int(split.sum())
+    groups = (np.arange(n0), np.arange(n0, order.size))
     for i, g in enumerate(groups):
         if g.size == 0:
             raise EmptyGroupError(f"group {i} is empty after splitting")
-    return FiniteSumProblem(features=X, labels=y, groups=groups,
+    return FiniteSumProblem(features=X, labels=raw_labels[order], groups=groups,
                             regularizers=np.array([regularizer, regularizer]),
                             intercept_column=X.shape[1] - 1)
 

@@ -14,9 +14,40 @@ import hashlib
 import io
 import os
 
+import numpy as np
+
 from motr.cli import main
 
 ZEROS10 = ",".join(["0"] * 10)
+ZEROS5 = ",".join(["0"] * 5)
+
+
+def _write_header_csv(path):
+    """600 rows: f0, a 0/1 label, f1, a continuous sensitive column (split
+    at its median), f2; a header line."""
+    rng = np.random.default_rng(1301)
+    X = rng.standard_normal((600, 4))
+    label = (X @ [1.0, -0.5, 0.8, 0.3] + 0.5 * rng.standard_normal(600) > 0).astype(float)
+    table = np.column_stack([X[:, 0], label, X[:, 1:]])
+    np.savetxt(path, table, delimiter=",", fmt="%.6g", header="f0,y,f1,s,f2", comments="")
+
+
+def _write_libsvm(path):
+    """500 rows, +1/-1 labels, five features with about a third of the
+    entries left out; feature 3 is the 0/1 sensitive attribute."""
+    rng = np.random.default_rng(1302)
+    X = rng.standard_normal((500, 5))
+    X[:, 2] = rng.random(500) < 0.4
+    X[rng.random((500, 5)) < 0.3] = 0.0
+    y = np.where(X @ [0.7, -1.0, 0.6, 0.4, 0.2] + 0.5 * rng.standard_normal(500) > 0, 1, -1)
+    with open(path, "w") as fh:
+        for label, row in zip(y.tolist(), X.tolist()):
+            fh.write(" ".join([f"{label:+d}", *(f"{j + 1}:{v:.6g}"
+                                                for j, v in enumerate(row) if v)]) + "\n")
+
+
+# Configs whose dataset_path is the file the writer makes in their directory.
+DATASETS = {"header_csv": _write_header_csv, "pm1_libsvm": _write_libsvm}
 
 CONFIGS = {
     "test1_noisy": ("run", {"problem": "test1", "noise_sigma": "0.1", "k_max": "60",
@@ -37,6 +68,15 @@ CONFIGS = {
                                "k_max": "40", "num_simulations": "2", "seed": "6"}),
     "front_test1": ("front", {"problem": "test1", "noise_sigma": "0.1", "front_rounds": "1",
                               "seed": "2"}),
+    "header_csv": ("run", {"problem": "dataset", "has_header": "true", "label_column": "1",
+                           "sensitive_column": "2", "label_convention": "zeroone",
+                           "x0": ZEROS5, "k_max": "40", "num_simulations": "2",
+                           "seed": "7"}),
+    "pm1_libsvm": ("run", {"problem": "dataset", "dataset_format": "libsvm",
+                           "sensitive_column": "2", "keep_sensitive": "false",
+                           "hessian_mode": "subsampled", "output_format": "json",
+                           "x0": ZEROS5, "k_max": "40", "num_simulations": "2",
+                           "seed": "8"}),
 }
 
 GOLDEN = {
@@ -74,6 +114,18 @@ GOLDEN = {
         "1bbb4c543215875a964de829cf3d2c33900e84f49d851179c79e32d9bc2281df",
     "front_test1/out":
         "2ffa44f77a544ae259db32c71d1613af140b46e3f8daec5e1bdb3a583baede9d",
+    "header_csv/stdout":
+        "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
+    "header_csv/out":
+        "72652c8f7858cff1510091266979addc295e10482ded3a4f9c7eb6f2a46ed387",
+    "header_csv/out.summary.json":
+        "96148181a89b17277852a47a17eecb631745212d99d58be086fc67f449b89f2c",
+    "pm1_libsvm/stdout":
+        "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
+    "pm1_libsvm/out":
+        "df9d04db547c62a5e2117e0b3cd6259c8bf603c47cdbc251404bf61b99b259ba",
+    "pm1_libsvm/out.summary.json":
+        "3eef37e19174f56deefc06e485274d3da6872ce22e12d5dee9defe92fcaa1cdb",
 }
 
 
@@ -83,6 +135,9 @@ def _digests(directory) -> dict[str, str]:
         d = directory / name
         d.mkdir()
         keys = dict(keys, output_path=str(d / "out"))
+        if name in DATASETS:
+            DATASETS[name](d / "data")
+            keys["dataset_path"] = str(d / "data")
         cfg = d / "cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         out = io.StringIO()

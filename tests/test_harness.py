@@ -584,6 +584,25 @@ def test_cli_validate_leaves_dataset_dimension_to_run(tmp_path, capsys):
     assert capsys.readouterr().err == "runtime error: expected dimension 3, got 2\n"
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_cli_non_finite_dataset_value_is_one_line_error(tmp_path, capsys, column):
+    # A NaN in the sensitive column (1) or in a feature column (2) is the
+    # file's fault: one line naming its line and column, not a constant
+    # sensitive column or a NaN objective sample once the run has started.
+    rng = np.random.default_rng(5)
+    table = np.column_stack([rng.random(20) < 0.5, rng.random(20) < 0.5,
+                             rng.standard_normal(20)])
+    table[6, column] = np.nan
+    data = tmp_path / "data.csv"
+    np.savetxt(data, table, delimiter=",", fmt="%.6g")
+    cfg = _write_cfg(tmp_path, f"problem = dataset\ndataset_path = {data}\n"
+                               "label_convention = zeroone\nx0 = 0,0,0\nk_max = 2\n"
+                               "num_simulations = 1\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"runtime error: {data}:7: column {column}: non-finite value nan\n")
+
+
 def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path, "problem = test1\nx0 = 9,9\nk_max = 5\n"
                                "num_simulations = 3\nparallelism = 1\n")

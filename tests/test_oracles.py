@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -338,15 +339,24 @@ def test_subsampled_gradient_hessian_consistency():
         np.testing.assert_allclose(s.hessians[:, :, j], fd_h, rtol=1e-4, atol=1e-6)
 
 
-def _unsorted_problem(seed, num_rows, num_features, num_groups):
-    """Random logistic problem whose groups hold row indices in random order."""
+def _grouped_problem(seed, num_rows, num_features, num_groups, layout="unsorted"):
+    """Random logistic problem whose groups hold row indices in random order
+    ('unsorted') or in ascending order ('ascending'), interleaved; or the
+    'ascending' problem with its rows stored group by group, each group
+    in its row order, so that each group is a contiguous range ('ranges',
+    the layout ``load_dataset`` writes)."""
     rng = np.random.default_rng(seed)
     X = np.hstack([rng.standard_normal((num_rows, num_features - 1)),
                    np.ones((num_rows, 1))])
     y = np.where(rng.random(num_rows) < 0.5, -1.0, 1.0)
     cuts = np.sort(rng.choice(np.arange(1, num_rows), size=num_groups - 1, replace=False))
-    groups = tuple(np.split(rng.permutation(num_rows), cuts))
-    return FiniteSumProblem(X, y, groups, rng.uniform(0.0, 0.3, size=num_groups),
+    groups = np.split(rng.permutation(num_rows), cuts)
+    if layout != "unsorted":
+        groups = [np.sort(g) for g in groups]
+    if layout == "ranges":
+        order = np.concatenate(groups)
+        X, y, groups = X[order], y[order], np.split(np.arange(num_rows), cuts)
+    return FiniteSumProblem(X, y, tuple(groups), rng.uniform(0.0, 0.3, size=num_groups),
                             intercept_column=num_features - 1)
 
 
@@ -372,7 +382,7 @@ _ORACLE_CALL = st.tuples(st.integers(0, 5),                     # which point
        calls=st.lists(_ORACLE_CALL, min_size=1, max_size=12))
 def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_features,
                                                       num_groups, calls):
-    problem = _unsorted_problem(seed, num_rows, num_features, num_groups)
+    problem = _grouped_problem(seed, num_rows, num_features, num_groups)
     oracle = FiniteSumOracle(problem)
     points = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, size=(6, num_features))
     rng_oracle = RngStream(seed % 1000).generator()
@@ -434,36 +444,48 @@ _BATCH_STATE = st.tuples(st.integers(0, 2),                       # point: state
        states=st.lists(_BATCH_STATE, min_size=1, max_size=6), alpha=st.sampled_from([0.3, 0.5]),
        mode=st.sampled_from(["estimated", "analytic"]), need_h=st.booleans(),
        exact_h=st.booleans(), rounds=st.integers(1, 3),
-       gather_bytes=st.sampled_from([oracles._GATHER_BYTES, 1, 600]))
+       gather_bytes=st.sampled_from([oracles._GATHER_BYTES, 1, 600]),
+       layout=st.sampled_from(["unsorted", "ascending", "ranges"]))
 def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, num_groups,
                                                  states, alpha, mode, need_h, exact_h, rounds,
-                                                 gather_bytes):
+                                                 gather_bytes, layout):
     # A batch evaluates the blocks of all its states together: bucketed by
     # row count (a subsample bucket gathered in chunks of ``gather_bytes``;
     # 1 gives one call per block), full blocks memoised and shared by
     # states at the same x.
     # Each state must still get, bit for bit, what a call of its own on a
-    # fresh oracle gives at its radius and the batch's alpha, and draw the
-    # same numbers from its own stream.
-    problem = _unsorted_problem(seed, num_rows, num_features, num_groups)
+    # fresh oracle gives at its radius and the batch's alpha, and, with the
+    # estimated unit constants, what ``subsampled_evaluate`` gives, and draw
+    # the same numbers from its own stream. The reference calls run on the
+    # interleaved problem also when the batch runs on its 'ranges' layout,
+    # whose blocks are views: storing rows group by group changes no bit.
+    problem = _grouped_problem(seed, num_rows, num_features, num_groups, layout)
+    reference = (problem if layout != "ranges"
+                 else _grouped_problem(seed, num_rows, num_features, num_groups, "ascending"))
     points = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, size=(3, num_features))
     X = points[[p for p, _ in states]]
     deltas = np.array([d for _, d in states])
     oracle = FiniteSumOracle(problem, mode)
     rngs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     refs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
+    plain = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     for _ in range(rounds):                 # later rounds are served by the memo
         with mock.patch.object(oracles, "_GATHER_BYTES", gather_bytes):
             batch = oracle.evaluate_batch(X, deltas, alpha, rngs, need_hessians=need_h)
         f, g, H = oracle.exact_evaluate_batch(X, need_hessians=exact_h)
         assert (H is None) != exact_h
         for b in range(len(states)):
-            alone = FiniteSumOracle(problem, mode)
+            alone = FiniteSumOracle(reference, mode)
             _assert_same_sample(batch.sample(b), alone.evaluate(
                 X[b], deltas[b], alpha, refs[b], need_hessians=need_h))
+            if mode == "estimated":
+                _assert_same_sample(batch.sample(b), subsampled_evaluate(
+                    reference, X[b], deltas[b], alpha, plain[b], need_hessians=need_h))
+                np.testing.assert_equal(plain[b].bit_generator.state,
+                                        rngs[b].bit_generator.state)
             assert batch.cost[b] == batch.sample_sizes[b].sum()
             np.testing.assert_equal(rngs[b].bit_generator.state, refs[b].bit_generator.state)
-            want = FiniteSumOracle(problem, mode).exact_evaluate(X[b], need_hessians=exact_h)
+            want = FiniteSumOracle(reference, mode).exact_evaluate(X[b], need_hessians=exact_h)
             np.testing.assert_array_equal(f[b], want[0])
             np.testing.assert_array_equal(g[b], want[1])
             if exact_h:
@@ -699,3 +721,80 @@ def test_constant_sensitive_column_rejected(tmp_path):
     path = _write(tmp_path, "const.csv", "1,1,1.0\n-1,1,2.0\n")
     with pytest.raises(EmptyGroupError):
         load_dataset(path, "csv", sensitive_column=0)
+
+
+def test_load_dataset_stores_rows_group_by_group(tmp_path):
+    # Group 0 (sensitive 0) first, then group 1, each in file order: the
+    # groups are contiguous row ranges, and the labels follow their rows.
+    path = _write(tmp_path, "order.csv",
+                  "1,1,10\n0,0,11\n1,0,12\n0,1,13\n0,0,14\n")
+    prob = load_dataset(path, "csv", sensitive_column=0, label_convention="zeroone")
+    np.testing.assert_array_equal(prob.features[:, 1], [11, 12, 14, 10, 13])
+    np.testing.assert_array_equal(prob.labels, [-1, 1, -1, 1, -1])
+    np.testing.assert_array_equal(prob.groups[0], [0, 1, 2])
+    np.testing.assert_array_equal(prob.groups[1], [3, 4])
+
+
+def test_oracle_blocks_are_views_of_the_features(tmp_path):
+    csv = _write(tmp_path, "v.csv", "1,0,2.0\n-1,1,3.0\n1,1,4.0\n-1,0,5.0\n")
+    svm = _write(tmp_path, "v.svm", "+1 1:1 2:0.5\n-1 2:2.0\n+1 1:1 2:1.0\n-1 2:0.5\n")
+    for prob in (load_dataset(csv, "csv", sensitive_column=0),
+                 load_dataset(svm, "libsvm", sensitive_column=0, keep_sensitive=False),
+                 make_synthetic_logistic(30, 4, seed=3)):
+        for A, y in FiniteSumOracle(prob)._blocks:
+            assert np.shares_memory(A, prob.features)
+            assert np.shares_memory(y, prob.labels)
+
+
+def test_loaded_dataset_is_held_once(tmp_path):
+    # What load_dataset and the oracle keep is the feature matrix plus
+    # small change (labels, group ranges): no copy of the parsed table and
+    # no per-group copy of the rows.
+    rng = np.random.default_rng(13)
+    table = np.column_stack([rng.random(20_000) < 0.5, rng.random(20_000) < 0.4,
+                             rng.standard_normal((20_000, 12))])
+    path = tmp_path / "big.csv"
+    np.savetxt(path, table, delimiter=",", fmt="%.6g")
+
+    def build():
+        return FiniteSumOracle(load_dataset(str(path), "csv", sensitive_column=0,
+                                            label_convention="zeroone"))
+
+    build()                                 # first-call caches are not the data's
+    tracemalloc.start()
+    try:
+        oracle = build()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert oracle.problem.features.shape == (20_000, 14)
+    assert retained <= 1.3 * oracle.problem.features.nbytes
+
+
+@pytest.mark.parametrize("body, has_header, message", [
+    ("1,0,2.0\nnan,1,3.0\n", False, ":2: column 0: non-finite value nan"),
+    ("y,s,a\n\n1,0,2.0\n-1,nan,3.0\n", True, ":4: column 1: non-finite value nan"),
+    ("1,0,2.0\n\n-1,1,-inf\n1,nan,inf\n", False, ":3: column 2: non-finite value -inf"),
+    ("1,0,2.0\n  \n-1,1,inf\n", False, ":3: column 2: non-finite value inf"),
+])
+def test_load_csv_rejects_non_finite_values(tmp_path, body, has_header, message):
+    # The first non-finite value in file order, by its line and its column
+    # counted from 0 over the whole line (the label_column numbering).
+    path = _write(tmp_path, "nan.csv", body)
+    with pytest.raises(ParseError) as info:
+        load_dataset(path, "csv", sensitive_column=0, has_header=has_header)
+    assert str(info.value) == path + message
+
+
+@pytest.mark.parametrize("body, message", [
+    ("+1 1:0.5\nnan 1:1.0\n", ":2: column 0: non-finite value nan"),
+    ("+1 1:0.5\n\n-1 1:1 3:inf\n", ":3: column 3: non-finite value inf"),
+    ("+1 0:0.5 3:1.0\n-1 1:1.0\n", ":1: feature index must be >= 1"),
+    ("+1 1:0.5\n-1 -2:1.0\n", ":2: feature index must be >= 1"),
+])
+def test_load_libsvm_rejects_bad_entries(tmp_path, body, message):
+    # Columns as in the file: the label is column 0, index j column j.
+    path = _write(tmp_path, "nan.svm", body)
+    with pytest.raises(ParseError) as info:
+        load_dataset(path, "libsvm", sensitive_column=0)
+    assert str(info.value) == path + message
