@@ -93,10 +93,6 @@ class AnalyticProblem:
         None in their place when not ``need_hessians``."""
         return ANALYTIC[self.name][2](as_decision_batch(X, self.n), need_hessians)
 
-    def exact(self, x):
-        f, g, h = self.exact_batch(as_decision_vector(x, self.n)[None])
-        return f[0], g[0], h[0]
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -222,12 +218,12 @@ class FiniteSumProblem:
 
     ``features`` rows include a constant intercept column at
     ``intercept_column`` (excluded from the regularization norm); ``groups``
-    partitions the row indices by the binarized sensitive attribute.
+    are step-1 ranges of rows that tile ``range(N)`` in group order.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    groups: tuple[np.ndarray, ...]
+    groups: tuple[range, ...]
     regularizers: np.ndarray
     intercept_column: int
 
@@ -237,18 +233,19 @@ class FiniteSumProblem:
         object.__setattr__(self, "features", A)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "regularizers", np.asarray(self.regularizers, dtype=float))
-        object.__setattr__(self, "groups", tuple(np.asarray(g, dtype=int) for g in self.groups))
+        groups = tuple(self.groups)
+        object.__setattr__(self, "groups", groups)
         if A.ndim != 2 or y.shape != (A.shape[0],):
             raise ValueError("features must be (N, n) with matching labels")
         if not (np.abs(y) == 1.0).all():
             raise LabelDomainError("labels must be in {-1, +1}")
-        if len(self.groups) != self.regularizers.shape[0]:
+        if len(groups) != self.regularizers.shape[0]:
             raise ValueError("one regularizer per group required")
-        seen = np.concatenate(self.groups) if self.groups else np.array([], dtype=int)
-        if not np.array_equal(np.sort(seen), np.arange(A.shape[0])):
-            raise ValueError("groups must partition the rows")
-        for i, g in enumerate(self.groups):
-            if g.size == 0:
+        if (not all(isinstance(g, range) and g.step == 1 for g in groups)
+                or [g.start for g in groups] + [A.shape[0]] != [0] + [g.stop for g in groups]):
+            raise ValueError(f"groups must be step-1 ranges tiling rows 0..{A.shape[0]} in order")
+        for i, g in enumerate(groups):
+            if not g:
                 raise EmptyGroupError(f"group {i} is empty")
         if not 0 <= self.intercept_column < A.shape[1]:
             raise ValueError("intercept_column out of range")
@@ -330,9 +327,8 @@ class FiniteSumOracle(Oracle):
     uses a fixed constant (default 1.0, the practical law), 'analytic' the
     closed-form value/gradient bounds which grow like e^||x||.
 
-    Group i's block is its rows in ascending order: a view of the
-    problem's arrays when they form one range (every ``load_dataset`` and
-    ``make_synthetic_logistic`` problem), a copy otherwise. A batch draws
+    Group i's block is its row range, a view of the problem's arrays; a
+    subsample is the range's start plus sorted offsets. A batch draws
     every state's subsamples from that state's stream, then evaluates all
     (state, group) blocks of one row count in one ``_logistic_stack``
     call per 256 KiB of gathered rows. A full-batch
@@ -358,12 +354,9 @@ class FiniteSumOracle(Oracle):
             float(np.linalg.norm(problem.features[i:i + step], axis=1).max())
             for i in range(0, problem.N, step))
         self._mask = problem.reg_mask()
-        self._sizes = [rows.size for rows in problem.groups]
-        self._blocks = []
-        for rows in problem.groups:
-            pick = (slice(rows[0], rows[-1] + 1) if (np.diff(rows) == 1).all()
-                    else np.sort(rows))
-            self._blocks.append((problem.features[pick], problem.labels[pick]))
+        self._sizes = [len(group) for group in problem.groups]
+        self._blocks = [(problem.features[g.start:g.stop], problem.labels[g.start:g.stop])
+                        for g in problem.groups]
         self._memo: OrderedDict = OrderedDict()
         self._memo_capacity = 0
 
@@ -462,8 +455,8 @@ class FiniteSumOracle(Oracle):
         X = as_decision_batch(X, self.n)
         sizes = self._sample_sizes(X, deltas, alpha)
         # State b draws group 0's subsample, then group 1's, ... from rngs[b].
-        rows = [[np.sort(rng.choice(group, size=m, replace=False)) if m < size else None
-                 for m, size, group in zip(ms, self._sizes, self.problem.groups)]
+        rows = [[group.start + np.sort(rng.choice(len(group), size=m, replace=False))
+                 if m < len(group) else None for m, group in zip(ms, self.problem.groups)]
                 for ms, rng in zip(sizes.tolist(), rngs)]
         f, g, H = self._evaluate(X, rows, need_hessians)
         return SampleBatch(values=f, gradients=g, delta=deltas, sample_sizes=sizes,
@@ -528,9 +521,10 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
     x = as_decision_vector(x, problem.n)
     mask = problem.reg_mask()
     parts, sizes = [], []
-    for rows, lam in zip(problem.groups, problem.regularizers):
-        m = _group_sample_size(1.0, 1.0, delta, alpha, rows.size)
-        sub = np.sort(rows if m >= rows.size else rng.choice(rows, size=m, replace=False))
+    for group, lam in zip(problem.groups, problem.regularizers):
+        m = _group_sample_size(1.0, 1.0, delta, alpha, len(group))
+        sub = (group if m >= len(group)
+               else group.start + np.sort(rng.choice(len(group), size=m, replace=False)))
         parts.append(_logistic_stack(problem.features[sub][None], problem.labels[sub][None],
                                      x[None], np.array([lam]), mask, need_hessians))
         sizes.append(m)
@@ -582,7 +576,12 @@ def _binarize(column: np.ndarray) -> np.ndarray:
         raise EmptyGroupError("sensitive column is constant; cannot split")
     if ((column == lo) | (column == hi)).all():
         return (column == hi).astype(int)
-    return (column > np.median(column)).astype(int)
+    median = float(np.median(column))
+    split = column > median
+    if not split.any():
+        raise EmptyGroupError(f"no sensitive value is above the median {median!r}: "
+                              "the median split leaves group 1 empty")
+    return split.astype(int)
 
 
 def _map_labels(labels: np.ndarray, convention: str) -> None:
@@ -662,7 +661,10 @@ def _parse_libsvm(path: str) -> tuple[np.ndarray, np.ndarray]:
             row = {}
             for item in parts[1:]:
                 idx, val = item.split(":")
-                row[int(idx)] = float(val)
+                idx = int(idx)
+                if idx in row:
+                    raise ValueError(f"repeated feature index {idx}")
+                row[idx] = float(val)
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if row and min(row) < 1:
@@ -720,11 +722,8 @@ def load_dataset(path: str, format: str, sensitive_column: int,
         X[:, j] = table[order, c]
     X[:, -1] = 1.0
     n0 = order.size - int(split.sum())
-    groups = (np.arange(n0), np.arange(n0, order.size))
-    for i, g in enumerate(groups):
-        if g.size == 0:
-            raise EmptyGroupError(f"group {i} is empty after splitting")
-    return FiniteSumProblem(features=X, labels=raw_labels[order], groups=groups,
+    return FiniteSumProblem(features=X, labels=raw_labels[order],
+                            groups=(range(n0), range(n0, order.size)),
                             regularizers=np.array([regularizer, regularizer]),
                             intercept_column=X.shape[1] - 1)
 
@@ -739,7 +738,7 @@ def make_synthetic_logistic(num_samples: int = 300, num_features: int = 10,
     y = np.where(margin > 0, 1.0, -1.0)
     X = np.hstack([X, np.ones((num_samples, 1))])
     half = num_samples // 2
-    groups = (np.arange(half), np.arange(half, num_samples))
-    return FiniteSumProblem(features=X, labels=y, groups=groups,
+    return FiniteSumProblem(features=X, labels=y,
+                            groups=(range(half), range(half, num_samples)),
                             regularizers=np.array([regularizer, regularizer]),
                             intercept_column=num_features - 1)

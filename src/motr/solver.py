@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     HessianCombine,
     HessianMode,
-    ObjectiveSample,
     Oracle,
     RngStream,
     SampleBatch,
@@ -28,7 +27,7 @@ from .core import (
     as_decision_vector,
 )
 # solve_marginal stays importable here: perfbench/tracer.py wraps solver.solve_marginal.
-from .marginal import MarginalSolution, solve_marginal, solve_marginal_batch  # noqa: F401
+from .marginal import solve_marginal, solve_marginal_batch  # noqa: F401
 
 
 class InconsistentSampleError(ValueError):
@@ -42,15 +41,14 @@ class DegenerateDirectionError(ValueError):
 def spectral_norm(H: np.ndarray):
     """Largest absolute eigenvalue of a symmetric matrix, or of each matrix
     of a (..., n, n) stack."""
-    norm = np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
-    return float(norm) if norm.ndim == 0 else norm
+    return np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
 
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Per-iteration max-type quadratic model: base values/gradients per
-    objective plus one shared Hessian; beta = 1 + ||H||. The batched form
-    carries a leading state axis on every field."""
+    """Per-iteration max-type quadratic models: base values/gradients per
+    objective plus one shared Hessian; beta = 1 + ||H||. Every field has a
+    leading state axis, except in the one-state model of ``take(b)``."""
 
     base_values: np.ndarray
     base_gradients: np.ndarray
@@ -76,11 +74,12 @@ def combine_hessians(hessians: np.ndarray, weights: np.ndarray | None,
     return (w[..., None, :] @ flat)[..., 0, :].reshape(H.shape[:-3] + H.shape[-2:])
 
 
-def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
-                      weights: np.ndarray | None = None,
-                      combine: HessianCombine = HessianCombine.LAMBDA,
-                      oracle: Oracle | None = None) -> ModelSet:
-    """One model per sample, anchored there: value and gradient at 0 match it."""
+def build_model(sample: SampleBatch, hessian_mode: HessianMode,
+                weights: np.ndarray | None = None,
+                combine: HessianCombine = HessianCombine.LAMBDA,
+                oracle: Oracle | None = None) -> ModelSet:
+    """One model per sample of the batch, anchored there: value and gradient
+    at 0 match it."""
     B, q, n = sample.gradients.shape
     if oracle is not None and (q != oracle.q or n != oracle.n):
         raise InconsistentSampleError(
@@ -98,30 +97,14 @@ def build_model_batch(sample: SampleBatch, hessian_mode: HessianMode,
                     hessian=H, beta=beta)
 
 
-def _as_batch(sample: ObjectiveSample) -> SampleBatch:
-    return SampleBatch(sample.values[None], sample.gradients[None], np.array([sample.delta]),
-                       sample.sample_sizes[None], np.array([sample.cost]),
-                       None if sample.hessians is None else sample.hessians[None])
-
-
-def build_model(sample: ObjectiveSample, hessian_mode: HessianMode,
-                weights: np.ndarray | None = None,
-                combine: HessianCombine = HessianCombine.LAMBDA,
-                oracle: Oracle | None = None) -> ModelSet:
-    """``build_model_batch`` for one sample."""
-    return build_model_batch(_as_batch(sample), hessian_mode,
-                             None if weights is None else np.asarray(weights)[None],
-                             combine, oracle).take(0)
-
-
 def evaluate_model(model: ModelSet, d) -> float:
     d = np.asarray(d, dtype=float)
     linear = model.base_values + model.base_gradients @ d
     return float(np.max(linear) + 0.5 * d @ (model.hessian @ d))
 
 
-def cauchy_step_batch(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
-                      delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cauchy_step(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
+                delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact 1-D minimizer of each state's model along its common-descent
     direction: steps (B, n) and predicted reductions (B,).
 
@@ -171,17 +154,6 @@ def cauchy_step_batch(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
     return alphas[rows, best][:, None] * direction, m0 - value[rows, best]
 
 
-def cauchy_step(model: ModelSet, marginal: MarginalSolution,
-                delta: float) -> tuple[np.ndarray, float]:
-    """``cauchy_step_batch`` for one state."""
-    batch = ModelSet(model.base_values[None], model.base_gradients[None],
-                     model.hessian[None], np.array([model.beta]))
-    d, predicted = cauchy_step_batch(batch, np.array([marginal.omega]),
-                                     np.asarray(marginal.direction, dtype=float)[None],
-                                     np.array([delta], dtype=float))
-    return d[0], float(predicted[0])
-
-
 def refine_step(model: ModelSet, d: np.ndarray, delta: float,
                 predicted_reduction: float, steps: int) -> tuple[np.ndarray, float]:
     """Optional polish: up to ``steps`` projected model-descent moves inside
@@ -209,9 +181,8 @@ def compute_rho(phi_tilde_at_x, phi_tilde_at_trial, predicted_reduction, guard):
     """Acceptance ratio, elementwise; a predicted reduction at or below the
     guard yields -inf, forcing an unsuccessful iteration."""
     guarded = np.asarray(predicted_reduction) <= guard
-    rho = np.where(guarded, -math.inf, (np.asarray(phi_tilde_at_x) - phi_tilde_at_trial)
-                   / np.where(guarded, 1.0, predicted_reduction))
-    return float(rho) if rho.ndim == 0 else rho
+    return np.where(guarded, -math.inf, (np.asarray(phi_tilde_at_x) - phi_tilde_at_trial)
+                    / np.where(guarded, 1.0, predicted_reduction))
 
 
 @dataclass(frozen=True)
@@ -345,9 +316,9 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
         success[:] = True
     if act.size:
         at = _positions(act, B)
-        model = build_model_batch(sample, config.hessian_mode, weights=marg.weights,
-                                  combine=config.hessian_combine, oracle=oracle).take(at)
-        d, pred = cauchy_step_batch(model, marg.omega[at], marg.direction[at], deltas[at])
+        model = build_model(sample, config.hessian_mode, weights=marg.weights,
+                            combine=config.hessian_combine, oracle=oracle).take(at)
+        d, pred = cauchy_step(model, marg.omega[at], marg.direction[at], deltas[at])
         if config.refine_steps:
             for j, b in enumerate(act.tolist()):
                 d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],

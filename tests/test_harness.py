@@ -603,6 +603,20 @@ def test_cli_non_finite_dataset_value_is_one_line_error(tmp_path, capsys, column
         f"runtime error: {data}:7: column {column}: non-finite value nan\n")
 
 
+def test_cli_empty_median_split_group_is_one_line_error(tmp_path, capsys):
+    # A sensitive column with more than two values is split at its median;
+    # when no value lies above it, the error names that split.
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{i % 2},{s},0.5\n" for i, s in enumerate([0, 1, 2, 2, 2])))
+    cfg = _write_cfg(tmp_path, f"problem = dataset\ndataset_path = {data}\n"
+                               "label_convention = zeroone\nx0 = 0,0,0\nk_max = 2\n"
+                               "num_simulations = 1\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime error: no sensitive value is above the median 2.0: "
+        "the median split leaves group 1 empty\n")
+
+
 def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path, "problem = test1\nx0 = 9,9\nk_max = 5\n"
                                "num_simulations = 3\nparallelism = 1\n")

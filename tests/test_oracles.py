@@ -55,17 +55,17 @@ def test_analytic_table_rows_match_their_functions():
 
 
 def test_test1_values_and_gradients():
-    f, g, _ = AnalyticProblem("test1").exact(np.zeros(2))
+    (f,), (g,), _ = AnalyticProblem("test1").exact_batch(np.zeros((1, 2)))
     np.testing.assert_allclose(f, [0.0, 50.0])
     np.testing.assert_allclose(g[0], [0.0, 0.0])
-    f, g, h = AnalyticProblem("test1").exact(np.array([9.0, 9.0]))
+    (f,), (g,), (h,) = AnalyticProblem("test1").exact_batch(np.array([[9.0, 9.0]]))
     np.testing.assert_allclose(f, [162.0, 32.0])
     np.testing.assert_allclose(g, [[18.0, 18.0], [8.0, 8.0]])
     np.testing.assert_allclose(h[0], 2.0 * np.eye(2))
 
 
 def test_test2_peak_point():
-    f, g, _ = AnalyticProblem("test2").exact(np.array([0.5, 0.5]))
+    (f,), (g,), _ = AnalyticProblem("test2").exact_batch(np.array([[0.5, 0.5]]))
     assert f[1] == pytest.approx(0.0)
     np.testing.assert_allclose(g[1], [0.0, 0.0], atol=1e-15)
     assert f[0] == pytest.approx(math.sin(0.5))
@@ -77,17 +77,17 @@ def test_analytic_gradients_match_finite_differences():
         prob = AnalyticProblem(name)
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=2)
-            _, g, h = prob.exact(x)
+            _, (g,), (h,) = prob.exact_batch(x[None])
             eps = 1e-6
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = eps
-                fp, _, _ = prob.exact(x + e)
-                fm, _, _ = prob.exact(x - e)
+                (fp,), _, _ = prob.exact_batch((x + e)[None])
+                (fm,), _, _ = prob.exact_batch((x - e)[None])
                 np.testing.assert_allclose(g[:, j], (fp - fm) / (2 * eps),
                                            rtol=1e-5, atol=1e-7)
-                _, gp, _ = prob.exact(x + e)
-                _, gm, _ = prob.exact(x - e)
+                _, (gp,), _ = prob.exact_batch((x + e)[None])
+                _, (gm,), _ = prob.exact_batch((x - e)[None])
                 np.testing.assert_allclose(h[:, :, j], (gp - gm) / (2 * eps),
                                            rtol=1e-4, atol=1e-6)
 
@@ -103,7 +103,7 @@ def test_zero_sigma_is_exact():
     prob = AnalyticProblem("test1")
     rng = RngStream(0).generator()
     s = AnalyticOracle(prob, NoiseSpec(sigma=0.0)).evaluate(np.array([1.0, 2.0]), 0.5, 0.5, rng)
-    f, g, _ = prob.exact(np.array([1.0, 2.0]))
+    (f,), (g,), _ = prob.exact_batch(np.array([[1.0, 2.0]]))
     np.testing.assert_array_equal(s.values, f)
     np.testing.assert_array_equal(s.gradients, g)
     assert s.cost == 0
@@ -116,7 +116,7 @@ def test_noise_scaling_law():
     rng = RngStream(12).generator()
     x = np.array([1.0, 1.0])
     sigma, delta = 0.7, 0.3
-    f_exact, _, _ = prob.exact(x)
+    (f_exact,), _, _ = prob.exact_batch(x[None])
     oracle = AnalyticOracle(prob, NoiseSpec(sigma=sigma))
     diffs = np.array([oracle.evaluate(x, delta, 0.5, rng).values[0] - f_exact[0]
                       for _ in range(10_000)])
@@ -128,7 +128,7 @@ def test_bounded_noise_caps_hold_deterministically():
     spec = NoiseSpec(sigma=2.0, bounded=True, cap_f=1.0, cap_g=1.0)
     rng = RngStream(13).generator()
     x = np.array([2.0, -1.0])
-    f, g, _ = prob.exact(x)
+    (f,), (g,), _ = prob.exact_batch(x[None])
     for delta in (0.05, 0.5, 2.0):
         for _ in range(200):
             s = AnalyticOracle(prob, spec).evaluate(x, delta, 0.5, rng)
@@ -141,7 +141,7 @@ def test_shared_gradient_noise_flag():
     prob = AnalyticProblem("test1")
     rng = RngStream(14).generator()
     x = np.array([1.0, 1.0])
-    _, g, _ = prob.exact(x)
+    _, (g,), _ = prob.exact_batch(x[None])
     s = AnalyticOracle(prob, NoiseSpec(sigma=1.0, shared_gradient_noise=True)).evaluate(
         x, 0.5, 0.5, rng)
     np.testing.assert_allclose(s.gradients[0] - g[0], s.gradients[1] - g[1])
@@ -269,20 +269,30 @@ def test_synthetic_problem_shape():
     prob = make_synthetic_logistic(300, 10, seed=7)
     assert prob.N == 300 and prob.n == 10 and prob.q == 2
     assert prob.intercept_column == 9
-    assert all(g.size == 150 for g in prob.groups)
+    assert all(len(g) == 150 for g in prob.groups)
 
 
 def test_finite_sum_validation():
     X = np.ones((4, 2))
     with pytest.raises(LabelDomainError):
         FiniteSumProblem(X, np.array([0.0, 1.0, 1.0, -1.0]),
-                         (np.arange(2), np.arange(2, 4)), np.array([0.1, 0.1]), 1)
+                         (range(2), range(2, 4)), np.array([0.1, 0.1]), 1)
     with pytest.raises(ValueError):
-        FiniteSumProblem(X, np.ones(4), (np.arange(2), np.arange(1, 4)),
+        FiniteSumProblem(X, np.ones(4), (range(2), range(1, 4)),
                          np.array([0.1, 0.1]), 1)
     with pytest.raises(EmptyGroupError):
-        FiniteSumProblem(X, np.ones(4), (np.arange(4), np.arange(0)),
+        FiniteSumProblem(X, np.ones(4), (range(4), range(4, 4)),
                          np.array([0.1, 0.1]), 1)
+    # Groups are step-1 ranges that tile the rows in order, and nothing else.
+    for groups in [(range(0, 4, 2), range(1, 4, 2)),        # interleaved
+                   (range(2), range(3, 4)),                 # a gap
+                   (range(3), range(2, 4)),                 # overlapping
+                   (range(2, 4), range(2)),                 # out of order
+                   (np.arange(2), np.arange(2, 4)),         # index arrays
+                   ([0, 1], [2, 3])]:
+        with pytest.raises(ValueError, match="^groups must be step-1 ranges tiling "
+                                             "rows 0..4 in order$"):
+            FiniteSumProblem(X, np.ones(4), groups, np.array([0.1, 0.1]), 1)
 
 
 def test_subsample_full_batch_matches_exact():
@@ -339,25 +349,34 @@ def test_subsampled_gradient_hessian_consistency():
         np.testing.assert_allclose(s.hessians[:, :, j], fd_h, rtol=1e-4, atol=1e-6)
 
 
-def _grouped_problem(seed, num_rows, num_features, num_groups, layout="unsorted"):
-    """Random logistic problem whose groups hold row indices in random order
-    ('unsorted') or in ascending order ('ascending'), interleaved; or the
-    'ascending' problem with its rows stored group by group, each group
-    in its row order, so that each group is a contiguous range ('ranges',
-    the layout ``load_dataset`` writes)."""
+def _grouped_problem(seed, num_rows, num_features, num_groups):
+    """Random logistic problem whose groups are contiguous row ranges of
+    random sizes."""
     rng = np.random.default_rng(seed)
     X = np.hstack([rng.standard_normal((num_rows, num_features - 1)),
                    np.ones((num_rows, 1))])
     y = np.where(rng.random(num_rows) < 0.5, -1.0, 1.0)
     cuts = np.sort(rng.choice(np.arange(1, num_rows), size=num_groups - 1, replace=False))
-    groups = np.split(rng.permutation(num_rows), cuts)
-    if layout != "unsorted":
-        groups = [np.sort(g) for g in groups]
-    if layout == "ranges":
-        order = np.concatenate(groups)
-        X, y, groups = X[order], y[order], np.split(np.arange(num_rows), cuts)
-    return FiniteSumProblem(X, y, tuple(groups), rng.uniform(0.0, 0.3, size=num_groups),
+    bounds = [0, *cuts.tolist(), num_rows]
+    groups = tuple(range(a, b) for a, b in zip(bounds, bounds[1:]))
+    return FiniteSumProblem(X, y, groups, rng.uniform(0.0, 0.3, size=num_groups),
                             intercept_column=num_features - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 1000), size=st.integers(1, 300),
+       data=st.data())
+def test_range_draw_equals_index_array_draw(seed, start, size, data):
+    # A group's subsample is drawn as offsets into its range; that picks the
+    # rows that a draw from the range's index array picks, and leaves the
+    # stream in the same state.
+    m = data.draw(st.integers(1, size))
+    by_offset, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = start + np.sort(by_offset.choice(size, size=m, replace=False))
+    want = np.sort(by_index.choice(np.arange(start, start + size), size=m, replace=False))
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    np.testing.assert_equal(by_offset.bit_generator.state, by_index.bit_generator.state)
 
 
 def _assert_same_sample(a, b):
@@ -444,11 +463,10 @@ _BATCH_STATE = st.tuples(st.integers(0, 2),                       # point: state
        states=st.lists(_BATCH_STATE, min_size=1, max_size=6), alpha=st.sampled_from([0.3, 0.5]),
        mode=st.sampled_from(["estimated", "analytic"]), need_h=st.booleans(),
        exact_h=st.booleans(), rounds=st.integers(1, 3),
-       gather_bytes=st.sampled_from([oracles._GATHER_BYTES, 1, 600]),
-       layout=st.sampled_from(["unsorted", "ascending", "ranges"]))
+       gather_bytes=st.sampled_from([oracles._GATHER_BYTES, 1, 600]))
 def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, num_groups,
                                                  states, alpha, mode, need_h, exact_h, rounds,
-                                                 gather_bytes, layout):
+                                                 gather_bytes):
     # A batch evaluates the blocks of all its states together: bucketed by
     # row count (a subsample bucket gathered in chunks of ``gather_bytes``;
     # 1 gives one call per block), full blocks memoised and shared by
@@ -456,12 +474,8 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
     # Each state must still get, bit for bit, what a call of its own on a
     # fresh oracle gives at its radius and the batch's alpha, and, with the
     # estimated unit constants, what ``subsampled_evaluate`` gives, and draw
-    # the same numbers from its own stream. The reference calls run on the
-    # interleaved problem also when the batch runs on its 'ranges' layout,
-    # whose blocks are views: storing rows group by group changes no bit.
-    problem = _grouped_problem(seed, num_rows, num_features, num_groups, layout)
-    reference = (problem if layout != "ranges"
-                 else _grouped_problem(seed, num_rows, num_features, num_groups, "ascending"))
+    # the same numbers from its own stream.
+    problem = _grouped_problem(seed, num_rows, num_features, num_groups)
     points = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, size=(3, num_features))
     X = points[[p for p, _ in states]]
     deltas = np.array([d for _, d in states])
@@ -475,17 +489,17 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
         f, g, H = oracle.exact_evaluate_batch(X, need_hessians=exact_h)
         assert (H is None) != exact_h
         for b in range(len(states)):
-            alone = FiniteSumOracle(reference, mode)
+            alone = FiniteSumOracle(problem, mode)
             _assert_same_sample(batch.sample(b), alone.evaluate(
                 X[b], deltas[b], alpha, refs[b], need_hessians=need_h))
             if mode == "estimated":
                 _assert_same_sample(batch.sample(b), subsampled_evaluate(
-                    reference, X[b], deltas[b], alpha, plain[b], need_hessians=need_h))
+                    problem, X[b], deltas[b], alpha, plain[b], need_hessians=need_h))
                 np.testing.assert_equal(plain[b].bit_generator.state,
                                         rngs[b].bit_generator.state)
             assert batch.cost[b] == batch.sample_sizes[b].sum()
             np.testing.assert_equal(rngs[b].bit_generator.state, refs[b].bit_generator.state)
-            want = FiniteSumOracle(reference, mode).exact_evaluate(X[b], need_hessians=exact_h)
+            want = FiniteSumOracle(problem, mode).exact_evaluate(X[b], need_hessians=exact_h)
             np.testing.assert_array_equal(f[b], want[0])
             np.testing.assert_array_equal(g[b], want[1])
             if exact_h:
@@ -663,7 +677,7 @@ def test_load_csv_toy(tmp_path):
     assert prob.n == 3                      # 2 features + intercept
     assert prob.intercept_column == 2
     np.testing.assert_array_equal(prob.features[:, -1], 1.0)
-    assert sorted(g.size for g in prob.groups) == [2, 2]
+    assert sorted(len(g) for g in prob.groups) == [2, 2]
 
 
 def test_load_csv_header_and_zeroone(tmp_path):
@@ -714,7 +728,7 @@ def test_median_binarization(tmp_path):
     rows = "\n".join(f"1,{v},1.0" for v in [0.1, 0.2, 0.3, 5.0, 6.0, 7.0])
     path = _write(tmp_path, "cont.csv", rows + "\n")
     prob = load_dataset(path, "csv", sensitive_column=0)
-    assert sorted(g.size for g in prob.groups) == [3, 3]
+    assert sorted(len(g) for g in prob.groups) == [3, 3]
 
 
 def test_constant_sensitive_column_rejected(tmp_path):
@@ -738,9 +752,13 @@ def test_load_dataset_stores_rows_group_by_group(tmp_path):
 def test_oracle_blocks_are_views_of_the_features(tmp_path):
     csv = _write(tmp_path, "v.csv", "1,0,2.0\n-1,1,3.0\n1,1,4.0\n-1,0,5.0\n")
     svm = _write(tmp_path, "v.svm", "+1 1:1 2:0.5\n-1 2:2.0\n+1 1:1 2:1.0\n-1 2:0.5\n")
+    rng = np.random.default_rng(4)
+    hand_built = FiniteSumProblem(np.hstack([rng.standard_normal((7, 2)), np.ones((7, 1))]),
+                                  np.where(rng.random(7) < 0.5, -1.0, 1.0),
+                                  (range(3), range(3, 7)), np.array([0.1, 0.2]), 2)
     for prob in (load_dataset(csv, "csv", sensitive_column=0),
                  load_dataset(svm, "libsvm", sensitive_column=0, keep_sensitive=False),
-                 make_synthetic_logistic(30, 4, seed=3)):
+                 make_synthetic_logistic(30, 4, seed=3), hand_built):
         for A, y in FiniteSumOracle(prob)._blocks:
             assert np.shares_memory(A, prob.features)
             assert np.shares_memory(y, prob.labels)
@@ -791,6 +809,8 @@ def test_load_csv_rejects_non_finite_values(tmp_path, body, has_header, message)
     ("+1 1:0.5\n\n-1 1:1 3:inf\n", ":3: column 3: non-finite value inf"),
     ("+1 0:0.5 3:1.0\n-1 1:1.0\n", ":1: feature index must be >= 1"),
     ("+1 1:0.5\n-1 -2:1.0\n", ":2: feature index must be >= 1"),
+    ("+1 1:0.5 1:2.0 2:1\n", ":1: repeated feature index 1"),
+    ("-1 2:1\n+1 3:0.5 1:1 3:0.5\n", ":2: repeated feature index 3"),
 ])
 def test_load_libsvm_rejects_bad_entries(tmp_path, body, message):
     # Columns as in the file: the label is column 0, index j column j.

@@ -9,14 +9,15 @@ from conftest import PoisonedOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motr import solver
 from motr.core import (
     HessianCombine,
     HessianMode,
-    ObjectiveSample,
     RngStream,
+    SampleBatch,
     SolverConfig,
 )
-from motr.marginal import solve_marginal, solve_marginal_batch
+from motr.marginal import solve_marginal_batch
 from motr.oracles import (
     AnalyticOracle,
     AnalyticProblem,
@@ -44,11 +45,20 @@ from motr.solver import (
 )
 
 
-def _sample(values, gradients, hessians=None, delta=1.0):
+def _batch(values, gradients, hessians=None, delta=1.0):
+    """A SampleBatch of one state."""
     values = np.asarray(values, dtype=float)
-    return ObjectiveSample(values=values, gradients=gradients, delta=delta,
-                           sample_sizes=np.zeros(len(values), dtype=int),
-                           cost=0, hessians=hessians)
+    return SampleBatch(values[None], np.asarray(gradients, dtype=float)[None], np.array([delta]),
+                       np.zeros((1, len(values)), dtype=int), np.zeros(1, dtype=int),
+                       None if hessians is None else np.asarray(hessians)[None])
+
+
+def _cauchy(model, delta):
+    """``cauchy_step`` of the one-state ``model`` along its subproblem
+    solution: that model and solution, the step and the predicted reduction."""
+    marg = solve_marginal_batch(model.base_gradients)
+    d, pred = cauchy_step(model, marg.omega, marg.direction, np.array([delta]))
+    return model.take(0), marg.take(0), d[0], pred[0]
 
 
 def test_spectral_norm_diagonal():
@@ -73,8 +83,8 @@ def test_spectral_norm_matches_eigvalsh(seed, n, stack, kind):
 
 
 def test_build_model_first_order():
-    s = _sample([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]])
-    m = build_model(s, HessianMode.ZERO)
+    s = _batch([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]])
+    m = build_model(s, HessianMode.ZERO).take(0)
     assert m.beta == 1.0
     assert not np.any(m.hessian)
     np.testing.assert_array_equal(m.base_values, [162.0, 32.0])
@@ -83,20 +93,20 @@ def test_build_model_first_order():
 
 def test_build_model_second_order_beta():
     H = np.stack([np.diag([2.0, 0.5]), np.diag([2.0, 0.5])])
-    s = _sample([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], hessians=H)
-    m = build_model(s, HessianMode.SUBSAMPLED, weights=np.array([0.5, 0.5]))
+    s = _batch([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], hessians=H)
+    m = build_model(s, HessianMode.SUBSAMPLED, weights=np.array([[0.5, 0.5]])).take(0)
     assert m.beta == pytest.approx(3.0, rel=1e-7)
 
 
 def test_build_model_requires_hessians_in_subsampled_mode():
-    s = _sample([0.0], [[1.0, 0.0]])
+    s = _batch([0.0], [[1.0, 0.0]])
     with pytest.raises(InconsistentSampleError):
         build_model(s, HessianMode.SUBSAMPLED)
 
 
 def test_build_model_checks_oracle_shape():
     oracle = AnalyticOracle(AnalyticProblem("test1"))
-    s = _sample([0.0], [[1.0, 0.0]])
+    s = _batch([0.0], [[1.0, 0.0]])
     with pytest.raises(InconsistentSampleError):
         build_model(s, HessianMode.ZERO, oracle=oracle)
 
@@ -111,27 +121,24 @@ def test_combine_hessians_modes():
 
 
 def test_evaluate_model_examples():
-    m = build_model(_sample([2.0], [[1.0, 0.0]]), HessianMode.ZERO)
+    m = build_model(_batch([2.0], [[1.0, 0.0]]), HessianMode.ZERO).take(0)
     assert evaluate_model(m, [0.0, 0.0]) == 2.0
     assert evaluate_model(m, [1.0, 0.0]) == 3.0
-    m2 = build_model(_sample([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), HessianMode.ZERO)
+    m2 = build_model(_batch([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), HessianMode.ZERO).take(0)
     assert evaluate_model(m2, [-1.0, -1.0]) == -1.0
 
 
 def test_cauchy_step_rejects_critical_point():
-    m = build_model(_sample([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]]), HessianMode.ZERO)
-    marg = solve_marginal(m.base_gradients)
+    m = build_model(_batch([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]]), HessianMode.ZERO)
     with pytest.raises(DegenerateDirectionError):
-        cauchy_step(m, marg, 1.0)
+        _cauchy(m, 1.0)
 
 
 def test_cauchy_step_aligned_gradients():
     # Both gradients point along (1, 1); beta = 1 puts the 1-D minimizer at
     # the trust boundary and the reduction matches a dense line search.
-    m = build_model(_sample([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]]),
-                    HessianMode.ZERO)
-    marg = solve_marginal(m.base_gradients)
-    d, pred = cauchy_step(m, marg, 1.0)
+    m, marg, d, pred = _cauchy(build_model(_batch([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]]),
+                                           HessianMode.ZERO), 1.0)
     np.testing.assert_allclose(d, -np.ones(2) / np.sqrt(2.0), atol=1e-9)
     assert pred >= 0.5 * marg.omega * min(1.0, marg.omega / m.beta) - 1e-12
     grid = np.linspace(0.0, 1.0, 20001)
@@ -143,10 +150,8 @@ def test_cauchy_step_q1_linear():
     # Curvature-free single-objective model: the exact 1-D minimizer takes
     # the full trust step, never less decrease than the omega/beta-capped
     # candidate (whose reduction would be 4 here).
-    m = build_model(_sample([0.0], [[2.0, 0.0]]), HessianMode.ZERO)
-    marg = solve_marginal(m.base_gradients)
+    m, marg, d, pred = _cauchy(build_model(_batch([0.0], [[2.0, 0.0]]), HessianMode.ZERO), 10.0)
     assert marg.omega == pytest.approx(2.0)
-    d, pred = cauchy_step(m, marg, 10.0)
     np.testing.assert_allclose(d, [-10.0, 0.0], atol=1e-12)
     assert pred == pytest.approx(20.0)
     assert pred >= 4.0
@@ -156,9 +161,8 @@ def test_cauchy_step_q1_linear():
 def test_cauchy_step_breakpoint_handling():
     # Crossing objectives: the exact 1-D minimizer sits where the active
     # objective changes, and matches a dense grid.
-    m = build_model(_sample([1.0, 0.0], [[2.0, 0.0], [0.5, 0.1]]), HessianMode.ZERO)
-    marg = solve_marginal(m.base_gradients)
-    d, pred = cauchy_step(m, marg, 5.0)
+    m, marg, d, pred = _cauchy(build_model(_batch([1.0, 0.0], [[2.0, 0.0], [0.5, 0.1]]),
+                                           HessianMode.ZERO), 5.0)
     grid = np.linspace(0.0, 5.0, 200001)
     line = min(evaluate_model(m, a * marg.direction) for a in grid)
     assert evaluate_model(m, d) <= line + 1e-8
@@ -169,6 +173,22 @@ def test_compute_rho():
     assert compute_rho(5.0, 3.0, 2.0, 1e-14) == pytest.approx(1.0)
     assert compute_rho(5.0, 6.0, 2.0, 1e-14) == pytest.approx(-0.5)
     assert compute_rho(5.0, 3.0, 1e-18, 1e-14) == -math.inf
+
+
+def test_loop_calls_the_traced_solver_names(monkeypatch):
+    # perfbench/tracer.py counts the model, Cauchy-step and spectral-norm
+    # layers by wrapping these module names: the loop must call them, once
+    # per iteration for the whole batch.
+    calls = dict.fromkeys(("build_model", "cauchy_step", "spectral_norm"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    cfg = SolverConfig(k_max=3, hessian_mode=HessianMode.SUBSAMPLED)
+    batch = run_batch(FiniteSumOracle(make_synthetic_logistic()), cfg, [np.zeros(10)] * 2, [0, 1])
+    assert batch.errors == [None, None]
+    assert calls == dict.fromkeys(calls, 3)
 
 
 def _exact_oracle(name="test1"):
