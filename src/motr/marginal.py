@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import RngStream
+
 
 class NonFiniteGradientError(ValueError):
     """A gradient passed to the subproblem contains NaN/Inf."""
@@ -51,17 +53,11 @@ def _check_gradients(gradients) -> np.ndarray:
     return G
 
 
-def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (B, n) stacks, with the same
-    arithmetic as ``u @ v`` on each pair of rows."""
-    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
-
-
 def _exact(G: np.ndarray, lam: np.ndarray, tolerance: float) -> MarginalSolution:
     """Omega and direction at the exact dual weights ``lam`` (B, q); the
     duality gap is zero up to rounding, and reported as 0."""
-    y = (lam[:, None, :] @ G)[:, 0]
-    omega = np.sqrt(_dot(y, y))
+    y = np.vecmat(lam, G)
+    omega = np.sqrt(np.vecdot(y, y))
     direction = np.divide(np.negative(y, out=y), omega[:, None], out=np.zeros_like(y),
                           where=(omega > tolerance)[:, None])
     return MarginalSolution(omega, direction, lam, np.zeros_like(omega))
@@ -72,9 +68,9 @@ def _closed_form_q2(G: np.ndarray) -> np.ndarray:
     g2-g1> / ||g1-g2||^2, 0, 1), and lam* = 0 for identical gradients."""
     g1, g2 = G[:, 0], G[:, 1]
     diff = g1 - g2
-    dd = _dot(diff, diff)
+    dd = np.vecdot(diff, diff)
     apart = dd > 0
-    ratio = _dot(g2, g2 - g1) / np.where(apart, dd, 1.0)
+    ratio = np.vecdot(g2, g2 - g1) / np.where(apart, dd, 1.0)
     lam = np.empty((G.shape[0], 2))
     lam[:, 0] = np.where(apart, np.minimum(np.maximum(ratio, 0.0), 1.0), 0.0)
     np.subtract(1.0, lam[:, 0], out=lam[:, 1])
@@ -200,7 +196,7 @@ def brute_force_marginal(gradients, num_directions: int) -> float:
         raise ValueError("num_directions must be >= 1000")
     G = _check_gradients(gradients)
     q, n = G.shape
-    rng = np.random.Generator(np.random.Philox(key=np.array([1234, 0], dtype=np.uint64)))
+    rng = RngStream(1234).generator()
 
     def value(D: np.ndarray) -> np.ndarray:
         return -(D @ G.T).max(axis=1)

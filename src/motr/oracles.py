@@ -20,6 +20,7 @@ from .core import (
     DimensionMismatchError,
     ObjectiveSample,
     Oracle,
+    RngStream,
     SampleBatch,
     as_decision_batch,
     as_decision_vector,
@@ -131,7 +132,7 @@ def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
             del pending[:size]
             if norm(eps) <= cap:
                 return eps
-        return np.zeros(size)
+        raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
 
     eps_f, eps_g = np.empty(q), np.empty((q, n))
     for i in range(q):
@@ -161,19 +162,17 @@ def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.n
     when shared).
 
     Each state takes the fewest draws its sequence can use in one call. With
-    ``bounded`` set, a state whose draws are not all clearly within the caps
-    is replayed draw by draw, with the rejection rule applied exactly.
+    ``bounded`` set, a state whose draws are not all within the caps is
+    replayed draw by draw, with the rejection rule applied exactly; the
+    batch check computes each norm as ``np.linalg.norm`` does, sqrt(e . e).
     """
     m = q + n if noise.shared_gradient_noise else q * (1 + n)
     Z = np.array([rng.normal(0.0, noise.sigma, size=m) for rng in rngs]).reshape(-1, m)
     f_cols, g_cols = _noise_columns(q, n, noise.shared_gradient_noise)
     eps_f, eps_g = Z[:, f_cols], Z[:, g_cols]
     if noise.bounded:
-        # A norm computed differently may differ in the last bits, so only
-        # states clearly inside the caps skip the exact replay.
-        margin = 1.0 - 1e-12
         inside = ((np.abs(eps_f) <= noise.cap_f).all(axis=1)
-                  & (np.sqrt((eps_g * eps_g).sum(axis=2)) <= noise.cap_g * margin).all(axis=1))
+                  & (np.sqrt(np.vecdot(eps_g, eps_g)) <= noise.cap_g).all(axis=1))
         for b in np.flatnonzero(~inside).tolist():
             eps_f[b], eps_g[b] = _replay_bounded(noise, rngs[b], Z[b], q, n)
     return eps_f, eps_g
@@ -274,11 +273,12 @@ def _logistic_stack(A, y, X, lams, mask, need_hessians):
     ``A`` (K, m, n) and ``y`` (K, m) hold each block's rows, ``X`` (K, n)
     its point and ``lams`` (K,) its regularizer. Returns values (K,),
     gradients (K, n) and Hessians (K, n, n), or None in their place when
-    not ``need_hessians``. Products are stacked matmuls, one BLAS call per
-    item, so item k depends on item k's inputs only, not on K.
+    not ``need_hessians``. Item k depends on item k's inputs only, not on K
+    or on the other items (the batch-composition tests check this bit for
+    bit).
     """
     m = A.shape[1]
-    M = y * (A @ X[:, :, None])[:, :, 0]       # margins
+    M = y * np.matvec(A, X)                     # margins
     s = 1.0 / (1.0 + np.exp(M))                 # sigma(-margin)
     # log(1 + e^-M) = max(-M, 0) + log1p(e^-|M|), on numpy's vector exp and
     # log1p (logaddexp calls scalar libm per element); M is not read again.
@@ -288,9 +288,8 @@ def _logistic_stack(A, y, X, lams, mask, need_hessians):
     np.log1p(loss, out=loss)
     loss -= np.minimum(M, 0.0, out=M)
     Xh = X * mask
-    f = (loss.sum(axis=1) / m
-         + 0.5 * lams * (Xh[:, None, :] @ Xh[:, :, None])[:, 0, 0])
-    g = -((y * s)[:, None, :] @ A)[:, 0] / m + lams[:, None] * Xh
+    f = loss.sum(axis=1) / m + 0.5 * lams * np.vecdot(Xh, Xh)
+    g = -np.vecmat(y * s, A) / m + lams[:, None] * Xh
     if not need_hessians:
         return f, g, None
     # A fixed C layout gives every item the same BLAS call, whatever K and
@@ -501,7 +500,9 @@ def analytic_bound_constants(max_feature_norm: float, regularizers,
     x = np.asarray(x, dtype=float)
     nx = float(np.linalg.norm(x))
     lams = np.asarray(regularizers, dtype=float)
-    F = math.exp(nx) * max_feature_norm + math.log(2.0) + 0.5 * lams * nx ** 2
+    # exp overflows past log(max float); an infinite F takes the whole group.
+    e = math.exp(nx) if nx <= math.log(np.finfo(float).max) else math.inf
+    F = e * max_feature_norm + math.log(2.0) + 0.5 * lams * nx ** 2
     G = max_feature_norm + lams * nx
     return F, G
 
@@ -731,7 +732,7 @@ def load_dataset(path: str, format: str, sensitive_column: int,
 def make_synthetic_logistic(num_samples: int = 300, num_features: int = 10,
                             seed: int = 7, regularizer: float = 0.1) -> FiniteSumProblem:
     """Desk-scale synthetic classification problem split into two groups."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = RngStream(seed).generator()
     X = rng.standard_normal((num_samples, num_features - 1))
     truth = rng.standard_normal(num_features - 1)
     margin = X @ truth + 0.5 * rng.standard_normal(num_samples)

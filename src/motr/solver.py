@@ -71,7 +71,7 @@ def combine_hessians(hessians: np.ndarray, weights: np.ndarray | None,
         return H.mean(axis=-3)
     w = np.asarray(weights, dtype=float)
     flat = H.reshape(H.shape[:-2] + (-1,))
-    return (w[..., None, :] @ flat)[..., 0, :].reshape(H.shape[:-3] + H.shape[-2:])
+    return np.vecmat(w, flat).reshape(H.shape[:-3] + H.shape[-2:])
 
 
 def build_model(sample: SampleBatch, hessian_mode: HessianMode,
@@ -121,9 +121,8 @@ def cauchy_step(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
     if (omega <= 0).any() or not direction.any(axis=1).all():
         raise DegenerateDirectionError("omega = 0: no descent direction")
     vals = model.base_values
-    d = direction[:, :, None]
-    slopes = (model.base_gradients @ d)[:, :, 0]
-    curv = (direction[:, None, :] @ (model.hessian @ d))[:, 0, 0]
+    slopes = np.matvec(model.base_gradients, direction)
+    curv = np.vecdot(direction, np.matvec(model.hessian, direction))
 
     def inside(numerator, denominator, valid):
         """numerator / denominator where ``valid`` and strictly inside
@@ -312,7 +311,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
         act = np.flatnonzero((marg.omega > config.omega_tol) & marg.direction.any(axis=1))
     else:
         act = np.empty(0, dtype=int)
-        step = -(smg[0] / np.sqrt(k + 1.0)) * (marg.weights[:, None, :] @ sample.gradients)[:, 0]
+        step = -(smg[0] / np.sqrt(k + 1.0)) * np.vecmat(marg.weights, sample.gradients)
         success[:] = True
     if act.size:
         at = _positions(act, B)
@@ -341,7 +340,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     if trace is not None:
         columns = dict(k=np.full(B, k), omega_m=marg.omega, phi_tilde=phi_tilde, rho=rho,
                        delta=deltas, success=success, **exact, cost_so_far=cost,
-                       step_norm=np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]),
+                       step_norm=np.sqrt(np.vecdot(step, step)),
                        sample_sizes=sample.sample_sizes, predicted_reduction=predicted, beta=beta)
         for name, column in columns.items():
             if name not in trace:

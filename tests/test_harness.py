@@ -626,6 +626,14 @@ def test_cli_run_with_non_finite_samples_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "runtime error: objective sample contains NaN/Inf\n"
 
 
+def test_cli_exhausted_bounded_noise_exits_3_with_one_line(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "problem = test1\nnoise_sigma = 1\nnoise_bounded = true\n"
+                               "noise_cap_g = 0.001\nk_max = 5\nnum_simulations = 2\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "rows.csv")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime error: bounded noise: no draw within cap 0.001 in 10000 tries\n")
+
+
 def test_cli_overflowing_run_prints_one_line(tmp_path):
     # The oracle overflows at x0; numpy's RuntimeWarnings must not reach
     # stderr beside the one-line error. A subprocess, because pytest

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motr import oracles
-from motr.core import ConfigError, ObjectiveSample, RngStream
+from motr.core import ConfigError, HessianMode, ObjectiveSample, RngStream, SolverConfig
 from motr.oracles import (
     ANALYTIC,
     AnalyticOracle,
@@ -33,6 +33,7 @@ from motr.oracles import (
     required_sample_size,
     subsampled_evaluate,
 )
+from motr.solver import run_batch
 
 
 def test_analytic_problem_names():
@@ -156,7 +157,7 @@ def _sequential_noise(noise, rng, q, n):
             eps = rng.normal(0.0, noise.sigma, size=size)
             if not noise.bounded or norm(eps) <= cap:
                 return eps
-        return np.zeros(size) if size else 0.0
+        raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
     eps_f, eps_g, shared = np.zeros(q), np.zeros((q, n)), None
     for i in range(q):
         eps_f[i] = draw(None, noise.cap_f, abs)
@@ -184,6 +185,37 @@ def test_noise_draws_match_sequential_reference(seed, size, q, n, sigma, bounded
             np.testing.assert_array_equal(eps_f[b], want_f)
             np.testing.assert_array_equal(eps_g[b], want_g)
             assert repr(rngs[b].bit_generator.state) == repr(refs[b].bit_generator.state)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 14])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_noise_fast_path_at_the_exact_cap(seed, n):
+    # The first gradient draw's norm is the cap, or the cap is one ulp below
+    # it: the batch check must decide as the draw-by-draw rule does.
+    norm = float(np.linalg.norm(RngStream(seed).generator().normal(0.0, 1.0, size=1 + n)[1:]))
+    for cap_g, replays in ((norm, 0), (np.nextafter(norm, 0.0), 1)):
+        noise = NoiseSpec(sigma=1.0, bounded=True, cap_f=10.0, cap_g=cap_g)
+        rng, ref = RngStream(seed).generator(), RngStream(seed).generator()
+        with mock.patch.object(oracles, "_replay_bounded",
+                               wraps=oracles._replay_bounded) as replay:
+            eps_f, eps_g = draw_noise(noise, [rng], 1, n)
+        assert replay.call_count == replays
+        want_f, want_g = _sequential_noise(noise, ref, 1, n)
+        np.testing.assert_array_equal(eps_f[0], want_f)
+        np.testing.assert_array_equal(eps_g[0], want_g)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+def test_bounded_noise_exhaustion_is_an_error_naming_the_cap():
+    noise = NoiseSpec(sigma=1.0, bounded=True, cap_g=0.001)
+    message = "bounded noise: no draw within cap 0.001 in 10000 tries"
+    with pytest.raises(ValueError, match=message):
+        draw_noise(noise, [RngStream(3).generator()], 2, 2)
+    with pytest.raises(ValueError, match=message):
+        _sequential_noise(noise, RngStream(3).generator(), 2, 2)
+    oracle = AnalyticOracle(AnalyticProblem("test1"), noise)
+    with pytest.raises(ValueError, match=message):
+        oracle.evaluate(np.zeros(2), 1.0, 0.5, RngStream(3).generator())
 
 
 def test_required_sample_size_reference_value():
@@ -263,6 +295,31 @@ def test_bound_constants_formulas():
     x = np.array([3.0, 4.0, 0.0])
     _, G1 = analytic_bound_constants(1.0, np.array([0.2]), x)
     np.testing.assert_allclose(G1, 1.0 + 0.2 * 5.0)
+    # F is infinite only where exp overflows, and then takes the whole group.
+    edge = math.log(np.finfo(float).max)
+    F, G = analytic_bound_constants(1.0, np.array([0.1]), np.array([edge, 0.0]))
+    assert F[0] == math.exp(edge) + math.log(2.0) + 0.05 * edge ** 2
+    F, G = analytic_bound_constants(1.0, np.array([0.1]), np.array([np.nextafter(edge, 800.0)]))
+    assert F[0] == math.inf and G[0] == 1.0 + 0.1 * np.nextafter(edge, 800.0)
+    assert required_sample_size("value", F[0], 1.0, 0.5, group_size=150) == 150
+
+
+def test_analytic_constants_overflow_in_one_state_leaves_the_others_alone():
+    oracle = FiniteSumOracle(make_synthetic_logistic(300, 10, seed=7), "analytic")
+    config = SolverConfig(k_max=3, hessian_mode=HessianMode.SUBSAMPLED)
+    x0s = np.zeros((3, 10))
+    x0s[1, 0] = 800.0
+    with np.errstate(all="ignore"):
+        batch = run_batch(oracle, config, x0s, [5, 6, 7])
+        solos = [run_batch(oracle, config, x0s[[b]], [5 + b])[0] for b in (0, 2)]
+    np.testing.assert_array_equal(batch.trace["sample_sizes"][0, 1], [150, 150])
+    for b, solo in zip((0, 2), solos):
+        state = batch[b]
+        assert state.error is None and solo.error is None
+        np.testing.assert_array_equal(state.x, solo.x)
+        assert state.delta == solo.delta
+        np.testing.assert_array_equal(batch.trace["sample_sizes"][:, b],
+                                      [r.sample_sizes for r in solo.history])
 
 
 def test_synthetic_problem_shape():
