@@ -175,8 +175,20 @@ _COLUMNS = {"k": "k", "omega_true": "omega_true", "phi_true": "phi_true",
             "scalar_products": "cost_so_far", "delta": "delta", "success": "success"}
 
 
-def _fmt_opt(value) -> str:
-    return "" if value is None else repr(value)
+def _cells(column: np.ndarray):
+    """The CSV text of each cell of a 1-D trace column, lazily: an integer
+    (a bool as 0 or 1), or the repr of a float, formatted once for each run
+    of cells with the same bit pattern (so -0.0 stays apart from 0.0).
+    omega_true and phi_true repeat for as long as a state stays put."""
+    if column.dtype.kind != "f":
+        yield from map(str, memoryview(column.astype(np.int64)))
+        return
+    column = column.copy()
+    last = text = None
+    for key, value in zip(memoryview(column.view(np.int64)), memoryview(column)):
+        if key != last:
+            last, text = key, repr(value)
+        yield text
 
 
 def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> None:
@@ -184,15 +196,16 @@ def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> N
     as CSV or JSON plus a sidecar summary file; a column the run did not
     compute is empty (CSV) or null (JSON)."""
     columns = [batch.trace.get(name) for name in _COLUMNS.values()]
-    # A generator, so that only one simulation's rows are held as objects.
-    rows = ((sim, *row) for sim, k in enumerate(batch.k.tolist())
-            for row in zip(*([None] * k if c is None else c[:k, sim].tolist() for c in columns)))
     if format == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(["simulation", *_COLUMNS]) + "\n")
-            fh.writelines(f"{sim},{k},{_fmt_opt(omega)},{_fmt_opt(phi)},{cost},{delta!r},"
-                          f"{int(success)}\n" for sim, k, omega, phi, cost, delta, success in rows)
+            for sim, k in enumerate(batch.k.tolist()):
+                cells = [[""] * k if c is None else _cells(c[:k, sim]) for c in columns]
+                fh.writelines(f"{sim},{','.join(row)}\n" for row in zip(*cells))
     elif format == "json":
+        rows = ((sim, *row) for sim, k in enumerate(batch.k.tolist())
+                for row in zip(*([None] * k if c is None else c[:k, sim].tolist()
+                                 for c in columns)))
         payload = [dict(zip(["simulation", *_COLUMNS], row)) for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)

@@ -43,14 +43,9 @@ class EmptyGroupError(ValueError):
 # Analytic two-objective test problems, evaluated on a (B, 2) stack of points.
 
 def _test1(X, need_hessians):
-    f = np.empty_like(X)
-    f[:, 0] = X[:, 0] ** 2 + X[:, 1] ** 2
-    f[:, 1] = (X[:, 0] - 5.0) ** 2 + (X[:, 1] - 5.0) ** 2
-    g = np.empty((X.shape[0], 2, 2))
-    g[:, 0] = 2.0 * X
-    g[:, 1] = 2.0 * (X - 5.0)
+    R = np.stack([X, X - 5.0], axis=1)      # x - c_i for the centres 0 and (5, 5)
     h = np.tile(2.0 * np.eye(2), (X.shape[0], 2, 1, 1)) if need_hessians else None
-    return f, g, h
+    return (R * R).sum(axis=2), 2.0 * R, h
 
 
 def _test2(X, need_hessians):

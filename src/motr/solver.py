@@ -253,7 +253,9 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     in lockstep; fills row k of the trace (which has ``config.k_max`` rows).
 
     A state draws from its own stream in the order of a single run: its
-    sample, then its trial point if it has a descent direction. A state
+    sample, then its trial point if it has a descent direction and its
+    predicted reduction is above the guard (at or below it, the iteration
+    fails with rho = -inf and the trial is not evaluated). A state
     whose sample or trial is invalid, or whose new iterate is not finite,
     gets its error set, keeps its iterate, radius and trace, and takes no
     further part.
@@ -276,14 +278,14 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     k = int(batch.k[live[0]])
     alpha = alpha_at(config.alpha_schedule, k, oracle.q)
     need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
-    sample = oracle.evaluate_batch(batch.x[live], batch.delta[live], alpha,
-                                   [batch.rngs[b] for b in live], need_hessians=need_h)
+    X, deltas = batch.x[live], batch.delta[live]
+    sample = oracle.evaluate_batch(X, deltas, alpha, [batch.rngs[b] for b in live.tolist()],
+                                   need_hessians=need_h)
     if sample.errors:
         for j, exc in sample.errors.items():
             batch.errors[live[j]] = exc
         keep = [j for j in range(live.size) if j not in sample.errors]
-        live, sample = live[keep], sample.take(keep)
-    X, deltas = batch.x[live], batch.delta[live]
+        live, sample, X, deltas = live[keep], sample.take(keep), X[keep], deltas[keep]
     marg = solve_marginal_batch(sample.gradients, tolerance=config.marginal_tol)
     phi_tilde = sample.values.max(axis=1)
 
@@ -322,19 +324,26 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
             for j, b in enumerate(act.tolist()):
                 d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],
                                             config.refine_steps)
-        trial = oracle.evaluate_batch(X[at] + d, deltas[at], alpha,
-                                      [batch.rngs[b] for b in live[act].tolist()])
-        guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[at]))
-        rho[at] = compute_rho(phi_tilde[at], trial.values.max(axis=1), pred, guard)
-        success[at] = (rho[at] >= config.eta1) & (marg.omega[at] > config.theta * deltas[at])
         step[at], predicted[at], beta[at] = d, pred, model.beta
-        cost[at] += trial.cost
-        for j, exc in trial.errors.items():
-            batch.errors[live[act[j]]] = exc
+        guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[at]))
+        undecided = pred > guard
+        if undecided.any():
+            ev = act[undecided]
+            trial = oracle.evaluate_batch(X[ev] + d[undecided], deltas[ev], alpha,
+                                          [batch.rngs[b] for b in live[ev].tolist()])
+            rho[ev] = compute_rho(phi_tilde[ev], trial.values.max(axis=1), pred[undecided],
+                                  guard[undecided])
+            success[ev] = (rho[ev] >= config.eta1) & (marg.omega[ev] > config.theta * deltas[ev])
+            cost[ev] += trial.cost
+            for j, exc in trial.errors.items():
+                batch.errors[live[ev[j]]] = exc
 
-    new_x = np.where(success[:, None], X + step, X)
-    for j in np.flatnonzero(~np.isfinite(new_x).all(axis=1)).tolist():
-        batch.errors[live[j]] = batch.errors[live[j]] or ValueError("iterate is not finite")
+    if success.any():
+        new_x = np.where(success[:, None], X + step, X)
+        for j in np.flatnonzero(~np.isfinite(new_x).all(axis=1)).tolist():
+            batch.errors[live[j]] = batch.errors[live[j]] or ValueError("iterate is not finite")
+    else:       # no iterate moved, and those that did not are finite
+        new_x = None
     ok = np.flatnonzero([batch.errors[b] is None for b in live.tolist()])
     rows, ok = _positions(live[ok], len(batch.rngs)), _positions(ok, B)
     if trace is not None:
@@ -347,7 +356,8 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                 trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
                                        column.dtype)
             trace[name][k, rows] = column[ok]
-    batch.x[rows] = new_x[ok]
+    if new_x is not None:
+        batch.x[rows] = new_x[ok]
     if smg is None:
         # A shrink that would round the radius to 0 stops at the least
         # positive float (5e-324) instead, so a long run does not fail.

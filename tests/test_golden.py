@@ -101,9 +101,9 @@ GOLDEN = {
     "test1_bounded_shared/stdout":
         "2e13bc3662419b12d84da61908b54237c97a455634a5d1fdf4b8f39d20f8c87d",
     "test1_bounded_shared/out":
-        "8535fbccdecd80af0a654b069b96ffd93e33170a8ebbb380fb2a9a668f56d3c5",
+        "f72fb14ef94f68f4119e179aba642c78baba294065ba9b721624e96014f8884d",
     "test1_bounded_shared/out.summary.json":
-        "d452274aca0998dede435b15879763403c6500dc327806087168e9c4f97d53b9",
+        "7e85f97d752b0bab3fbc732f390b18975ee2280eee51324f58e26d17957f236e",
     "smop_synthetic/stdout":
         "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
     "smop_synthetic/out":
@@ -123,7 +123,7 @@ GOLDEN = {
     "pm1_libsvm/stdout":
         "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
     "pm1_libsvm/out":
-        "df9d04db547c62a5e2117e0b3cd6259c8bf603c47cdbc251404bf61b99b259ba",
+        "5d64c100532c4cfe56d8c7690ac66bbbe3480510653defd7d0bce123f5556168",
     "pm1_libsvm/out.summary.json":
         "3eef37e19174f56deefc06e485274d3da6872ce22e12d5dee9defe92fcaa1cdb",
 }

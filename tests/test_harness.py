@@ -291,6 +291,44 @@ def _reference_emit(batch, format) -> str:
                       indent=1, sort_keys=True) + "\n"
 
 
+def _row_formula_csv(batch) -> str:
+    """The CSV as emit wrote it row by row, one f-string per row, before it
+    formatted by column."""
+    def opt(value):
+        return "" if value is None else repr(value)
+
+    columns = [batch.trace.get(name) for name in harness._COLUMNS.values()]
+    rows = ((sim, *row) for sim, k in enumerate(batch.k.tolist())
+            for row in zip(*([None] * k if c is None else c[:k, sim].tolist() for c in columns)))
+    return "simulation,k,omega_true,phi_true,scalar_products,delta,success\n" + "".join(
+        f"{sim},{k},{opt(omega)},{opt(phi)},{cost},{delta!r},{int(success)}\n"
+        for sim, k, omega, phi, cost, delta, success in rows)
+
+
+def test_emit_csv_formats_each_cell_as_the_row_formula(tmp_path):
+    # Repeated floats (in runs and apart), -0.0 next to 0.0, nan, inf, an
+    # absent column and simulations with fewer rows than k_max.
+    K, B = 40, 4
+    rng = np.random.default_rng(17)
+    pool = np.array([1.5, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.1 + 0.2, 1e-300, 5e-324, -2.5])
+    phi = pool[rng.integers(0, pool.size, size=(K, B))]
+    phi[5:12, 0] = -0.0
+    phi[12:15, 0] = 0.0
+    phi[15:20, 0] = np.nan
+    delta = np.where(rng.random((K, B)) < 0.5, 0.5, -0.0) * 2.0 ** -rng.integers(0, 1100, (K, B))
+    trace = {"k": np.repeat(np.arange(K)[:, None], B, axis=1), "phi_true": phi,
+             "cost_so_far": rng.integers(0, 10**12, size=(K, B)), "delta": delta,
+             "success": rng.random((K, B)) < 0.3}
+    batch = Batch(x=np.zeros((B, 2)), delta=np.ones(B), cost=np.zeros(B, dtype=int),
+                  k=np.array([K, 17, 0, 33]), rngs=[None] * B, errors=[None] * B, trace=trace)
+    path = tmp_path / "out.csv"
+    emit(batch, str(path), "csv")
+    text = path.read_text()
+    assert text == _row_formula_csv(batch)
+    assert ",-0.0," in text and ",0.0," in text and ",nan," in text and "\n2," not in text
+    assert len(text.splitlines()) == 1 + K + 17 + 33
+
+
 @settings(max_examples=40, deadline=None)
 @given(format=st.sampled_from(["csv", "json"]), exact_metrics=st.booleans(),
        smg=st.sampled_from([None, (0.5, 1.0)]), size=st.integers(1, 4),

@@ -485,3 +485,86 @@ def test_non_finite_iterate_stops_only_its_own_state():
     np.testing.assert_array_equal(batch.x[0], [9.0, 9.0])
     assert batch.errors[1] is None and alone.error is None and alone.k == 2
     _assert_same_run(batch[1].x, batch[1].history, alone.x, alone.history)
+
+
+class _Recording(FiniteSumOracle):
+    """A finite-sum oracle that records each evaluate_batch call: its
+    points, radii, accuracy target, streams and result."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.calls = []
+
+    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
+        sample = super().evaluate_batch(X, deltas, alpha, rngs, need_hessians)
+        self.calls.append((np.array(X), np.array(deltas), alpha, list(rngs), sample))
+        return sample
+
+
+def _replayed_streams(problem, seeds, calls):
+    """Fresh streams for ``seeds`` after drawing exactly the given
+    (points, radii, accuracy target) evaluations, one state per row."""
+    fresh = [RngStream(s).generator() for s in seeds]
+    for X, deltas, alpha in calls:
+        FiniteSumOracle(problem).evaluate_batch(X, deltas, alpha, fresh)
+    return fresh
+
+
+def test_a_trial_decided_by_the_guard_is_not_evaluated():
+    # A guard above every predicted reduction decides each trial: every
+    # iteration makes one oracle call, for the samples, the cost is theirs
+    # alone, and each stream has drawn its samples and nothing else.
+    problem = make_synthetic_logistic(60, 4, seed=3)
+    oracle = _Recording(problem)
+    cfg, seeds = SolverConfig(k_max=6, rho_guard=1e300), [41, 42, 43]
+    x0s = np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 4))
+    batch = run_batch(oracle, cfg, x0s, seeds)
+    assert batch.errors == [None] * 3 and len(oracle.calls) == cfg.k_max
+    trace = batch.trace
+    assert np.isneginf(trace["rho"]).all() and not trace["success"].any()
+    assert (trace["step_norm"] > 0).all() and (trace["predicted_reduction"] > 0).all()
+    np.testing.assert_array_equal(trace["cost_so_far"],
+                                  np.cumsum([c[-1].cost for c in oracle.calls], axis=0))
+    assert (trace["cost_so_far"][-1] > 0).all()
+    fresh = _replayed_streams(problem, seeds, [c[:3] for c in oracle.calls])
+    for used, replayed in zip(batch.rngs, fresh):
+        np.testing.assert_equal(used.bit_generator.state, replayed.bit_generator.state)
+
+
+def test_only_the_undecided_trials_are_evaluated():
+    # States 1 and 3 have radii so small that their predicted reduction,
+    # positive, is at or below the guard. 0 and 2 evaluate their trials, in one call on
+    # their streams alone, and their rho is compute_rho of that trial;
+    # 1 and 3 keep the step they proposed, rho = -inf and their samples' cost.
+    problem = make_synthetic_logistic(60, 4, seed=3)
+    oracle = _Recording(problem)
+    cfg, seeds = SolverConfig(k_max=1), [51, 52, 53, 54]
+    x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 4))
+    batch = Batch(x0s.copy(), np.array([1.0, 1e-15, 0.5, 3e-15]), np.zeros(4, dtype=int),
+                  np.zeros(4, dtype=int), [RngStream(s).generator() for s in seeds],
+                  [None] * 4, {})
+    iterate_batch(batch, oracle, cfg)
+    assert batch.errors == [None] * 4 and len(oracle.calls) == 2
+    (_, _, alpha, sample_rngs, sample), (X, deltas, _, trial_rngs, trial) = oracle.calls
+    assert [r is s for r, s in zip(sample_rngs, batch.rngs)] == [True] * 4
+    assert len(trial_rngs) == 2
+    assert trial_rngs[0] is batch.rngs[0] and trial_rngs[1] is batch.rngs[2]
+    np.testing.assert_array_equal(deltas, [1.0, 0.5])
+    row = {name: column[0] for name, column in batch.trace.items()}
+    guard = cfg.rho_guard * np.maximum(1.0, np.abs(row["phi_tilde"]))
+    open_, decided = [0, 2], [1, 3]
+    np.testing.assert_array_equal(row["predicted_reduction"] > guard, [True, False, True, False])
+    np.testing.assert_allclose(np.linalg.norm(X - x0s[open_], axis=1), row["step_norm"][open_])
+    np.testing.assert_array_equal(
+        row["rho"][open_], compute_rho(row["phi_tilde"][open_], trial.values.max(axis=1),
+                                       row["predicted_reduction"][open_], guard[open_]))
+    assert np.isneginf(row["rho"][decided]).all() and not row["success"][decided].any()
+    assert (row["step_norm"][decided] > 0).all()
+    assert (row["predicted_reduction"][decided] > 0).all()
+    np.testing.assert_array_equal(row["cost_so_far"][open_], sample.cost[open_] + trial.cost)
+    np.testing.assert_array_equal(row["cost_so_far"][decided], sample.cost[decided])
+    np.testing.assert_array_equal(batch.x[decided], x0s[decided])
+    fresh = _replayed_streams(problem, [seeds[b] for b in decided],
+                              [(x0s[decided], [1e-15, 3e-15], alpha)])
+    for b, replayed in zip(decided, fresh):
+        np.testing.assert_equal(batch.rngs[b].bit_generator.state, replayed.bit_generator.state)
