@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +154,65 @@ def test_blocked_pairwise_passes_equal_the_whole_matrix_formulas(N, coarse):
         np.linalg.norm(F[:, None, :] - F[None, :, :], axis=2))
     assert ([id(m) for m in _thin(members, N - 8)]
             == [id(m) for m in _thin_reference(members, N - 8)])
+
+
+_TOL = 1e-12
+# Coordinates at, just inside and just outside the tolerance of each other,
+# around bases where the subtraction rounds.
+_NEAR_TOL = st.builds(lambda base, k, ulp: base + (np.nextafter(k * _TOL, ulp * np.inf) if ulp
+                                                   else k * _TOL),
+                      st.sampled_from([0.0, 1.0, -3.0, 1e3]),
+                      st.sampled_from([-2, -1, 0, 1, 2]),
+                      st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), size=st.integers(0, 25))
+def test_dedup_matches_the_whole_matrix_rule(data, n, size):
+    # Duplicate rows come from a small pool; a point within tol of one that
+    # is itself dropped still goes.
+    pool = data.draw(st.lists(st.lists(_NEAR_TOL, min_size=n, max_size=n), min_size=1, max_size=6))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    members = [ArchiveMember(x=np.array(r), f=np.zeros(2)) for r in rows]
+    X = np.array(rows).reshape(size, n)
+    close = np.all(np.abs(X[:, None] - X[None]) <= _TOL, axis=2)
+    keep = ~np.triu(close, k=1).any(axis=0)
+    assert [id(m) for m in _dedup(members)] == [id(m) for m, k in zip(members, keep) if k]
+
+
+def test_dedup_drops_a_chain_whose_middle_twin_was_dropped():
+    members = [ArchiveMember(x=np.array([k * _TOL, 0.0]), f=np.zeros(2)) for k in (0, 1, 2)]
+    assert [id(m) for m in _dedup(members)] == [id(members[0])]
+    assert len(_dedup(members[::2])) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(0, 40), weak=st.booleans(), coarse=st.booleans())
+def test_thin_on_a_staircase_matches_reference_loop(data, size, weak, coarse):
+    # Points near an anti-diagonal leave long fronts; coarse values give tied
+    # distances and duplicate f rows. A filtered front is a staircase, thinned
+    # without the distance matrix.
+    t = st.integers(0, 12).map(float) if coarse else st.floats(-1e3, 1e3)
+    lift = st.integers(0, 2).map(float) if coarse else st.floats(0, 1)
+    rows = data.draw(st.lists(st.tuples(t, lift).map(lambda r: (r[0], r[1] - r[0])),
+                              min_size=size, max_size=size))
+    front = dominance_filter(_members(rows), weak)
+    max_size = data.draw(st.integers(1, len(front) + 1))
+    with mock.patch.object(pareto, "_pairwise", side_effect=AssertionError("matrix path")):
+        got = _thin(front, max_size)
+    assert [id(m) for m in got] == [id(m) for m in _thin_reference(front, max_size)]
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 0), (1, 1), (0.5, 0.2), (2, 0), (0, 2), (1, 1.1)],        # 2-D, not a staircase
+    [(0, 3, 1), (1, 2, 0), (2, 1, 2), (3, 0, 1), (1, 1, 1), (2, 2, 0)],   # q = 3
+])
+def test_thin_off_the_staircase_takes_the_matrix_path(rows):
+    members = _members(rows)
+    with mock.patch.object(pareto, "_pairwise", wraps=pareto._pairwise) as spy:
+        got = _thin(members, 3)
+    assert spy.called
+    assert [id(m) for m in got] == [id(m) for m in _thin_reference(members, 3)]
 
 
 def test_front_config_validation():
