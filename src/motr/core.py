@@ -174,21 +174,232 @@ class SampleBatch:
                                hessians=None if self.hessians is None else self.hessians[b])
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC 2011) in numpy, so that drawing never loads
+# numpy.random (its bit generators and their imports cost about 6 MB).
+# Lanes are rows: the even lanes (0, 2) are multiplied, the odd ones (1, 3)
+# carried, and the products' high halves are built from 32-bit halves. The
+# constants become arrays only in the kernel: numpy's first uint64 arrays
+# and operations cost about 0.1 MB each, which a run that never draws here
+# (a finite-sum run) should not pay.
+_PHILOX_M = ((0xD2E7470EE14C6C93,), (0xCA5A826395121157,))     # multipliers
+_PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))     # key increments
+
+# A refill runs the kernel over at most this many blocks at a time: at about
+# 200 bytes of temporaries per block, a chunk stays under 256 KiB.
+_CHUNK_BLOCKS = 1024
+# A refilled stream gets what was asked for and, beyond that, as many values
+# as it has drawn so far, within these bounds: a long run refills about
+# log2(its draws) times. In a call on many streams each gets at most its
+# share of _BATCH_VALUES, so the buffers of a large batch (a front's
+# restarts) stay small; and once one stream runs short, every stream left
+# with less than half its share is refilled too, so a batch refills in
+# few calls.
+_MIN_REFILL, _MAX_REFILL, _BATCH_VALUES = 64, 2048, 1 << 17
+
+
+def philox4x64(counters: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The Philox4x64-10 blocks (4, N) uint64 of ``counters`` (4, N) under
+    ``keys`` (2, N) or (2, 1). Block j of numpy's ``Philox(counter=c,
+    key=k).random_raw()`` is the block of counter c + j + 1, lane by lane."""
+    m, w = np.array(_PHILOX_M, dtype=np.uint64), np.array(_PHILOX_W, dtype=np.uint64)
+    low, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = m & low, m >> s32
+    even, odd, keys = counters[0::2], counters[1::2], keys.astype(np.uint64)
+    for r in range(10):
+        if r:
+            keys = keys + w
+        lo = even * m
+        e_lo, e_hi = even & low, even >> s32
+        t = e_lo * m_hi + ((e_lo * m_lo) >> s32)
+        u = e_hi * m_lo + (t & low)
+        hi = e_hi * m_hi + (t >> s32) + (u >> s32)
+        even, odd = hi[::-1] ^ odd ^ keys, lo[::-1]
+    out = np.empty_like(counters)
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+def _box_muller(raw: np.ndarray) -> np.ndarray:
+    """Standard normals, two per pair (a, b) of ``raw``: with the uniforms
+    u = ((raw >> 11) + 1) * 2**-53 in (0, 1], r cos(t) then r sin(t) for
+    r = sqrt(-2 log u_a) and t = 2 pi u_b. Element by element, whatever
+    the length (numpy's vector loops treat their tails alike)."""
+    u = ((raw >> 11) + 1).astype(float) * 2.0**-53
+    r, t = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+    z = np.empty(raw.size)
+    z[0::2], z[1::2] = r * np.cos(t), r * np.sin(t)
+    return z
+
+
+class PhiloxStream:
+    """The draws of one Philox4x64-10 key, made in numpy.
+
+    The raw values are those of ``np.random.Philox(key=key).random_raw()``,
+    bit for bit, generated by ``refill`` a batch at a time. ``random``,
+    ``uniform`` and ``integers`` over a span of 2**33 to 2**63 are numpy
+    Generator's own functions of them, so they equal its draws. ``normal``
+    is Box-Muller on consecutive pairs of raw values (``_box_muller``); a
+    draw of an odd count keeps the second normal of its last pair for the
+    next normal draw, so m normals at once equal m drawn one by one.
+
+    ``choice`` and ``numpy_generator`` draw from numpy's Generator on a
+    fresh Philox of the same key, which loads numpy.random. A stream draws
+    one way or the other: mixing them is a ValueError.
+    """
+
+    def __init__(self, key: tuple[int, int]):
+        self.key = key
+        self._raw = np.empty(0, dtype=np.uint64)
+        self._pos = self._blocks = 0
+        self._spare: float | None = None
+        self._generator = None
+
+    @property
+    def state(self):
+        """Where the stream stands: its numpy bit generator's state once it
+        draws through numpy, else (raw values drawn, spare normal or None)."""
+        if self._generator is not None:
+            return self._generator.bit_generator.state
+        return 4 * self._blocks - (self._raw.size - self._pos), self._spare
+
+    def numpy_generator(self):
+        """numpy's Generator on a fresh Philox of this key, made once."""
+        if self._blocks:
+            raise ValueError("stream already draws in numpy; it cannot use numpy.random")
+        if self._generator is None:
+            bits = np.random.Philox(key=np.array(self.key, dtype=np.uint64))
+            self._generator = np.random.Generator(bits)
+        return self._generator
+
+    def choice(self, *args, **kwargs):
+        return self.numpy_generator().choice(*args, **kwargs)
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` buffered raw values (``refill`` first)."""
+        pos = self._pos
+        self._pos = pos + count
+        return self._raw[pos:pos + count]
+
+    def raw(self, count: int) -> np.ndarray:
+        """The next ``count`` raw uint64 values."""
+        refill([self], count)
+        return self._take(count)
+
+    def random(self, size=None):
+        """Uniforms in [0, 1): (raw >> 11) * 2**-53."""
+        u = (self.raw(_count(size)) >> 11).astype(float) * 2.0**-53
+        return _shaped(u, size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + np.subtract(high, low) * self.random(size)
+
+    def integers(self, low, high, size=None):
+        """Integers in [low, high) for a span high - low = 2**k, 32 < k < 64:
+        low + (raw >> (64 - k))."""
+        span = high - low
+        bits = span.bit_length() - 1
+        if span != 1 << bits or not 32 < bits < 64:
+            raise ValueError("integers draws only spans of 2**33 to 2**63")
+        return _shaped(low + (self.raw(_count(size)) >> np.uint64(64 - bits)).astype(np.int64),
+                       size)
+
+    def standard_normal(self, size=None):
+        return self.normal(0.0, 1.0, size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        count = _count(size)
+        head = [self._spare] if self._spare is not None and count else []
+        if head:
+            self._spare = None
+        fresh = count - len(head)
+        pairs = fresh + fresh % 2
+        z = _box_muller(self.raw(pairs))
+        if fresh % 2:
+            z, self._spare = z[:-1], float(z[-1])
+        return _shaped(loc + scale * np.concatenate([head, z]), size)
+
+
+def _count(size) -> int:
+    return 1 if size is None else math.prod(np.atleast_1d(size).tolist())
+
+
+def _shaped(values: np.ndarray, size):
+    """A draw of ``size`` from its values: one number when size is None."""
+    return values[0].item() if size is None else values.reshape(size)
+
+
+def refill(streams, count: int) -> None:
+    """Buffer at least ``count`` raw values in every stream of ``streams``.
+
+    If one runs short, every stream holding less than ``count`` and half
+    its share is refilled, all together: in groups of whole streams of up
+    to ``_CHUNK_BLOCKS`` blocks (one that asks for more is a group of its
+    own), the kernel running over at most that many blocks at a time. A
+    refilled stream's buffer starts at the block of its position and is a
+    view of its group's values, so nothing is copied.
+    """
+    if all(s._raw.size - s._pos >= count for s in streams):
+        return
+    share = max(_MIN_REFILL, min(_MAX_REFILL, _BATCH_VALUES // len(streams)))
+    short = [s for s in streams if s._raw.size - s._pos < count + share // 2]
+    if any(s._generator is not None for s in short):
+        raise ValueError("stream already draws through numpy.random; it cannot draw in numpy")
+    drawn = np.array([4 * s._blocks - s._raw.size + s._pos for s in short])
+    first, offset = np.divmod(drawn, 4)
+    blocks = -(-(offset + np.maximum(np.clip(drawn, _MIN_REFILL, share), count)) // 4)
+    bounds, total = [0], 0
+    for j, b in enumerate(blocks.tolist()):
+        if total and total + b > _CHUNK_BLOCKS:
+            bounds.append(j)
+            total = 0
+        total += b
+    bounds.append(len(short))
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        ends = np.cumsum(blocks[i:j])
+        start = first[i:j] - (ends - blocks[i:j]) + 1       # block k has counter start + k
+        keys = np.array([s.key for s in short[i:j]], dtype=np.uint64).T
+        raw = np.empty(4 * int(ends[-1]), dtype=np.uint64)
+        for c in range(0, int(ends[-1]), _CHUNK_BLOCKS):
+            k = np.arange(c, min(c + _CHUNK_BLOCKS, int(ends[-1])))
+            owner = np.searchsorted(ends, k, side="right")
+            counters = np.zeros((4, k.size), dtype=np.uint64)
+            counters[0] = start[owner] + k
+            raw[4 * c:4 * (c + k.size)] = philox4x64(counters, keys[:, owner]).T.ravel()
+        for s, lo, hi, pos, end in zip(short[i:j], (4 * (ends - blocks[i:j])).tolist(),
+                                       (4 * ends).tolist(), offset[i:j].tolist(),
+                                       (first[i:j] + blocks[i:j]).tolist()):
+            s._raw, s._pos, s._blocks = raw[lo:hi], pos, end
+
+
+def normals(streams, count: int, scale: float) -> np.ndarray:
+    """(len(streams), count) normals: row b is ``streams[b].normal(0.0,
+    scale, count)``, bit for bit. For an even count and streams without a
+    spare normal, all are refilled and transformed together."""
+    if count % 2 or not streams or any(s._spare is not None for s in streams):
+        z = [s.normal(0.0, scale, count) for s in streams]
+        return np.array(z).reshape(len(streams), count)
+    refill(streams, count)
+    z = _box_muller(np.concatenate([s._take(count) for s in streams]))
+    return (0.0 + scale * z).reshape(len(streams), count)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream identified by (seed, stream_id).
 
-    Built on Philox, so identical identifiers reproduce the same draw
-    sequence on every platform and distinct stream ids are statistically
-    independent.
+    Its generator is the ``PhiloxStream`` keyed (seed, stream_id), so
+    identical identifiers reproduce the same raw sequence on every platform
+    and distinct stream ids are statistically independent. (Normals go
+    through numpy's log, cos and sin, whose last bits may differ between
+    platforms.)
     """
 
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+    def generator(self) -> PhiloxStream:
+        return PhiloxStream((self.seed, self.stream_id))
 
 
 @dataclass(frozen=True)
@@ -535,7 +746,7 @@ class Oracle(abc.ABC):
         radius ``deltas[b]``, drawing only from ``rngs[b]``, in the order a
         one-row call would draw."""
 
-    def evaluate(self, x, delta: float, alpha: float, rng: np.random.Generator,
+    def evaluate(self, x, delta: float, alpha: float, rng: PhiloxStream,
                  need_hessians: bool = False) -> ObjectiveSample:
         """The ObjectiveSample of ``evaluate_batch`` at the one point ``x``."""
         x = as_decision_vector(x, self.n)

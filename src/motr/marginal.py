@@ -196,7 +196,7 @@ def brute_force_marginal(gradients, num_directions: int) -> float:
         raise ValueError("num_directions must be >= 1000")
     G = _check_gradients(gradients)
     q, n = G.shape
-    rng = RngStream(1234).generator()
+    rng = RngStream(1234).generator().numpy_generator()
 
     def value(D: np.ndarray) -> np.ndarray:
         return -(D @ G.T).max(axis=1)

@@ -20,10 +20,12 @@ from .core import (
     DimensionMismatchError,
     ObjectiveSample,
     Oracle,
+    PhiloxStream,
     RngStream,
     SampleBatch,
     as_decision_batch,
     as_decision_vector,
+    normals,
 )
 
 
@@ -156,13 +158,14 @@ def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.n
     noise, then its gradient noise vector (drawn once, after the first value,
     when shared).
 
-    Each state takes the fewest draws its sequence can use in one call. With
-    ``bounded`` set, a state whose draws are not all within the caps is
-    replayed draw by draw, with the rejection rule applied exactly; the
-    batch check computes each norm as ``np.linalg.norm`` does, sqrt(e . e).
+    Each state takes the fewest draws its sequence can use, all states in
+    one ``core.normals`` call. With ``bounded`` set, a state whose draws
+    are not all within the caps is replayed draw by draw, with the rejection
+    rule applied exactly; the batch check computes each norm as
+    ``np.linalg.norm`` does, sqrt(e . e).
     """
     m = q + n if noise.shared_gradient_noise else q * (1 + n)
-    Z = np.array([rng.normal(0.0, noise.sigma, size=m) for rng in rngs]).reshape(-1, m)
+    Z = normals(rngs, m, noise.sigma)
     f_cols, g_cols = _noise_columns(q, n, noise.shared_gradient_noise)
     eps_f, eps_g = Z[:, f_cols], Z[:, g_cols]
     if noise.bounded:
@@ -503,7 +506,7 @@ def analytic_bound_constants(max_feature_norm: float, regularizers,
 
 
 def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float,
-                        rng: np.random.Generator, need_hessians: bool = False) -> ObjectiveSample:
+                        rng: PhiloxStream, need_hessians: bool = False) -> ObjectiveSample:
     """Evaluate each group loss on a uniform without-replacement subsample.
 
     One subsample per group serves values, gradients and (optionally)
@@ -727,7 +730,7 @@ def load_dataset(path: str, format: str, sensitive_column: int,
 def make_synthetic_logistic(num_samples: int = 300, num_features: int = 10,
                             seed: int = 7, regularizer: float = 0.1) -> FiniteSumProblem:
     """Desk-scale synthetic classification problem split into two groups."""
-    rng = RngStream(seed).generator()
+    rng = RngStream(seed).generator().numpy_generator()
     X = rng.standard_normal((num_samples, num_features - 1))
     truth = rng.standard_normal(num_features - 1)
     margin = X @ truth + 0.5 * rng.standard_normal(num_samples)

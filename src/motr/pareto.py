@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Oracle, SolverConfig
+from .core import ConfigError, Oracle, PhiloxStream, SolverConfig
 # run_final stays importable here: perfbench/tracer.py wraps pareto.run_final.
 from .solver import run_batch, run_final  # noqa: F401
 
@@ -215,7 +215,7 @@ def _thin(members: list[ArchiveMember], max_size: int) -> list[ArchiveMember]:
 
 
 def init_front(front_config: FrontConfig, oracle: Oracle,
-               rng: np.random.Generator) -> list[ArchiveMember]:
+               rng: PhiloxStream) -> list[ArchiveMember]:
     """Uniform sample in the init box, exactly evaluated and filtered."""
     box = front_config.box(oracle.n)
     pts = rng.uniform(box[:, 0], box[:, 1], size=(front_config.init_count, oracle.n))
@@ -227,7 +227,7 @@ def init_front(front_config: FrontConfig, oracle: Oracle,
 
 def front_round(archive: list[ArchiveMember], oracle: Oracle,
                 front_config: FrontConfig, solver_config: SolverConfig,
-                rng: np.random.Generator,
+                rng: PhiloxStream,
                 smg: tuple[float, float] | None = None) -> list[ArchiveMember]:
     """One round: retain the archive, add perturbations, run solver restarts
     from every candidate (with the step rule ``smg`` of ``run_batch``, if
@@ -255,7 +255,7 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
 
 
 def run_front(oracle: Oracle, front_config: FrontConfig,
-              solver_config: SolverConfig, rng: np.random.Generator,
+              solver_config: SolverConfig, rng: PhiloxStream,
               smg: tuple[float, float] | None = None) -> list[ArchiveMember]:
     archive = init_front(front_config, oracle, rng)
     for _ in range(front_config.rounds):

@@ -20,6 +20,7 @@ from .core import (
     HessianCombine,
     HessianMode,
     Oracle,
+    PhiloxStream,
     RngStream,
     SampleBatch,
     SolverConfig,
@@ -224,7 +225,7 @@ class Batch:
     delta: np.ndarray
     cost: np.ndarray
     k: np.ndarray
-    rngs: list[np.random.Generator]
+    rngs: list[PhiloxStream]
     errors: list[Exception | None]
     trace: dict[str, np.ndarray] | None
 

@@ -83,9 +83,9 @@ GOLDEN = {
     "test1_noisy/stdout":
         "9788f90adbf37fcfba8890c0754d540795d008c070922a761c35743c41da40a8",
     "test1_noisy/out":
-        "6181ccb1ad89efbcb02bd6ee2f9027ab9964da797c2571c86b04552466a594bc",
+        "51fc73be864ed25e51f26c6a9258f82aa8df75534f17f226782ae7ebeef1f708",
     "test1_noisy/out.summary.json":
-        "eba08fb42d15f318ee5f61bfee5c01eab843bdfdb71ec23260c202b6f0286d8e",
+        "7f3b1e93a54772658337f214af6a8fe6c56737a31f2d5ba8f1243ee304bd5944",
     "smg_synthetic/stdout":
         "c2a923065ced469bdc18860b8fd3000121ca9d64b2f4e7e72008c112b1512c98",
     "smg_synthetic/out":
@@ -101,9 +101,9 @@ GOLDEN = {
     "test1_bounded_shared/stdout":
         "2e13bc3662419b12d84da61908b54237c97a455634a5d1fdf4b8f39d20f8c87d",
     "test1_bounded_shared/out":
-        "f72fb14ef94f68f4119e179aba642c78baba294065ba9b721624e96014f8884d",
+        "df80ac4edb68b286d547153873c6ea629a75974ff1c3a628b0f91d59eb6cf6d9",
     "test1_bounded_shared/out.summary.json":
-        "7e85f97d752b0bab3fbc732f390b18975ee2280eee51324f58e26d17957f236e",
+        "41b52dec8a7936480f5dd73c603fb8373798fc1814f1f623b3496cdc847d8f74",
     "smop_synthetic/stdout":
         "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
     "smop_synthetic/out":
@@ -113,7 +113,7 @@ GOLDEN = {
     "front_test1/stdout":
         "1bbb4c543215875a964de829cf3d2c33900e84f49d851179c79e32d9bc2281df",
     "front_test1/out":
-        "2ffa44f77a544ae259db32c71d1613af140b46e3f8daec5e1bdb3a583baede9d",
+        "229a97a883934c59ce9abec38782144f106845e02a476bbc26e701562c51ea2c",
     "header_csv/stdout":
         "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
     "header_csv/out":

@@ -799,3 +799,22 @@ def test_every_tracer_boundary_resolves(monkeypatch):
     resolve = tracer.Tracer(motr)._owner
     for layer, owner_path, attr in tracer.BOUNDARIES:
         assert attr in vars(resolve(owner_path)), f"{layer}: motr.{owner_path}.{attr}"
+
+
+@pytest.mark.parametrize("change,match", [
+    (dict(parallelism=-1), "parallelism must be >= 0"),
+    (dict(smg_t0=0.0), "smg_t0 must be positive"),
+    (dict(smg_t0=-0.5), "smg_t0 must be positive"),
+])
+def test_experiment_spec_rejects_negative_parallelism_and_step(change, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentSpec(**change)
+
+
+def test_emit_rejects_an_unknown_format(tmp_path):
+    spec = ExperimentSpec(num_simulations=1, solver=SolverConfig(k_max=2))
+    batch, summary = run_experiment(spec)
+    out = tmp_path / "rows.xml"
+    with pytest.raises(ConfigError, match="bad output format 'xml'"):
+        emit(batch, str(out), "xml", summary)
+    assert not out.exists() and not Path(f"{out}.summary.json").exists()

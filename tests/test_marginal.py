@@ -193,3 +193,15 @@ def test_batched_closed_form_agrees_with_frank_wolfe(pairs, n):
         single = solve_marginal(g)
         assert single.omega == batch.omega[b]
         np.testing.assert_array_equal(single.direction, batch.direction[b])
+
+
+def test_frank_wolfe_stops_where_the_line_search_overflows():
+    # |g1 - g2|^2 overflows (2e308) though each Gram entry is finite: the
+    # exact line search gives no step, so the solver stops at its starting
+    # vertex, on the simplex, with a residual that does not certify it.
+    G = np.array([[1e154, 0.0], [0.0, 1e154]])
+    with np.errstate(over="ignore"):
+        sol = frank_wolfe(G)
+    np.testing.assert_array_equal(sol.weights, [1.0, 0.0])
+    assert sol.omega == 1e154 and sol.residual >= sol.omega - 1e154 / np.sqrt(2.0)
+    np.testing.assert_array_equal(sol.direction, [0.0, 0.0])

@@ -184,7 +184,7 @@ def test_noise_draws_match_sequential_reference(seed, size, q, n, sigma, bounded
             want_f, want_g = _sequential_noise(noise, refs[b], q, n)
             np.testing.assert_array_equal(eps_f[b], want_f)
             np.testing.assert_array_equal(eps_g[b], want_g)
-            assert repr(rngs[b].bit_generator.state) == repr(refs[b].bit_generator.state)
+            assert rngs[b].state == refs[b].state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 14])
@@ -203,7 +203,7 @@ def test_bounded_noise_fast_path_at_the_exact_cap(seed, n):
         want_f, want_g = _sequential_noise(noise, ref, 1, n)
         np.testing.assert_array_equal(eps_f[0], want_f)
         np.testing.assert_array_equal(eps_g[0], want_g)
-        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rng.state == ref.state
 
 
 def test_bounded_noise_exhaustion_is_an_error_naming_the_cap():
@@ -479,7 +479,7 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
             np.testing.assert_array_equal(want.sample_sizes, oracle.group_sizes())
             _assert_same_sample(
                 ObjectiveSample(f, g, 1e-9, want.sample_sizes, want.cost, H), want)
-        np.testing.assert_equal(rng_oracle.bit_generator.state, rng_ref.bit_generator.state)
+        np.testing.assert_equal(rng_oracle.state, rng_ref.state)
     # Memoised full-batch arrays are shared between calls, so they are read-only.
     x = points[calls[-1][0]]
     oracle.exact_evaluate(x, need_hessians=True)
@@ -552,10 +552,9 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
             if mode == "estimated":
                 _assert_same_sample(batch.sample(b), subsampled_evaluate(
                     problem, X[b], deltas[b], alpha, plain[b], need_hessians=need_h))
-                np.testing.assert_equal(plain[b].bit_generator.state,
-                                        rngs[b].bit_generator.state)
+                np.testing.assert_equal(plain[b].state, rngs[b].state)
             assert batch.cost[b] == batch.sample_sizes[b].sum()
-            np.testing.assert_equal(rngs[b].bit_generator.state, refs[b].bit_generator.state)
+            np.testing.assert_equal(rngs[b].state, refs[b].state)
             want = FiniteSumOracle(problem, mode).exact_evaluate(X[b], need_hessians=exact_h)
             np.testing.assert_array_equal(f[b], want[0])
             np.testing.assert_array_equal(g[b], want[1])
@@ -875,3 +874,52 @@ def test_load_libsvm_rejects_bad_entries(tmp_path, body, message):
     with pytest.raises(ParseError) as info:
         load_dataset(path, "libsvm", sensitive_column=0)
     assert str(info.value) == path + message
+
+
+@pytest.mark.parametrize("format,body,kwargs,error,match", [
+    ("csv", "1,0,2.0\n-1,1,3.0\n", dict(label_column=3), ConfigError,
+     "label_column out of range"),
+    ("csv", "1,0,2.0\n-1,1,3.0\n", dict(sensitive_column=2), ConfigError,
+     "sensitive_column out of range"),
+    ("libsvm", "+1 1:0 2:1\n-1 1:1 2:3\n", dict(sensitive_column=2), ConfigError,
+     "sensitive_column out of range"),
+    ("parquet", "1,0,2.0\n", {}, ConfigError, "bad dataset format 'parquet'"),
+    ("csv", "1,0,2.0\n2,1,3.0\n", dict(label_convention="zeroone"), LabelDomainError,
+     r"labels not in \{0, 1\}"),
+    ("csv", "1,0,2.0\n0,1,3.0\n", dict(label_convention="pm1"), LabelDomainError,
+     r"labels not in \{-1, \+1\}"),
+    ("csv", "1,0,2.0\n0,1,3.0\n", dict(label_convention="signed"), ConfigError,
+     "bad label convention 'signed'"),
+    ("libsvm", "", {}, ParseError, "bad.data: no data rows"),
+    ("libsvm", "\n  \n", {}, ParseError, "bad.data: no data rows"),
+])
+def test_load_dataset_rejects_bad_columns_formats_and_labels(tmp_path, format, body, kwargs,
+                                                            error, match):
+    path = _write(tmp_path, "bad.data", body)
+    with pytest.raises(error, match=match):
+        load_dataset(path, format, **{"sensitive_column": 0, **kwargs})
+
+
+@pytest.mark.parametrize("change,match", [
+    (dict(features=np.ones(4)), r"features must be \(N, n\) with matching labels"),
+    (dict(labels=np.ones(3)), r"features must be \(N, n\) with matching labels"),
+    (dict(regularizers=np.array([0.1])), "one regularizer per group required"),
+    (dict(intercept_column=2), "intercept_column out of range"),
+    (dict(intercept_column=-1), "intercept_column out of range"),
+])
+def test_finite_sum_problem_rejects_bad_shapes(change, match):
+    fields = dict(features=np.ones((4, 2)), labels=np.array([1.0, -1.0, 1.0, -1.0]),
+                  groups=(range(2), range(2, 4)), regularizers=np.array([0.1, 0.1]),
+                  intercept_column=1)
+    FiniteSumProblem(**fields)
+    with pytest.raises(ValueError, match=match):
+        FiniteSumProblem(**dict(fields, **change))
+
+
+def test_bound_constants_must_be_positive():
+    problem = make_synthetic_logistic(20, 3, seed=1)
+    for value in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="constant_value must be positive"):
+            FiniteSumOracle(problem, constant_value=value)
+        with pytest.raises(ValueError, match="bound_constant must be positive"):
+            required_sample_size("value", value, 0.5, 0.7)

@@ -528,7 +528,7 @@ def test_a_trial_decided_by_the_guard_is_not_evaluated():
     assert (trace["cost_so_far"][-1] > 0).all()
     fresh = _replayed_streams(problem, seeds, [c[:3] for c in oracle.calls])
     for used, replayed in zip(batch.rngs, fresh):
-        np.testing.assert_equal(used.bit_generator.state, replayed.bit_generator.state)
+        np.testing.assert_equal(used.state, replayed.state)
 
 
 def test_only_the_undecided_trials_are_evaluated():
@@ -567,4 +567,26 @@ def test_only_the_undecided_trials_are_evaluated():
     fresh = _replayed_streams(problem, [seeds[b] for b in decided],
                               [(x0s[decided], [1e-15, 3e-15], alpha)])
     for b, replayed in zip(decided, fresh):
-        np.testing.assert_equal(batch.rngs[b].bit_generator.state, replayed.bit_generator.state)
+        np.testing.assert_equal(batch.rngs[b].state, replayed.state)
+
+
+def test_a_state_with_a_non_positive_radius_stops_and_the_others_go_on():
+    # A hand-built batch may hold any radius: a state whose radius is not
+    # positive fails before its first sample, draws nothing and keeps its
+    # point; the others run as they would alone.
+    oracle = AnalyticOracle(AnalyticProblem("test1"), NoiseSpec(sigma=0.1))
+    cfg, seeds = SolverConfig(k_max=6), [61, 62, 63, 64]
+    x0s = np.array([[9.0, 9.0], [1.0, 4.0], [3.0, -1.0], [0.5, 0.5]])
+    batch = Batch(x0s.copy(), np.array([1.0, 0.0, -2.0, 1.0]), np.zeros(4, dtype=int),
+                  np.zeros(4, dtype=int), [RngStream(s).generator() for s in seeds],
+                  [None] * 4, {})
+    for _ in range(cfg.k_max):
+        iterate_batch(batch, oracle, cfg)
+    for b in (1, 2):
+        assert str(batch.errors[b]) == "delta must be positive"
+        assert batch.k[b] == 0 and batch.rngs[b].state == (0, None)
+        np.testing.assert_array_equal(batch.x[b], x0s[b])
+    alone = run_batch(oracle, cfg, x0s[[0, 3]], [seeds[0], seeds[3]])
+    for b, j in ((0, 0), (3, 1)):
+        assert batch.errors[b] is None
+        _assert_same_run(batch[b].x, batch[b].history, alone[j].x, alone[j].history)
