@@ -237,11 +237,11 @@ class PhiloxStream:
 
     The raw values are those of ``np.random.Philox(key=key).random_raw()``,
     bit for bit, generated by ``refill`` a batch at a time. ``random``,
-    ``uniform`` and ``integers`` over a span of 2**33 to 2**63 are numpy
-    Generator's own functions of them, so they equal its draws. ``normal``
-    is Box-Muller on consecutive pairs of raw values (``_box_muller``); a
-    draw of an odd count keeps the second normal of its last pair for the
-    next normal draw, so m normals at once equal m drawn one by one.
+    ``uniform`` and ``integers(0, 2**62)`` are numpy Generator's own
+    functions of them, so they equal its draws. ``normal`` is ``normals``
+    on this stream alone: Box-Muller on consecutive pairs of raw values
+    (``_box_muller``), the second normal of a pair left half used kept for
+    the next draw, so m normals at once equal m drawn one by one.
 
     ``choice`` and ``numpy_generator`` draw from numpy's Generator on a
     fresh Philox of the same key, which loads numpy.random. A stream draws
@@ -275,16 +275,11 @@ class PhiloxStream:
     def choice(self, *args, **kwargs):
         return self.numpy_generator().choice(*args, **kwargs)
 
-    def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` buffered raw values (``refill`` first)."""
-        pos = self._pos
-        self._pos = pos + count
-        return self._raw[pos:pos + count]
-
     def raw(self, count: int) -> np.ndarray:
         """The next ``count`` raw uint64 values."""
         refill([self], count)
-        return self._take(count)
+        self._pos += count
+        return self._raw[self._pos - count:self._pos]
 
     def random(self, size=None):
         """Uniforms in [0, 1): (raw >> 11) * 2**-53."""
@@ -295,29 +290,17 @@ class PhiloxStream:
         return low + np.subtract(high, low) * self.random(size)
 
     def integers(self, low, high, size=None):
-        """Integers in [low, high) for a span high - low = 2**k, 32 < k < 64:
-        low + (raw >> (64 - k))."""
-        span = high - low
-        bits = span.bit_length() - 1
-        if span != 1 << bits or not 32 < bits < 64:
-            raise ValueError("integers draws only spans of 2**33 to 2**63")
-        return _shaped(low + (self.raw(_count(size)) >> np.uint64(64 - bits)).astype(np.int64),
-                       size)
+        """Integers in [0, 2**62): raw >> 2, numpy Generator's draw of that
+        range; no other range is drawn here."""
+        if (low, high) != (0, 2**62):
+            raise ValueError("integers draws only the range [0, 2**62)")
+        return _shaped((self.raw(_count(size)) >> np.uint64(2)).astype(np.int64), size)
 
     def standard_normal(self, size=None):
         return self.normal(0.0, 1.0, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        count = _count(size)
-        head = [self._spare] if self._spare is not None and count else []
-        if head:
-            self._spare = None
-        fresh = count - len(head)
-        pairs = fresh + fresh % 2
-        z = _box_muller(self.raw(pairs))
-        if fresh % 2:
-            z, self._spare = z[:-1], float(z[-1])
-        return _shaped(loc + scale * np.concatenate([head, z]), size)
+        return _shaped(normals([self], _count(size), scale, loc)[0], size)
 
 
 def _count(size) -> int:
@@ -372,16 +355,53 @@ def refill(streams, count: int) -> None:
             s._raw, s._pos, s._blocks = raw[lo:hi], pos, end
 
 
-def normals(streams, count: int, scale: float) -> np.ndarray:
-    """(len(streams), count) normals: row b is ``streams[b].normal(0.0,
-    scale, count)``, bit for bit. For an even count and streams without a
-    spare normal, all are refilled and transformed together."""
-    if count % 2 or not streams or any(s._spare is not None for s in streams):
-        z = [s.normal(0.0, scale, count) for s in streams]
-        return np.array(z).reshape(len(streams), count)
-    refill(streams, count)
-    z = _box_muller(np.concatenate([s._take(count) for s in streams]))
-    return (0.0 + scale * z).reshape(len(streams), count)
+def peek_normals(streams, count: int) -> np.ndarray:
+    """(len(streams), count + 1) standard normals that the streams would
+    draw next, not drawn (``advance`` draws them). Row b holds the next
+    ``count`` normals of ``streams[b]``: its spare, if it holds one, then
+    Box-Muller on its next whole pairs of raw values; its last column is
+    the second normal of a pair that those leave half used, else nan. All
+    streams are refilled and transformed together."""
+    has = _spares_used(streams, count)
+    takes = (count + 1 - has) & -2              # the fresh normals, in whole pairs
+    refill(streams, count + count % 2)
+    raw = [s._raw[s._pos:s._pos + t] for s, t in zip(streams, takes.tolist())]
+    z = _box_muller(np.concatenate(raw) if raw else np.empty(0, dtype=np.uint64))
+    spares = [s._spare for s, h in zip(streams, has.tolist()) if h]
+    # Row b reads its fresh normals from z, its spare and nan after them.
+    index = (np.cumsum(takes) - takes - has)[:, None] + np.arange(count + 1)
+    if spares:
+        index[has, 0] = z.size + np.arange(len(spares))
+    index[takes + has == count, count] = z.size + len(spares)
+    return np.concatenate([z, spares, [np.nan]])[index]
+
+
+def _spares_used(streams, counts) -> np.ndarray:
+    """Which streams hold a spare normal that a draw of counts would use."""
+    return np.array([s._spare is not None for s in streams], dtype=bool) & (counts > 0)
+
+
+def advance(streams, counts, rows) -> None:
+    """Draw from ``streams[b]`` the first ``counts[b]`` normals of
+    ``rows[b]``, a row that ``peek_normals`` returned for it at least
+    counts[b] + 1 long: the raw values of their whole pairs, and the second
+    normal of a pair left half used as its spare."""
+    counts = np.asarray(counts, dtype=int)
+    fresh = counts - _spares_used(streams, counts)
+    for s, t in zip(streams, (fresh + (fresh & 1)).tolist()):
+        s._pos += t
+    for b in np.flatnonzero(fresh != counts).tolist():
+        streams[b]._spare = None
+    for b in np.flatnonzero(fresh & 1).tolist():
+        streams[b]._spare = float(rows[b][counts[b]])
+
+
+def normals(streams, count: int, scale: float = 1.0, loc: float = 0.0) -> np.ndarray:
+    """(len(streams), count) normals loc + scale * z: z are the next
+    ``count`` standard normals of each stream (``peek_normals``), drawn."""
+    z = peek_normals(streams, count)
+    advance(streams, np.full(len(streams), count), z)
+    return loc + scale * z[:, :count]
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ from .core import (
     PhiloxStream,
     RngStream,
     SampleBatch,
+    advance,
     as_decision_batch,
     as_decision_vector,
     normals,
+    peek_normals,
 )
 
 
@@ -115,18 +117,23 @@ class NoiseSpec:
             raise ConfigError("bounded noise caps must be positive")
 
 
-def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
+def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, ahead: np.ndarray,
+                    q: int, n: int):
     """One state's bounded noise draw by draw, rejection by rejection, as
-    (value noise (q,), gradient noise (q, n)). ``first`` holds the draws
-    already taken from ``rng``; further draws are taken only when needed."""
-    pending = list(first)
+    (value noise (q,), gradient noise (q, n), normals used after ``first``,
+    the ``peek_normals`` row they come from). ``first`` holds the draws
+    already taken from ``rng`` and ``ahead`` the row peeked after them; a
+    longer row is peeked when the draws run past it."""
+    seq, used = np.concatenate([first, 0.0 + noise.sigma * ahead[:-1]]), 0
 
     def draw(size, cap, norm):
+        nonlocal ahead, seq, used
         for _ in range(10_000):
-            if len(pending) < size:
-                pending.extend(rng.normal(0.0, noise.sigma, size=size - len(pending)))
-            eps = np.array(pending[:size])
-            del pending[:size]
+            while used + size > seq.size:
+                ahead = peek_normals([rng], 2 * ahead.size)[0]
+                seq = np.concatenate([first, 0.0 + noise.sigma * ahead[:-1]])
+            eps = seq[used:used + size]
+            used += size
             if norm(eps) <= cap:
                 return eps
         raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
@@ -135,8 +142,8 @@ def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, q: int, n: int):
     for i in range(q):
         eps_f[i] = draw(1, noise.cap_f, lambda e: abs(e[0]))[0]
         eps_g[i] = (eps_g[0] if i and noise.shared_gradient_noise
-                    else draw(n, noise.cap_g, np.linalg.norm))
-    return eps_f, eps_g
+                    else draw(n, noise.cap_g, lambda e: math.sqrt(e.dot(e))))
+    return eps_f, eps_g, max(0, used - first.size), ahead
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,8 +168,10 @@ def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.n
     Each state takes the fewest draws its sequence can use, all states in
     one ``core.normals`` call. With ``bounded`` set, a state whose draws
     are not all within the caps is replayed draw by draw, with the rejection
-    rule applied exactly; the batch check computes each norm as
-    ``np.linalg.norm`` does, sqrt(e . e).
+    rule applied exactly, on the normals that follow, which are peeked for
+    all such states at once and drawn as far as each used them; the batch
+    check and the replay compute each norm as ``np.linalg.norm`` does,
+    sqrt(e . e).
     """
     m = q + n if noise.shared_gradient_noise else q * (1 + n)
     Z = normals(rngs, m, noise.sigma)
@@ -171,8 +180,16 @@ def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.n
     if noise.bounded:
         inside = ((np.abs(eps_f) <= noise.cap_f).all(axis=1)
                   & (np.sqrt(np.vecdot(eps_g, eps_g)) <= noise.cap_g).all(axis=1))
-        for b in np.flatnonzero(~inside).tolist():
-            eps_f[b], eps_g[b] = _replay_bounded(noise, rngs[b], Z[b], q, n)
+        out = np.flatnonzero(~inside).tolist()
+        if out:     # replayed on rows peeked together, drawn together after
+            streams, used, rows = [rngs[b] for b in out], [], []
+            ahead = peek_normals(streams, 4 * m)     # a longer replay peeks on alone
+            for j, b in enumerate(out):
+                eps_f[b], eps_g[b], k, row = _replay_bounded(noise, streams[j], Z[b],
+                                                              ahead[j], q, n)
+                used.append(k)
+                rows.append(row)
+            advance(streams, used, rows)
     return eps_f, eps_g
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motr
-from motr.core import PhiloxStream, RngStream, _box_muller, normals, philox4x64, refill
+from motr.core import (PhiloxStream, RngStream, _box_muller, advance, normals,
+                       peek_normals, philox4x64, refill)
 
 U64 = st.integers(0, 2**64 - 1)
 # Counters near a carry out of the low lanes, as well as anywhere.
@@ -68,9 +69,9 @@ def test_random_uniform_integers_equal_numpy_generator(key):
                                   ref.uniform(low, high, size=(9, 2)))
     np.testing.assert_array_equal(stream.integers(0, 2**62, size=11),
                                   ref.integers(0, 2**62, size=11))
-    assert stream.integers(5, 5 + 2**40) == ref.integers(5, 5 + 2**40)
+    assert stream.integers(0, 2**62) == ref.integers(0, 2**62)
     np.testing.assert_array_equal(stream.random((3, 4)), ref.random((3, 4)))
-    with pytest.raises(ValueError, match="spans of 2"):
+    with pytest.raises(ValueError, match="only the range"):
         stream.integers(0, 10)
 
 
@@ -118,18 +119,49 @@ def test_normal_draws_follow_the_pair_rule_in_any_split(key, plan):
 @settings(max_examples=60, deadline=None)
 @given(seed=U64, count=st.integers(0, 8), lead=st.lists(st.integers(0, 3), min_size=4,
                                                         max_size=4))
-def test_batch_normals_equal_each_streams_own_draw(seed, count, lead):
+def test_batch_normals_follow_each_streams_pair_rule(seed, count, lead):
     # Streams at different positions, some holding a spare or at an odd
-    # position: one batch call equals each stream's own normal draw.
+    # position: one batch call gives each stream its own sequence, and
+    # leaves it where drawing one normal at a time would.
     streams = [PhiloxStream((seed, b)) for b in range(4)]
-    refs = [PhiloxStream((seed, b)) for b in range(4)]
+    singles = [PhiloxStream((seed, b)) for b in range(4)]
+    plans = [[("normal" if b % 2 else "random", k), ("normal", count)]
+             for b, k in enumerate(lead)]
     for b, k in enumerate(lead):
-        for s in (streams[b], refs[b]):
-            (s.standard_normal if b % 2 else s.random)(k)
+        (streams[b].standard_normal if b % 2 else streams[b].random)(k)
+        for _ in range(k):
+            (singles[b].standard_normal if b % 2 else singles[b].random)()
     got = normals(streams, count, 0.3)
+    assert got.shape == (4, count)
     for b in range(4):
-        np.testing.assert_array_equal(got[b], refs[b].normal(0.0, 0.3, count))
-        assert streams[b].state == refs[b].state
+        want = _reference_draws((seed, b), plans[b])[-1]
+        np.testing.assert_array_equal(got[b], 0.0 + 0.3 * want)
+        for _ in range(count):
+            singles[b].standard_normal()
+        assert streams[b].state == singles[b].state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=U64, count=st.integers(0, 8), lead=st.lists(st.integers(0, 3), min_size=4,
+                                                        max_size=4), data=st.data())
+def test_peeked_normals_are_drawn_as_far_as_advanced(seed, count, lead, data):
+    # A peek draws nothing; advancing each stream by its own count leaves it
+    # where drawing that many normals would, whatever its spare and parity.
+    streams = [PhiloxStream((seed, b)) for b in range(4)]
+    for b, k in enumerate(lead):
+        (streams[b].standard_normal if b % 2 else streams[b].random)(k)
+    before = [s.state for s in streams]
+    rows = peek_normals(streams, count)
+    assert rows.shape == (4, count + 1)
+    assert [s.state for s in streams] == before
+    used = [data.draw(st.integers(0, count)) for _ in range(4)]
+    advance(streams, used, rows)
+    for b, k in enumerate(lead):
+        lead_plan = ("normal" if b % 2 else "random", k)
+        peeked = _reference_draws((seed, b), [lead_plan, ("normal", count)])[1]
+        np.testing.assert_array_equal(rows[b, :count], peeked)
+        after = _reference_draws((seed, b), [lead_plan, ("normal", used[b]), ("normal", 3)])[2]
+        np.testing.assert_array_equal(streams[b].standard_normal(3), after)
 
 
 def test_normals_are_the_documented_box_muller_formula():
