@@ -188,13 +188,12 @@ _PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))     # key increments
 # A refill runs the kernel over at most this many blocks at a time: at about
 # 200 bytes of temporaries per block, a chunk stays under 256 KiB.
 _CHUNK_BLOCKS = 1024
-# A refilled stream gets what was asked for and, beyond that, as many values
+# A refilled row gets what was asked for and, beyond that, as many values
 # as it has drawn so far, within these bounds: a long run refills about
-# log2(its draws) times. In a call on many streams each gets at most its
-# share of _BATCH_VALUES, so the buffers of a large batch (a front's
-# restarts) stay small; and once one stream runs short, every stream left
-# with less than half its share is refilled too, so a batch refills in
-# few calls.
+# log2(its draws) times. In a draw on many rows each gets at most its share
+# of _BATCH_VALUES, so the buffer of a large batch (a front's restarts)
+# stays small; and once one row runs short, every row of the draw left with
+# less than half its share is refilled too, so a batch refills in few calls.
 _MIN_REFILL, _MAX_REFILL, _BATCH_VALUES = 64, 2048, 1 << 17
 
 
@@ -232,58 +231,129 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
     return z
 
 
-class PhiloxStream:
-    """The draws of one Philox4x64-10 key, made in numpy.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[j], starts[j] + 1, ..., starts[j] + lengths[j] - 1 for every
+    j, one range after another."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
-    The raw values are those of ``np.random.Philox(key=key).random_raw()``,
-    bit for bit, generated by ``refill`` a batch at a time. ``random``,
-    ``uniform`` and ``integers(0, 2**62)`` are numpy Generator's own
-    functions of them, so they equal its draws. ``normal`` is ``normals``
-    on this stream alone: Box-Muller on consecutive pairs of raw values
-    (``_box_muller``), the second normal of a pair left half used kept for
-    the next draw, so m normals at once equal m drawn one by one.
 
-    ``choice`` and ``numpy_generator`` draw from numpy's Generator on a
-    fresh Philox of the same key, which loads numpy.random. A stream draws
-    one way or the other: mixing them is a ValueError.
+class Streams:
+    """The draws of B Philox4x64-10 keys (``keys`` (B, 2)), one row each,
+    made in numpy.
+
+    Row b's raw values are those of ``np.random.Philox(key=keys[b])
+    .random_raw()``, bit for bit: value j is a function of the key and j
+    alone (Salmon et al., SC 2011), so a row's state is its position, the
+    raw values it has drawn. All rows share one buffer, each holding the
+    values from its position to its end; a draw on rows that run short
+    refills them in one kernel pass. ``raw`` and ``normals`` draw any
+    count from each row of an index array of rows, in one call.
+
+    ``numpy_generator(b)`` is numpy's Generator on a fresh Philox of row
+    b's key, which loads numpy.random. A row draws one way or the other:
+    mixing them is a ValueError.
+    """
+
+    def __init__(self, keys):
+        self.keys = np.array(keys, dtype=np.uint64).reshape(-1, 2)
+        self._pos = np.zeros(len(self.keys), dtype=np.int64)    # raw values drawn
+        self._off = np.zeros_like(self._pos)        # index in _buf of the next value
+        self._end = np.zeros_like(self._pos)        # index in _buf past the last
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._generators = {}
+
+    def state(self, row: int = 0):
+        """Where a row stands: its numpy bit generator's state once it
+        draws through numpy, else the count of raw values it has drawn."""
+        generator = self._generators.get(row)
+        return int(self._pos[row]) if generator is None else generator.bit_generator.state
+
+    def numpy_generator(self, row: int = 0):
+        """numpy's Generator on a fresh Philox of a row's key, made once."""
+        if self._pos[row]:
+            raise ValueError("stream already draws in numpy; it cannot use numpy.random")
+        if row not in self._generators:
+            bits = np.random.Philox(key=self.keys[row])
+            self._generators[row] = np.random.Generator(bits)
+        return self._generators[row]
+
+    def raw(self, rows: np.ndarray, counts) -> np.ndarray:
+        """The next counts[j] raw uint64 values of each row rows[j] (an
+        index array of distinct rows; one count for all, or one per row),
+        drawn, one row after another."""
+        counts = np.broadcast_to(counts, rows.shape)
+        if (self._end[rows] - self._off[rows] < counts).any():
+            self._refill(rows, counts)
+        off = self._off[rows]
+        self._off[rows] = off + counts
+        self._pos[rows] += counts
+        return self._buf[_ranges(off, counts)]
+
+    def normals(self, rows: np.ndarray, counts, scale: float = 1.0,
+                loc: float = 0.0) -> np.ndarray:
+        """loc + scale * z for the next counts[j] standard normals z of each
+        row rows[j], drawn, as ``raw`` lays them out. The normals are
+        Box-Muller on whole pairs of raw values (``_box_muller``): an odd
+        count takes one raw value more and drops its last normal."""
+        counts = np.broadcast_to(counts, rows.shape)
+        odd = counts & 1
+        z = _box_muller(self.raw(rows, counts + odd))
+        if odd.any():
+            z = np.delete(z, np.cumsum(counts + odd)[odd == 1] - 1)
+        return loc + scale * z
+
+    def _refill(self, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Buffer at least ``counts`` more values in each of ``rows``: every
+        row of them holding less than its count and half its share gets
+        fresh values from the block of its position, all in one kernel
+        pass; the other rows keep theirs, moved to a new buffer."""
+        share = max(_MIN_REFILL, min(_MAX_REFILL, _BATCH_VALUES // rows.size))
+        low = self._end[rows] - self._off[rows] < counts + share // 2
+        short, need = rows[low], counts[low]
+        if self._generators and not self._generators.keys().isdisjoint(short.tolist()):
+            raise ValueError("stream already draws through numpy.random; it cannot draw in numpy")
+        first, offset = np.divmod(self._pos[short], 4)
+        blocks = -(-(offset + np.maximum(np.clip(self._pos[short], _MIN_REFILL, share), need)) // 4)
+        left = self._end - self._off
+        left[short] = 0
+        kept, ends = int(left.sum()), np.cumsum(blocks)
+        buf = np.empty(kept + 4 * int(ends[-1]), dtype=np.uint64)
+        np.take(self._buf, _ranges(self._off, left), out=buf[:kept])
+        self._off = np.cumsum(left) - left
+        self._end = self._off + left
+        for c in range(0, int(ends[-1]), _CHUNK_BLOCKS):
+            k = np.arange(c, min(c + _CHUNK_BLOCKS, int(ends[-1])))
+            owner = np.searchsorted(ends, k, side="right")
+            counters = np.zeros((4, k.size), dtype=np.uint64)
+            counters[0] = first[owner] + k - (ends - blocks)[owner] + 1
+            buf[kept + 4 * c:kept + 4 * (c + k.size)] = philox4x64(
+                counters, self.keys[short[owner]].T).T.ravel()
+        self._off[short] = kept + 4 * (ends - blocks) + offset
+        self._end[short] = kept + 4 * ends
+        self._buf = buf
+
+
+_ROW = np.zeros(1, dtype=np.intp)      # the one row of a PhiloxStream
+
+
+class PhiloxStream(Streams):
+    """The draws of one Philox4x64-10 key: a ``Streams`` of one row.
+
+    ``random``, ``uniform`` and ``integers(0, 2**62)`` are numpy
+    Generator's own functions of the raw values, so they equal its draws.
+    ``normal`` is ``normals`` on the row. ``choice`` draws from
+    ``numpy_generator()``.
     """
 
     def __init__(self, key: tuple[int, int]):
-        self.key = key
-        self._raw = np.empty(0, dtype=np.uint64)
-        self._pos = self._blocks = 0
-        self._spare: float | None = None
-        self._generator = None
-
-    @property
-    def state(self):
-        """Where the stream stands: its numpy bit generator's state once it
-        draws through numpy, else (raw values drawn, spare normal or None)."""
-        if self._generator is not None:
-            return self._generator.bit_generator.state
-        return 4 * self._blocks - (self._raw.size - self._pos), self._spare
-
-    def numpy_generator(self):
-        """numpy's Generator on a fresh Philox of this key, made once."""
-        if self._blocks:
-            raise ValueError("stream already draws in numpy; it cannot use numpy.random")
-        if self._generator is None:
-            bits = np.random.Philox(key=np.array(self.key, dtype=np.uint64))
-            self._generator = np.random.Generator(bits)
-        return self._generator
+        super().__init__([key])
 
     def choice(self, *args, **kwargs):
         return self.numpy_generator().choice(*args, **kwargs)
 
-    def raw(self, count: int) -> np.ndarray:
-        """The next ``count`` raw uint64 values."""
-        refill([self], count)
-        self._pos += count
-        return self._raw[self._pos - count:self._pos]
-
     def random(self, size=None):
         """Uniforms in [0, 1): (raw >> 11) * 2**-53."""
-        u = (self.raw(_count(size)) >> 11).astype(float) * 2.0**-53
+        u = (self.raw(_ROW, _count(size)) >> 11).astype(float) * 2.0**-53
         return _shaped(u, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
@@ -294,13 +364,13 @@ class PhiloxStream:
         range; no other range is drawn here."""
         if (low, high) != (0, 2**62):
             raise ValueError("integers draws only the range [0, 2**62)")
-        return _shaped((self.raw(_count(size)) >> np.uint64(2)).astype(np.int64), size)
+        return _shaped((self.raw(_ROW, _count(size)) >> np.uint64(2)).astype(np.int64), size)
 
     def standard_normal(self, size=None):
         return self.normal(0.0, 1.0, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return _shaped(normals([self], _count(size), scale, loc)[0], size)
+        return _shaped(self.normals(_ROW, _count(size), scale, loc), size)
 
 
 def _count(size) -> int:
@@ -310,98 +380,6 @@ def _count(size) -> int:
 def _shaped(values: np.ndarray, size):
     """A draw of ``size`` from its values: one number when size is None."""
     return values[0].item() if size is None else values.reshape(size)
-
-
-def refill(streams, count: int) -> None:
-    """Buffer at least ``count`` raw values in every stream of ``streams``.
-
-    If one runs short, every stream holding less than ``count`` and half
-    its share is refilled, all together: in groups of whole streams of up
-    to ``_CHUNK_BLOCKS`` blocks (one that asks for more is a group of its
-    own), the kernel running over at most that many blocks at a time. A
-    refilled stream's buffer starts at the block of its position and is a
-    view of its group's values, so nothing is copied.
-    """
-    if all(s._raw.size - s._pos >= count for s in streams):
-        return
-    share = max(_MIN_REFILL, min(_MAX_REFILL, _BATCH_VALUES // len(streams)))
-    short = [s for s in streams if s._raw.size - s._pos < count + share // 2]
-    if any(s._generator is not None for s in short):
-        raise ValueError("stream already draws through numpy.random; it cannot draw in numpy")
-    drawn = np.array([4 * s._blocks - s._raw.size + s._pos for s in short])
-    first, offset = np.divmod(drawn, 4)
-    blocks = -(-(offset + np.maximum(np.clip(drawn, _MIN_REFILL, share), count)) // 4)
-    bounds, total = [0], 0
-    for j, b in enumerate(blocks.tolist()):
-        if total and total + b > _CHUNK_BLOCKS:
-            bounds.append(j)
-            total = 0
-        total += b
-    bounds.append(len(short))
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        ends = np.cumsum(blocks[i:j])
-        start = first[i:j] - (ends - blocks[i:j]) + 1       # block k has counter start + k
-        keys = np.array([s.key for s in short[i:j]], dtype=np.uint64).T
-        raw = np.empty(4 * int(ends[-1]), dtype=np.uint64)
-        for c in range(0, int(ends[-1]), _CHUNK_BLOCKS):
-            k = np.arange(c, min(c + _CHUNK_BLOCKS, int(ends[-1])))
-            owner = np.searchsorted(ends, k, side="right")
-            counters = np.zeros((4, k.size), dtype=np.uint64)
-            counters[0] = start[owner] + k
-            raw[4 * c:4 * (c + k.size)] = philox4x64(counters, keys[:, owner]).T.ravel()
-        for s, lo, hi, pos, end in zip(short[i:j], (4 * (ends - blocks[i:j])).tolist(),
-                                       (4 * ends).tolist(), offset[i:j].tolist(),
-                                       (first[i:j] + blocks[i:j]).tolist()):
-            s._raw, s._pos, s._blocks = raw[lo:hi], pos, end
-
-
-def peek_normals(streams, count: int) -> np.ndarray:
-    """(len(streams), count + 1) standard normals that the streams would
-    draw next, not drawn (``advance`` draws them). Row b holds the next
-    ``count`` normals of ``streams[b]``: its spare, if it holds one, then
-    Box-Muller on its next whole pairs of raw values; its last column is
-    the second normal of a pair that those leave half used, else nan. All
-    streams are refilled and transformed together."""
-    has = _spares_used(streams, count)
-    takes = (count + 1 - has) & -2              # the fresh normals, in whole pairs
-    refill(streams, count + count % 2)
-    raw = [s._raw[s._pos:s._pos + t] for s, t in zip(streams, takes.tolist())]
-    z = _box_muller(np.concatenate(raw) if raw else np.empty(0, dtype=np.uint64))
-    spares = [s._spare for s, h in zip(streams, has.tolist()) if h]
-    # Row b reads its fresh normals from z, its spare and nan after them.
-    index = (np.cumsum(takes) - takes - has)[:, None] + np.arange(count + 1)
-    if spares:
-        index[has, 0] = z.size + np.arange(len(spares))
-    index[takes + has == count, count] = z.size + len(spares)
-    return np.concatenate([z, spares, [np.nan]])[index]
-
-
-def _spares_used(streams, counts) -> np.ndarray:
-    """Which streams hold a spare normal that a draw of counts would use."""
-    return np.array([s._spare is not None for s in streams], dtype=bool) & (counts > 0)
-
-
-def advance(streams, counts, rows) -> None:
-    """Draw from ``streams[b]`` the first ``counts[b]`` normals of
-    ``rows[b]``, a row that ``peek_normals`` returned for it at least
-    counts[b] + 1 long: the raw values of their whole pairs, and the second
-    normal of a pair left half used as its spare."""
-    counts = np.asarray(counts, dtype=int)
-    fresh = counts - _spares_used(streams, counts)
-    for s, t in zip(streams, (fresh + (fresh & 1)).tolist()):
-        s._pos += t
-    for b in np.flatnonzero(fresh != counts).tolist():
-        streams[b]._spare = None
-    for b in np.flatnonzero(fresh & 1).tolist():
-        streams[b]._spare = float(rows[b][counts[b]])
-
-
-def normals(streams, count: int, scale: float = 1.0, loc: float = 0.0) -> np.ndarray:
-    """(len(streams), count) normals loc + scale * z: z are the next
-    ``count`` standard normals of each stream (``peek_normals``), drawn."""
-    z = peek_normals(streams, count)
-    advance(streams, np.full(len(streams), count), z)
-    return loc + scale * z[:, :count]
 
 
 @dataclass(frozen=True)
@@ -760,17 +738,17 @@ class Oracle(abc.ABC):
         return type(self).exact_evaluate_batch is not Oracle.exact_evaluate_batch
 
     @abc.abstractmethod
-    def evaluate_batch(self, X, deltas, alpha: float, rngs,
+    def evaluate_batch(self, X, deltas, alpha: float, rngs: Streams, rows: np.ndarray,
                        need_hessians: bool = False) -> SampleBatch:
         """One sample per row of ``X``, all at accuracy ``alpha``: row b at
-        radius ``deltas[b]``, drawing only from ``rngs[b]``, in the order a
-        one-row call would draw."""
+        radius ``deltas[b]``, drawing only from row ``rows[b]`` of ``rngs``,
+        in the order a one-row call would draw."""
 
     def evaluate(self, x, delta: float, alpha: float, rng: PhiloxStream,
                  need_hessians: bool = False) -> ObjectiveSample:
         """The ObjectiveSample of ``evaluate_batch`` at the one point ``x``."""
         x = as_decision_vector(x, self.n)
-        return self.evaluate_batch(x[None], np.array([delta], dtype=float), alpha, [rng],
+        return self.evaluate_batch(x[None], np.array([delta], dtype=float), alpha, rng, _ROW,
                                    need_hessians).sample(0)
 
     def exact_evaluate(self, x, need_hessians: bool = False):

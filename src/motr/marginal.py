@@ -11,6 +11,7 @@ serves as an independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,16 @@ def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10) -> MarginalSolution:
         raise ValueError("tolerance must be positive")
     G = _check_gradients(G)
     q, n = G.shape
-    M = G @ G.T
+    with np.errstate(over="ignore"):
+        M = G @ G.T
+    # Where the Gram matrix overflows, G and the tolerance are scaled by the
+    # power of two that puts G's largest entry in [1, 2): exactly, so the
+    # results scale back exactly.
+    scale = 0
+    if not np.isfinite(M).all():
+        scale = int(np.frexp(np.abs(G).max())[1]) - 1
+        G, tolerance = np.ldexp(G, -scale), math.ldexp(tolerance, -scale)
+        M = G @ G.T
     lam = np.zeros(q)
     lam[int(np.argmin(np.diag(M)))] = 1.0
     # Below this the simplex gap is indistinguishable from rounding noise in
@@ -171,7 +181,7 @@ def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10) -> MarginalSolution:
         direction = -y / omega
     else:
         direction = np.zeros(n)
-    return MarginalSolution(omega, direction, lam, residual)
+    return MarginalSolution(math.ldexp(omega, scale), direction, lam, math.ldexp(residual, scale))
 
 
 def solve_marginal_q2_closed_form(g1, g2) -> MarginalSolution:

@@ -23,11 +23,9 @@ from .core import (
     PhiloxStream,
     RngStream,
     SampleBatch,
-    advance,
+    Streams,
     as_decision_batch,
     as_decision_vector,
-    normals,
-    peek_normals,
 )
 
 
@@ -117,80 +115,77 @@ class NoiseSpec:
             raise ConfigError("bounded noise caps must be positive")
 
 
-def _replay_bounded(noise: NoiseSpec, rng, first: np.ndarray, ahead: np.ndarray,
-                    q: int, n: int):
-    """One state's bounded noise draw by draw, rejection by rejection, as
-    (value noise (q,), gradient noise (q, n), normals used after ``first``,
-    the ``peek_normals`` row they come from). ``first`` holds the draws
-    already taken from ``rng`` and ``ahead`` the row peeked after them; a
-    longer row is peeked when the draws run past it."""
-    seq, used = np.concatenate([first, 0.0 + noise.sigma * ahead[:-1]]), 0
-
-    def draw(size, cap, norm):
-        nonlocal ahead, seq, used
-        for _ in range(10_000):
-            while used + size > seq.size:
-                ahead = peek_normals([rng], 2 * ahead.size)[0]
-                seq = np.concatenate([first, 0.0 + noise.sigma * ahead[:-1]])
-            eps = seq[used:used + size]
-            used += size
-            if norm(eps) <= cap:
-                return eps
-        raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
-
-    eps_f, eps_g = np.empty(q), np.empty((q, n))
-    for i in range(q):
-        eps_f[i] = draw(1, noise.cap_f, lambda e: abs(e[0]))[0]
-        eps_g[i] = (eps_g[0] if i and noise.shared_gradient_noise
-                    else draw(n, noise.cap_g, lambda e: math.sqrt(e.dot(e))))
-    return eps_f, eps_g, max(0, used - first.size), ahead
+# A bounded-noise component outside its cap draws this many candidates a
+# round (an even count: whole pairs of raw values) and keeps the first one
+# inside; 10,000 candidates without one end the draw.
+_CANDIDATES = 8
+_ROUNDS = -(-10_000 // _CANDIDATES)
 
 
 @functools.lru_cache(maxsize=None)
-def _noise_columns(q: int, n: int, shared: bool) -> tuple[np.ndarray, np.ndarray]:
+def _noise_layout(q: int, n: int, shared: bool):
     """Where a state's draws go: the columns of its value noise (q,) and of
-    its gradient noise (q, n) in its row of draws; shared, so read-only."""
+    its gradient noise (q, n) in its row of draws, and its components in
+    column order, as (first column, size, whether a gradient vector) per
+    component; shared, so read-only."""
     if shared:      # f_1, the shared gradient vector, f_2, ..., f_q
         f, g = np.r_[0, n + 1:n + q], np.tile(np.arange(1, n + 1), (q, 1))
+        grad = np.r_[False, True, np.zeros(q - 1, dtype=bool)]
     else:           # per objective: f_i, then g_i
         cols = np.arange(q * (1 + n)).reshape(q, 1 + n)
         f, g = cols[:, 0], cols[:, 1:]
-    f.flags.writeable = g.flags.writeable = False
-    return f, g
+        grad = np.tile([False, True], q)
+    sizes = np.where(grad, n, 1)
+    layout = f, g, np.cumsum(sizes) - sizes, sizes, grad
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
-def draw_noise(noise: NoiseSpec, rngs, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def draw_noise(noise: NoiseSpec, rngs: Streams, rows: np.ndarray, q: int,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
     """Value noise (B, q) and gradient noise (B, q, n), state b drawing from
-    ``rngs[b]`` in the same order as a one-state draw: per objective its value
-    noise, then its gradient noise vector (drawn once, after the first value,
-    when shared).
+    row ``rows[b]`` of ``rngs``: m normals in column order, per objective
+    its value noise, then its gradient noise vector (drawn once, after the
+    first value, when shared); all states in one ``Streams.normals`` call.
 
-    Each state takes the fewest draws its sequence can use, all states in
-    one ``core.normals`` call. With ``bounded`` set, a state whose draws
-    are not all within the caps is replayed draw by draw, with the rejection
-    rule applied exactly, on the normals that follow, which are peeked for
-    all such states at once and drawn as far as each used them; the batch
-    check and the replay compute each norm as ``np.linalg.norm`` does,
-    sqrt(e . e).
+    With ``bounded`` set, each component outside its cap (|e| <= cap_f for
+    a value, sqrt(e . e) <= cap_g for a gradient vector) is redrawn by
+    block rejection: in a round, every such component of every state draws
+    ``_CANDIDATES`` candidates (of its size) and takes the first one
+    inside, each state drawing its components' candidates in column order,
+    all states in one call. A component without one goes on to the next
+    round; after ``_ROUNDS`` rounds the draw is a ValueError. An accepted
+    value has the law of sequential rejection (Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, ch. II.3).
     """
-    m = q + n if noise.shared_gradient_noise else q * (1 + n)
-    Z = normals(rngs, m, noise.sigma)
-    f_cols, g_cols = _noise_columns(q, n, noise.shared_gradient_noise)
-    eps_f, eps_g = Z[:, f_cols], Z[:, g_cols]
-    if noise.bounded:
-        inside = ((np.abs(eps_f) <= noise.cap_f).all(axis=1)
-                  & (np.sqrt(np.vecdot(eps_g, eps_g)) <= noise.cap_g).all(axis=1))
-        out = np.flatnonzero(~inside).tolist()
-        if out:     # replayed on rows peeked together, drawn together after
-            streams, used, rows = [rngs[b] for b in out], [], []
-            ahead = peek_normals(streams, 4 * m)     # a longer replay peeks on alone
-            for j, b in enumerate(out):
-                eps_f[b], eps_g[b], k, row = _replay_bounded(noise, streams[j], Z[b],
-                                                              ahead[j], q, n)
-                used.append(k)
-                rows.append(row)
-            advance(streams, used, rows)
-    return eps_f, eps_g
+    f_cols, g_cols, starts, sizes, grad = _noise_layout(q, n, noise.shared_gradient_noise)
+    m = int(sizes.sum())
+    Z = rngs.normals(rows, m, noise.sigma).reshape(rows.size, m)
+    if not noise.bounded:
+        return Z[:, f_cols], Z[:, g_cols]
+    states, out = np.arange(rows.size), np.ones((rows.size, sizes.size), dtype=bool)
+    drawn, k = Z.ravel(), 1         # round 0 checks the first draws
+    for i in range(_ROUNDS + 1):
+        if i:
+            k = _CANDIDATES
+            drawn = rngs.normals(rows[states], (out * sizes).sum(axis=1) * k, noise.sigma)
+        need = out * sizes * k      # at: where each (state, component)'s candidates start
+        at = (np.cumsum(need) - need.ravel()).reshape(need.shape)
+        for g, size, cap in ((False, 1, noise.cap_f), (True, n, noise.cap_g)):
+            r, c = np.nonzero(out & (grad == g))
+            E = drawn[at[r, c, None] + np.arange(k * size)].reshape(-1, k, size)
+            inside = (np.sqrt(np.vecdot(E, E)) if g else np.abs(E[..., 0])) <= cap
+            hit = inside.any(axis=1)
+            r, c = r[hit], c[hit]
+            Z[states[r, None], starts[c, None] + np.arange(size)] = E[hit, inside.argmax(axis=1)[hit]]
+            out[r, c] = False
+        keep = out.any(axis=1)
+        states, out = states[keep], out[keep]
+        if not states.size:
+            return Z[:, f_cols], Z[:, g_cols]
+    cap = noise.cap_g if grad[np.argmax(out[0])] else noise.cap_f
+    raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
 
 
 class AnalyticOracle(Oracle):
@@ -208,14 +203,14 @@ class AnalyticOracle(Oracle):
     def exact_evaluate_batch(self, X, need_hessians=False):
         return self.problem.exact_batch(X, need_hessians)
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
         """Exact arrays of every state plus its radius-scaled noise: values
         get eps * delta^2 and gradients eps * delta."""
         f, g, h = self.problem.exact_batch(X, need_hessians)
         deltas = np.asarray(deltas, dtype=float)
         B, q, n = g.shape
         if self.noise.sigma > 0:
-            eps_f, eps_g = draw_noise(self.noise, rngs, q, n)
+            eps_f, eps_g = draw_noise(self.noise, rngs, rows, q, n)
             f = f + eps_f * (deltas * deltas)[:, None]
             g = g + eps_g * deltas[:, None, None]
         return SampleBatch(values=f, gradients=g, delta=deltas,
@@ -465,14 +460,16 @@ class FiniteSumOracle(Oracle):
                           for i, size in enumerate(self._sizes)])
         return np.array(sizes, dtype=int).reshape(X.shape[0], self.q)
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
         X = as_decision_batch(X, self.n)
         sizes = self._sample_sizes(X, deltas, alpha)
-        # State b draws group 0's subsample, then group 1's, ... from rngs[b].
-        rows = [[group.start + np.sort(rng.choice(len(group), size=m, replace=False))
-                 if m < len(group) else None for m, group in zip(ms, self.problem.groups)]
-                for ms, rng in zip(sizes.tolist(), rngs)]
-        f, g, H = self._evaluate(X, rows, need_hessians)
+        # State b draws group 0's subsample, then group 1's, ... from numpy's
+        # Generator on row rows[b] of rngs.
+        subsets = [[group.start + np.sort(rngs.numpy_generator(b).choice(len(group), size=m,
+                                                                           replace=False))
+                    if m < len(group) else None for m, group in zip(ms, self.problem.groups)]
+                   for ms, b in zip(sizes.tolist(), rows.tolist())]
+        f, g, H = self._evaluate(X, subsets, need_hessians)
         return SampleBatch(values=f, gradients=g, delta=deltas, sample_sizes=sizes,
                            cost=sizes.sum(axis=1), hessians=H)
 
@@ -570,7 +567,7 @@ class ExactOracle(Oracle):
     def group_sizes(self) -> np.ndarray:
         return self.inner.group_sizes()
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
         f, g, h = self.inner.exact_evaluate_batch(X, need_hessians)
         B, sizes = f.shape[0], self.group_sizes()
         return SampleBatch(values=f, gradients=g, delta=deltas,

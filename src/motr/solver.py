@@ -20,10 +20,9 @@ from .core import (
     HessianCombine,
     HessianMode,
     Oracle,
-    PhiloxStream,
-    RngStream,
     SampleBatch,
     SolverConfig,
+    Streams,
     alpha_at,
     as_decision_vector,
 )
@@ -225,7 +224,7 @@ class Batch:
     delta: np.ndarray
     cost: np.ndarray
     k: np.ndarray
-    rngs: list[PhiloxStream]
+    rngs: Streams
     errors: list[Exception | None]
     trace: dict[str, np.ndarray] | None
 
@@ -280,8 +279,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     alpha = alpha_at(config.alpha_schedule, k, oracle.q)
     need_h = smg is None and config.hessian_mode is HessianMode.SUBSAMPLED
     X, deltas = batch.x[live], batch.delta[live]
-    sample = oracle.evaluate_batch(X, deltas, alpha, [batch.rngs[b] for b in live.tolist()],
-                                   need_hessians=need_h)
+    sample = oracle.evaluate_batch(X, deltas, alpha, batch.rngs, live, need_hessians=need_h)
     if sample.errors:
         for j, exc in sample.errors.items():
             batch.errors[live[j]] = exc
@@ -330,8 +328,8 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
         undecided = pred > guard
         if undecided.any():
             ev = act[undecided]
-            trial = oracle.evaluate_batch(X[ev] + d[undecided], deltas[ev], alpha,
-                                          [batch.rngs[b] for b in live[ev].tolist()])
+            trial = oracle.evaluate_batch(X[ev] + d[undecided], deltas[ev], alpha, batch.rngs,
+                                          live[ev])
             rho[ev] = compute_rho(phi_tilde[ev], trial.values.max(axis=1), pred[undecided],
                                   guard[undecided])
             success[ev] = (rho[ev] >= config.eta1) & (marg.omega[ev] > config.theta * deltas[ev])
@@ -346,7 +344,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
     else:       # no iterate moved, and those that did not are finite
         new_x = None
     ok = np.flatnonzero([batch.errors[b] is None for b in live.tolist()])
-    rows, ok = _positions(live[ok], len(batch.rngs)), _positions(ok, B)
+    rows, ok = _positions(live[ok], len(batch.x)), _positions(ok, B)
     if trace is not None:
         columns = dict(k=np.full(B, k), omega_m=marg.omega, phi_tilde=phi_tilde, rho=rho,
                        delta=deltas, success=success, **exact, cost_so_far=cost,
@@ -354,7 +352,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                        sample_sizes=sample.sample_sizes, predicted_reduction=predicted, beta=beta)
         for name, column in columns.items():
             if name not in trace:
-                trace[name] = np.empty((config.k_max, len(batch.rngs)) + column.shape[1:],
+                trace[name] = np.empty((config.k_max, len(batch.x)) + column.shape[1:],
                                        column.dtype)
             trace[name][k, rows] = column[ok]
     if new_x is not None:
@@ -389,7 +387,7 @@ def run_batch(oracle: Oracle, config: SolverConfig, x0s, seeds,
     B = len(X)
     batch = Batch(X, np.full(B, float(config.delta0 if smg is None else smg[1])),
                   np.zeros(B, dtype=int), np.zeros(B, dtype=int),
-                  [RngStream(seed).generator() for seed in seeds], [None] * B,
+                  Streams([(seed, 0) for seed in seeds]), [None] * B,
                   {} if keep_history else None)
     for _ in range(config.k_max):
         iterate_batch(batch, oracle, config, smg)

@@ -28,8 +28,8 @@ class PoisonedOracle(AnalyticOracle):
         point = np.asarray(point, dtype=float)
         return cls(lambda X: np.all(X == point, axis=1), **kwargs)
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
-        batch = super().evaluate_batch(X, deltas, alpha, rngs, need_hessians)
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
+        batch = super().evaluate_batch(X, deltas, alpha, rngs, rows, need_hessians)
         values = batch.values.copy()
         values[self.is_bad(np.asarray(X))] = np.nan
         return replace(batch, values=values)

@@ -101,9 +101,9 @@ GOLDEN = {
     "test1_bounded_shared/stdout":
         "2e13bc3662419b12d84da61908b54237c97a455634a5d1fdf4b8f39d20f8c87d",
     "test1_bounded_shared/out":
-        "df80ac4edb68b286d547153873c6ea629a75974ff1c3a628b0f91d59eb6cf6d9",
+        "aaa9cec105f3c583d832b0a8d4e835e41c8d8051854a56f86f51ef58548da387",
     "test1_bounded_shared/out.summary.json":
-        "41b52dec8a7936480f5dd73c603fb8373798fc1814f1f623b3496cdc847d8f74",
+        "5700e6bc78d4f0ac47a010c1b5f8dade1b3ec86f5f6bab57d2b24a2013fd8b9c",
     "smop_synthetic/stdout":
         "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
     "smop_synthetic/out":

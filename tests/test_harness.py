@@ -156,7 +156,7 @@ class _FixedGradients(Oracle):
         self.G = np.asarray(G, dtype=float)
         self.q, self.n = self.G.shape
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
         B = len(X)
         return SampleBatch(values=np.zeros((B, self.q)),
                            gradients=np.broadcast_to(self.G, (B, self.q, self.n)),

@@ -205,3 +205,20 @@ def test_frank_wolfe_stops_where_the_line_search_overflows():
     np.testing.assert_array_equal(sol.weights, [1.0, 0.0])
     assert sol.omega == 1e154 and sol.residual >= sol.omega - 1e154 / np.sqrt(2.0)
     np.testing.assert_array_equal(sol.direction, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("G,omega", [
+    ([[1e160, 0.0], [0.0, 1e160]], 1e160 / np.sqrt(2.0)),
+    ([[1e154, 0.0], [0.0, 1e154], [1e154, 1e154]], 1e154 / np.sqrt(2.0)),
+])
+def test_frank_wolfe_scales_gradients_whose_gram_matrix_overflows(G, omega):
+    # Scaled by a power of two, the solver does exactly what it does on G
+    # 2**-k, whose Gram matrix is finite: the weights and direction equal
+    # those, omega and the residual are those times 2**k.
+    G = np.array(G)
+    k = int(np.frexp(np.abs(G).max())[1]) - 1
+    sol, small = frank_wolfe(G), frank_wolfe(np.ldexp(G, -k), np.ldexp(1e-10, -k))
+    assert sol.omega == pytest.approx(omega, rel=1e-15) and sol.converged
+    np.testing.assert_array_equal(sol.weights, small.weights)
+    np.testing.assert_array_equal(sol.direction, small.direction)
+    assert (sol.omega, sol.residual) == (np.ldexp(small.omega, k), np.ldexp(small.residual, k))

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motr import oracles
-from motr.core import ConfigError, HessianMode, ObjectiveSample, RngStream, SolverConfig
+from motr.core import (ConfigError, HessianMode, ObjectiveSample, RngStream, SolverConfig,
+                       Streams)
 from motr.oracles import (
     ANALYTIC,
     AnalyticOracle,
@@ -148,23 +149,37 @@ def test_shared_gradient_noise_flag():
     np.testing.assert_allclose(s.gradients[0] - g[0], s.gradients[1] - g[1])
 
 
-def _sequential_noise(noise, rng, q, n):
-    """Reference one-state draw: per objective its value noise, then its
-    gradient noise (drawn once, for the first objective, when shared); each
-    bounded draw is repeated until it lies within its cap."""
-    def draw(size, cap, norm):
-        for _ in range(10_000):
-            eps = rng.normal(0.0, noise.sigma, size=size)
-            if not noise.bounded or norm(eps) <= cap:
-                return eps
-        raise ValueError(f"bounded noise: no draw within cap {cap} in 10000 tries")
-    eps_f, eps_g, shared = np.zeros(q), np.zeros((q, n)), None
-    for i in range(q):
-        eps_f[i] = draw(None, noise.cap_f, abs)
-        if shared is None or not noise.shared_gradient_noise:
-            shared = draw(n, noise.cap_g, np.linalg.norm)
-        eps_g[i] = shared
-    return eps_f, eps_g
+def _block_rejection_noise(noise, rng, q, n):
+    """Reference one-state draw, in plain Python: the first normals, per
+    objective its value noise, then its gradient noise (drawn once, after
+    the first value, when shared); with ``bounded``, in each round every
+    component outside its cap, in column order, draws ``_CANDIDATES``
+    candidates and takes the first one inside."""
+    shared = noise.shared_gradient_noise
+    grad = [False, True] + ([False] * (q - 1) if shared else [False, True] * (q - 1))
+    sizes = [n if g else 1 for g in grad]
+    caps = [noise.cap_g if g else noise.cap_f for g in grad]
+    row = rng.normal(0.0, noise.sigma, size=sum(sizes))
+    comps = np.split(row, np.cumsum(sizes)[:-1])
+
+    def inside(e, j):
+        return (np.linalg.norm(e) if grad[j] else abs(e[0])) <= caps[j]
+
+    out = [j for j, e in enumerate(comps) if noise.bounded and not inside(e, j)]
+    for _ in range(oracles._ROUNDS):
+        for j in out:
+            size = sizes[j]
+            candidates = rng.normal(0.0, noise.sigma, size=oracles._CANDIDATES * size)
+            for e in candidates.reshape(-1, size):
+                if inside(e, j):
+                    comps[j] = e
+                    break
+        out = [j for j in out if not inside(comps[j], j)]
+    if out:
+        raise ValueError(f"bounded noise: no draw within cap {caps[out[0]]} in 10000 tries")
+    if shared:
+        return np.concatenate([comps[0]] + comps[2:]), np.tile(comps[1], (q, 1))
+    return np.concatenate(comps[0::2]), np.array(comps[1::2])
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,50 +187,98 @@ def _sequential_noise(noise, rng, q, n):
        n=st.integers(1, 4), sigma=st.sampled_from([0.1, 0.5, 1.0]),
        bounded=st.booleans(), caps=st.sampled_from([(0.05, 0.5), (0.5, 0.5), (1.0, 3.0)]),
        shared=st.booleans())
-def test_noise_draws_match_sequential_reference(seed, size, q, n, sigma, bounded, caps,
-                                                shared):
+def test_noise_draws_match_block_rejection_reference(seed, size, q, n, sigma, bounded, caps,
+                                                     shared):
+    # The batched draw gives each state the reference's values bit for bit
+    # and leaves its stream where the reference leaves it; the row left out
+    # of the draws draws nothing.
     noise = NoiseSpec(sigma=sigma, bounded=bounded, cap_f=caps[0], cap_g=caps[1],
                       shared_gradient_noise=shared)
-    rngs = [RngStream(seed, b).generator() for b in range(size)]
+    rngs = Streams([(seed, b) for b in range(size + 1)])
     refs = [RngStream(seed, b).generator() for b in range(size)]
     for _ in range(3):
-        eps_f, eps_g = draw_noise(noise, rngs, q, n)
+        eps_f, eps_g = draw_noise(noise, rngs, np.arange(size), q, n)
         for b in range(size):
-            want_f, want_g = _sequential_noise(noise, refs[b], q, n)
+            want_f, want_g = _block_rejection_noise(noise, refs[b], q, n)
             np.testing.assert_array_equal(eps_f[b], want_f)
             np.testing.assert_array_equal(eps_g[b], want_g)
-            assert rngs[b].state == refs[b].state
+    assert [rngs.state(b) for b in range(size)] == [ref.state() for ref in refs]
+    assert rngs.state(size) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 14])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bounded_noise_fast_path_at_the_exact_cap(seed, n):
     # The first gradient draw's norm is the cap, or the cap is one ulp below
-    # it: the batch check must decide as the draw-by-draw rule does.
+    # it: the batch check must decide as the reference does, keeping the
+    # draw or redrawing the gradient once.
     norm = float(np.linalg.norm(RngStream(seed).generator().normal(0.0, 1.0, size=1 + n)[1:]))
-    for cap_g, replays in ((norm, 0), (np.nextafter(norm, 0.0), 1)):
+    first = 2 * -(-(1 + n) // 2)
+    for cap_g, used in ((norm, first), (np.nextafter(norm, 0.0), first + 8 * n)):
         noise = NoiseSpec(sigma=1.0, bounded=True, cap_f=10.0, cap_g=cap_g)
         rng, ref = RngStream(seed).generator(), RngStream(seed).generator()
-        with mock.patch.object(oracles, "_replay_bounded",
-                               wraps=oracles._replay_bounded) as replay:
-            eps_f, eps_g = draw_noise(noise, [rng], 1, n)
-        assert replay.call_count == replays
-        want_f, want_g = _sequential_noise(noise, ref, 1, n)
+        eps_f, eps_g = draw_noise(noise, rng, np.zeros(1, dtype=int), 1, n)
+        want_f, want_g = _block_rejection_noise(noise, ref, 1, n)
         np.testing.assert_array_equal(eps_f[0], want_f)
         np.testing.assert_array_equal(eps_g[0], want_g)
-        assert rng.state == ref.state
+        assert rng.state() == ref.state() == used
 
 
 def test_bounded_noise_exhaustion_is_an_error_naming_the_cap():
     noise = NoiseSpec(sigma=1.0, bounded=True, cap_g=0.001)
     message = "bounded noise: no draw within cap 0.001 in 10000 tries"
     with pytest.raises(ValueError, match=message):
-        draw_noise(noise, [RngStream(3).generator()], 2, 2)
+        draw_noise(noise, RngStream(3).generator(), np.zeros(1, dtype=int), 2, 2)
     with pytest.raises(ValueError, match=message):
-        _sequential_noise(noise, RngStream(3).generator(), 2, 2)
+        _block_rejection_noise(noise, RngStream(3).generator(), 2, 2)
     oracle = AnalyticOracle(AnalyticProblem("test1"), noise)
     with pytest.raises(ValueError, match=message):
         oracle.evaluate(np.zeros(2), 1.0, 0.5, RngStream(3).generator())
+
+
+def test_exhausted_rounds_leave_each_stream_where_the_reference_does():
+    # A gradient cap that about half the components meet within 10,000
+    # candidates: some states accept and stop drawing, others run out and
+    # the draw raises. Up to the raise each state has drawn what its
+    # reference draws, no more; the row left out has drawn nothing.
+    noise = NoiseSpec(sigma=1.0, bounded=True, cap_f=10.0, cap_g=0.0118)
+    rngs, rows = Streams([(9, b) for b in range(9)]), np.arange(8)
+    with pytest.raises(ValueError, match="within cap 0.0118 in 10000 tries"):
+        draw_noise(noise, rngs, rows, 2, 2)
+    exhausted = []
+    for b in rows.tolist():
+        ref = RngStream(9, b).generator()
+        try:
+            _block_rejection_noise(noise, ref, 2, 2)
+        except ValueError:
+            exhausted.append(b)
+        assert rngs.state(b) == ref.state()
+    assert 0 < len(exhausted) < 8 and rngs.state(8) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_rejection_gives_the_truncated_normal(seed):
+    # Caps of one sigma redraw about a third of the values and two in five
+    # gradient vectors, some more than once. The accepted values follow the
+    # normal truncated to the cap: |e| / sigma has the CDF erf(t / sqrt 2) /
+    # erf(1 / sqrt 2) on [0, 1], the norm of a 2-vector (1 - exp(-t^2 / 2)) /
+    # (1 - exp(-1 / 2)); each sign is equally likely.
+    B, sigma = 10_000, 0.5
+    noise = NoiseSpec(sigma=sigma, bounded=True, cap_f=sigma, cap_g=sigma)
+    eps_f, eps_g = draw_noise(noise, Streams([(seed, b) for b in range(B)]), np.arange(B), 2, 2)
+    values, norms = np.abs(eps_f).ravel() / sigma, np.linalg.norm(eps_g, axis=2).ravel() / sigma
+    assert values.max() <= 1.0 and norms.max() <= 1.0
+
+    def within(hits, m, p):
+        assert abs(int(hits) - m * p) <= 5.0 * math.sqrt(m * p * (1 - p)), (hits, m, p)
+
+    for t in (0.25, 0.5, 0.75, 0.9):
+        within((values <= t).sum(), values.size,
+               math.erf(t / math.sqrt(2.0)) / math.erf(1.0 / math.sqrt(2.0)))
+        within((norms <= t).sum(), norms.size,
+               (1.0 - math.exp(-t * t / 2.0)) / (1.0 - math.exp(-0.5)))
+    for signs in (eps_f > 0, eps_g > 0):
+        within(signs.sum(), signs.size, 0.5)
 
 
 def test_required_sample_size_reference_value():
@@ -479,7 +542,7 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
             np.testing.assert_array_equal(want.sample_sizes, oracle.group_sizes())
             _assert_same_sample(
                 ObjectiveSample(f, g, 1e-9, want.sample_sizes, want.cost, H), want)
-        np.testing.assert_equal(rng_oracle.state, rng_ref.state)
+        np.testing.assert_equal(rng_oracle.state(), rng_ref.state())
     # Memoised full-batch arrays are shared between calls, so they are read-only.
     x = points[calls[-1][0]]
     oracle.exact_evaluate(x, need_hessians=True)
@@ -537,12 +600,13 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
     X = points[[p for p, _ in states]]
     deltas = np.array([d for _, d in states])
     oracle = FiniteSumOracle(problem, mode)
-    rngs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
+    rngs = Streams([(seed % 1000 + b, 0) for b in range(len(states))])
     refs = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     plain = [RngStream(seed % 1000 + b).generator() for b in range(len(states))]
     for _ in range(rounds):                 # later rounds are served by the memo
         with mock.patch.object(oracles, "_GATHER_BYTES", gather_bytes):
-            batch = oracle.evaluate_batch(X, deltas, alpha, rngs, need_hessians=need_h)
+            batch = oracle.evaluate_batch(X, deltas, alpha, rngs, np.arange(len(states)),
+                                          need_hessians=need_h)
         f, g, H = oracle.exact_evaluate_batch(X, need_hessians=exact_h)
         assert (H is None) != exact_h
         for b in range(len(states)):
@@ -552,9 +616,9 @@ def test_finite_sum_batch_equals_one_state_calls(seed, num_rows, num_features, n
             if mode == "estimated":
                 _assert_same_sample(batch.sample(b), subsampled_evaluate(
                     problem, X[b], deltas[b], alpha, plain[b], need_hessians=need_h))
-                np.testing.assert_equal(plain[b].state, rngs[b].state)
+                np.testing.assert_equal(plain[b].state(), rngs.state(b))
             assert batch.cost[b] == batch.sample_sizes[b].sum()
-            np.testing.assert_equal(rngs[b].state, refs[b].state)
+            np.testing.assert_equal(rngs.state(b), refs[b].state())
             want = FiniteSumOracle(problem, mode).exact_evaluate(X[b], need_hessians=exact_h)
             np.testing.assert_array_equal(f[b], want[0])
             np.testing.assert_array_equal(g[b], want[1])

@@ -13,9 +13,9 @@ from motr import solver
 from motr.core import (
     HessianCombine,
     HessianMode,
-    RngStream,
     SampleBatch,
     SolverConfig,
+    Streams,
 )
 from motr.marginal import solve_marginal_batch
 from motr.oracles import (
@@ -350,7 +350,7 @@ def test_exact_evaluation_only_where_an_iterate_moved(keep_history, smg):
     cfg = SolverConfig(k_max=40)
     batch = Batch(np.array(x0s), np.full(3, cfg.delta0 if smg is None else smg[1]),
                   np.zeros(3, dtype=int), np.zeros(3, dtype=int),
-                  [RngStream(s).generator() for s in seeds], [None] * 3,
+                  Streams([(s, 0) for s in seeds]), [None] * 3,
                   {} if keep_history else None)
     moved = np.ones(3, dtype=bool)
     for k in range(cfg.k_max):
@@ -495,18 +495,18 @@ class _Recording(FiniteSumOracle):
         super().__init__(problem)
         self.calls = []
 
-    def evaluate_batch(self, X, deltas, alpha, rngs, need_hessians=False):
-        sample = super().evaluate_batch(X, deltas, alpha, rngs, need_hessians)
-        self.calls.append((np.array(X), np.array(deltas), alpha, list(rngs), sample))
+    def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
+        sample = super().evaluate_batch(X, deltas, alpha, rngs, rows, need_hessians)
+        self.calls.append((np.array(X), np.array(deltas), alpha, (rngs, rows.tolist()), sample))
         return sample
 
 
 def _replayed_streams(problem, seeds, calls):
     """Fresh streams for ``seeds`` after drawing exactly the given
     (points, radii, accuracy target) evaluations, one state per row."""
-    fresh = [RngStream(s).generator() for s in seeds]
+    fresh = Streams([(s, 0) for s in seeds])
     for X, deltas, alpha in calls:
-        FiniteSumOracle(problem).evaluate_batch(X, deltas, alpha, fresh)
+        FiniteSumOracle(problem).evaluate_batch(X, deltas, alpha, fresh, np.arange(len(seeds)))
     return fresh
 
 
@@ -527,8 +527,8 @@ def test_a_trial_decided_by_the_guard_is_not_evaluated():
                                   np.cumsum([c[-1].cost for c in oracle.calls], axis=0))
     assert (trace["cost_so_far"][-1] > 0).all()
     fresh = _replayed_streams(problem, seeds, [c[:3] for c in oracle.calls])
-    for used, replayed in zip(batch.rngs, fresh):
-        np.testing.assert_equal(used.state, replayed.state)
+    for b in range(len(seeds)):
+        np.testing.assert_equal(batch.rngs.state(b), fresh.state(b))
 
 
 def test_only_the_undecided_trials_are_evaluated():
@@ -541,14 +541,12 @@ def test_only_the_undecided_trials_are_evaluated():
     cfg, seeds = SolverConfig(k_max=1), [51, 52, 53, 54]
     x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 4))
     batch = Batch(x0s.copy(), np.array([1.0, 1e-15, 0.5, 3e-15]), np.zeros(4, dtype=int),
-                  np.zeros(4, dtype=int), [RngStream(s).generator() for s in seeds],
-                  [None] * 4, {})
+                  np.zeros(4, dtype=int), Streams([(s, 0) for s in seeds]), [None] * 4, {})
     iterate_batch(batch, oracle, cfg)
     assert batch.errors == [None] * 4 and len(oracle.calls) == 2
     (_, _, alpha, sample_rngs, sample), (X, deltas, _, trial_rngs, trial) = oracle.calls
-    assert [r is s for r, s in zip(sample_rngs, batch.rngs)] == [True] * 4
-    assert len(trial_rngs) == 2
-    assert trial_rngs[0] is batch.rngs[0] and trial_rngs[1] is batch.rngs[2]
+    assert sample_rngs[0] is trial_rngs[0] is batch.rngs
+    assert sample_rngs[1] == [0, 1, 2, 3] and trial_rngs[1] == [0, 2]
     np.testing.assert_array_equal(deltas, [1.0, 0.5])
     row = {name: column[0] for name, column in batch.trace.items()}
     guard = cfg.rho_guard * np.maximum(1.0, np.abs(row["phi_tilde"]))
@@ -566,8 +564,8 @@ def test_only_the_undecided_trials_are_evaluated():
     np.testing.assert_array_equal(batch.x[decided], x0s[decided])
     fresh = _replayed_streams(problem, [seeds[b] for b in decided],
                               [(x0s[decided], [1e-15, 3e-15], alpha)])
-    for b, replayed in zip(decided, fresh):
-        np.testing.assert_equal(batch.rngs[b].state, replayed.state)
+    for j, b in enumerate(decided):
+        np.testing.assert_equal(batch.rngs.state(b), fresh.state(j))
 
 
 def test_a_state_with_a_non_positive_radius_stops_and_the_others_go_on():
@@ -578,13 +576,12 @@ def test_a_state_with_a_non_positive_radius_stops_and_the_others_go_on():
     cfg, seeds = SolverConfig(k_max=6), [61, 62, 63, 64]
     x0s = np.array([[9.0, 9.0], [1.0, 4.0], [3.0, -1.0], [0.5, 0.5]])
     batch = Batch(x0s.copy(), np.array([1.0, 0.0, -2.0, 1.0]), np.zeros(4, dtype=int),
-                  np.zeros(4, dtype=int), [RngStream(s).generator() for s in seeds],
-                  [None] * 4, {})
+                  np.zeros(4, dtype=int), Streams([(s, 0) for s in seeds]), [None] * 4, {})
     for _ in range(cfg.k_max):
         iterate_batch(batch, oracle, cfg)
     for b in (1, 2):
         assert str(batch.errors[b]) == "delta must be positive"
-        assert batch.k[b] == 0 and batch.rngs[b].state == (0, None)
+        assert batch.k[b] == 0 and batch.rngs.state(b) == 0
         np.testing.assert_array_equal(batch.x[b], x0s[b])
     alone = run_batch(oracle, cfg, x0s[[0, 3]], [seeds[0], seeds[3]])
     for b, j in ((0, 0), (3, 1)):

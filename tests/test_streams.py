@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motr
-from motr.core import (PhiloxStream, RngStream, _box_muller, advance, normals,
-                       peek_normals, philox4x64, refill)
+from motr.core import PhiloxStream, RngStream, Streams, _box_muller, philox4x64
 
 U64 = st.integers(0, 2**64 - 1)
 # Counters near a carry out of the low lanes, as well as anywhere.
@@ -42,21 +41,28 @@ def test_kernel_matches_numpy_philox(key, counter, n):
     np.testing.assert_array_equal(got, bits.random_raw(n))
 
 
+def _split(values, counts):
+    return np.split(values, np.cumsum(counts)[:-1])
+
+
 @settings(max_examples=60, deadline=None)
-@given(keys=st.lists(st.tuples(U64, U64), min_size=1, max_size=6),
-       counts=st.lists(st.integers(0, 700), min_size=1, max_size=6))
-def test_streams_refilled_together_equal_numpy_philox(keys, counts):
-    # Each call refills every short stream of a batch at once, chunked by
-    # whole streams; every stream still reads its own key's sequence.
-    streams = [PhiloxStream(key) for key in keys]
-    drawn = [[] for _ in keys]
-    for count in counts:
-        refill(streams, count)
-        for b, s in enumerate(streams):
-            drawn[b].append(s.raw(count))
-    for key, values in zip(keys, drawn):
-        want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(sum(counts))
-        np.testing.assert_array_equal(np.concatenate(values), want)
+@given(keys=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), data=st.data())
+def test_streams_refilled_together_equal_numpy_philox(keys, data):
+    # Each draw takes its own count from each of any rows, refilling every
+    # short row at once; every row still reads its own key's sequence and
+    # stands where it has drawn to.
+    streams, drawn = Streams(keys), [[] for _ in keys]
+    for _ in range(data.draw(st.integers(1, 8))):
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(keys) - 1), min_size=1))))
+        counts = np.array(data.draw(st.lists(st.integers(0, 700), min_size=rows.size,
+                                             max_size=rows.size)))
+        for b, values in zip(rows.tolist(), _split(streams.raw(rows, counts), counts)):
+            drawn[b].append(values)
+    for b, key in enumerate(keys):
+        total = sum(map(len, drawn[b]))
+        want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(total)
+        np.testing.assert_array_equal(np.concatenate(drawn[b] or [want]), want)
+        assert streams.state(b) == total
 
 
 @pytest.mark.parametrize("key", [(0, 0), (7, 999), (2**64 - 1, 3)])
@@ -77,24 +83,23 @@ def test_random_uniform_integers_equal_numpy_generator(key):
 
 def _reference_draws(key, plan):
     """The draws of ``plan`` ((kind, count) pairs) computed from numpy's raw
-    sequence, one Box-Muller pair at a time, with the spare kept by hand."""
+    sequence: a normal draw takes one Box-Muller pair at a time and drops
+    the second normal of its last pair when its count is odd."""
     raw = iter(np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(10_000))
-    spare, out = None, []
+    out = []
     for kind, count in plan:
         if kind == "random":
             out.append(np.array([(int(next(raw)) >> 11) * 2.0**-53 for _ in range(count)]))
             continue
         z = []
-        while len(z) < count:
-            if spare is not None:
-                z.append(spare)
-                spare = None
-            else:
-                pair = _box_muller(np.array([next(raw), next(raw)], dtype=np.uint64))
-                z.append(float(pair[0]))
-                spare = float(pair[1])
-        out.append(np.array(z))
+        for _ in range(-(-count // 2)):
+            z += _box_muller(np.array([next(raw), next(raw)], dtype=np.uint64)).tolist()
+        out.append(np.array(z[:count]))
     return out
+
+
+def _raw_used(plan):
+    return sum(count + count % 2 * (kind == "normal") for kind, count in plan)
 
 
 @settings(max_examples=80, deadline=None)
@@ -102,9 +107,11 @@ def _reference_draws(key, plan):
        plan=st.lists(st.tuples(st.sampled_from(["normal", "random"]), st.integers(0, 9)),
                      max_size=12))
 def test_normal_draws_follow_the_pair_rule_in_any_split(key, plan):
-    # Drawn at once or one by one, after odd uniform draws or not, the
-    # normals are the pairs of the raw sequence with one spare carried.
+    # Drawn at once or split into draws of one, after odd uniform draws or
+    # not, each normal draw takes whole pairs of the raw sequence.
     at_once, one_by_one = PhiloxStream(key), PhiloxStream(key)
+    split = [(kind, 1) for kind, count in plan for _ in range(count)]
+    singles = iter(_reference_draws(key, split))
     for (kind, count), want in zip(plan, _reference_draws(key, plan)):
         if kind == "random":
             got, single = at_once.random(count), [one_by_one.random() for _ in range(count)]
@@ -112,56 +119,34 @@ def test_normal_draws_follow_the_pair_rule_in_any_split(key, plan):
             got = at_once.standard_normal(count)
             single = [one_by_one.standard_normal() for _ in range(count)]
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.array(single, dtype=float), want)
-        assert at_once.state == one_by_one.state
+        np.testing.assert_array_equal(np.array(single, dtype=float),
+                                      [next(singles)[0] for _ in range(count)])
+    assert at_once.state() == _raw_used(plan) and one_by_one.state() == _raw_used(split)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=U64, count=st.integers(0, 8), lead=st.lists(st.integers(0, 3), min_size=4,
-                                                        max_size=4))
-def test_batch_normals_follow_each_streams_pair_rule(seed, count, lead):
-    # Streams at different positions, some holding a spare or at an odd
-    # position: one batch call gives each stream its own sequence, and
-    # leaves it where drawing one normal at a time would.
-    streams = [PhiloxStream((seed, b)) for b in range(4)]
-    singles = [PhiloxStream((seed, b)) for b in range(4)]
-    plans = [[("normal" if b % 2 else "random", k), ("normal", count)]
-             for b, k in enumerate(lead)]
+@given(seed=U64, lead=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       counts=st.lists(st.integers(0, 9), min_size=4, max_size=4),
+       rows=st.sets(st.integers(0, 3), min_size=1))
+def test_batch_normals_follow_each_streams_pair_rule(seed, lead, counts, rows):
+    # Rows at different positions, some even, some odd: one batch call
+    # draws each row's own count of normals, whole pairs from its own
+    # sequence, and leaves the rows outside the call where they were.
+    streams = Streams([(seed, b) for b in range(4)])
+    plans = [[("normal" if b % 2 else "random", k)] for b, k in enumerate(lead)]
     for b, k in enumerate(lead):
-        (streams[b].standard_normal if b % 2 else streams[b].random)(k)
-        for _ in range(k):
-            (singles[b].standard_normal if b % 2 else singles[b].random)()
-    got = normals(streams, count, 0.3)
-    assert got.shape == (4, count)
+        if b % 2:
+            streams.normals(np.array([b]), k)
+        else:
+            streams.raw(np.array([b]), k)
+    rows = np.array(sorted(rows))
+    counts = np.array(counts)[rows]
+    got = _split(streams.normals(rows, counts, 0.3), counts)
+    for b, count, z in zip(rows.tolist(), counts.tolist(), got):
+        plans[b].append(("normal", count))
+        np.testing.assert_array_equal(z, 0.0 + 0.3 * _reference_draws((seed, b), plans[b])[-1])
     for b in range(4):
-        want = _reference_draws((seed, b), plans[b])[-1]
-        np.testing.assert_array_equal(got[b], 0.0 + 0.3 * want)
-        for _ in range(count):
-            singles[b].standard_normal()
-        assert streams[b].state == singles[b].state
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=U64, count=st.integers(0, 8), lead=st.lists(st.integers(0, 3), min_size=4,
-                                                        max_size=4), data=st.data())
-def test_peeked_normals_are_drawn_as_far_as_advanced(seed, count, lead, data):
-    # A peek draws nothing; advancing each stream by its own count leaves it
-    # where drawing that many normals would, whatever its spare and parity.
-    streams = [PhiloxStream((seed, b)) for b in range(4)]
-    for b, k in enumerate(lead):
-        (streams[b].standard_normal if b % 2 else streams[b].random)(k)
-    before = [s.state for s in streams]
-    rows = peek_normals(streams, count)
-    assert rows.shape == (4, count + 1)
-    assert [s.state for s in streams] == before
-    used = [data.draw(st.integers(0, count)) for _ in range(4)]
-    advance(streams, used, rows)
-    for b, k in enumerate(lead):
-        lead_plan = ("normal" if b % 2 else "random", k)
-        peeked = _reference_draws((seed, b), [lead_plan, ("normal", count)])[1]
-        np.testing.assert_array_equal(rows[b, :count], peeked)
-        after = _reference_draws((seed, b), [lead_plan, ("normal", used[b]), ("normal", 3)])[2]
-        np.testing.assert_array_equal(streams[b].standard_normal(3), after)
+        assert streams.state(b) == _raw_used(plans[b])
 
 
 def test_normals_are_the_documented_box_muller_formula():
@@ -202,6 +187,13 @@ def test_a_stream_draws_one_way_only():
     np.testing.assert_array_equal(through_numpy.choice(10, size=3, replace=False), want)
     with pytest.raises(ValueError, match="cannot draw in numpy"):
         through_numpy.standard_normal(2)
+    # Rows of one Streams choose apart; a draw on a row through numpy fails.
+    mixed = Streams([(5, 0), (5, 1)])
+    np.testing.assert_array_equal(mixed.numpy_generator(0).choice(10, size=3, replace=False),
+                                  want)
+    mixed.normals(np.array([1]), 4)
+    with pytest.raises(ValueError, match="cannot draw in numpy"):
+        mixed.normals(np.array([0, 1]), 2)
 
 
 _LOADED = """

@@ -40,6 +40,10 @@ README = {"problem": "test1", "noise_sigma": "0.1", "x0": "9,9", "k_max": "500",
 README_FRONTS = {
     "readme_front": ("front", dict(README, front_rounds="5")),
     "readme_front_s05_r8": ("front", dict(README, noise_sigma="0.5", front_rounds="8")),
+    "readme_front_s05_bounded_r8": ("front", dict(README, noise_sigma="0.5", front_rounds="8",
+                                                  noise_bounded="true",
+                                                  noise_shared_gradient="true",
+                                                  noise_cap_f="0.6", noise_cap_g="0.6")),
 }
 
 # Run in each child: the jobs (command, config, seed, output) come on stdin.
