@@ -77,6 +77,15 @@ CONFIGS = {
                            "hessian_mode": "subsampled", "output_format": "json",
                            "x0": ZEROS5, "k_max": "40", "num_simulations": "2",
                            "seed": "8"}),
+    "test1_refine": ("run", {"problem": "test1", "noise_sigma": "0.1",
+                             "hessian_mode": "subsampled", "refine_steps": "3",
+                             "k_max": "60", "num_simulations": "2", "seed": "9"}),
+    # n = 10: the order of the sums in the refine moves shows in the digests.
+    "synthetic_refine": ("run", {"problem": "synthetic", "x0": ZEROS10,
+                                 "hessian_mode": "subsampled", "refine_steps": "2",
+                                 "k_max": "40", "num_simulations": "2", "seed": "10"}),
+    "front_refine": ("front", {"problem": "test1", "noise_sigma": "0.1", "refine_steps": "3",
+                               "front_rounds": "1", "seed": "11"}),
 }
 
 GOLDEN = {
@@ -126,6 +135,22 @@ GOLDEN = {
         "5d64c100532c4cfe56d8c7690ac66bbbe3480510653defd7d0bce123f5556168",
     "pm1_libsvm/out.summary.json":
         "3eef37e19174f56deefc06e485274d3da6872ce22e12d5dee9defe92fcaa1cdb",
+    "test1_refine/stdout":
+        "9788f90adbf37fcfba8890c0754d540795d008c070922a761c35743c41da40a8",
+    "test1_refine/out":
+        "03b4d0d9cc544ffa6bb5bd85b8b0e2bddc7d9895d21e79915300d71c04665568",
+    "test1_refine/out.summary.json":
+        "e37f7813edb491d423a610206325c8b582222af2fc84f6674a9010f72465e1f8",
+    "synthetic_refine/stdout":
+        "89214faf80df6946f9fa87aff0ba1f6175454b104f4022dbeaa9a038c9ea3243",
+    "synthetic_refine/out":
+        "4e9c8a8f706a661f51d37c058789196e24d0b7293e5b7cd7782e59c0ce8cf5f1",
+    "synthetic_refine/out.summary.json":
+        "e86c390108fb89e26bb634d85a37ae9ba4072f60ae4d1f51889e8fc7614f5aed",
+    "front_refine/stdout":
+        "1811eef05c23417229b390953719e94a4b89748d0ce849634ad4beeeb3f0a7a7",
+    "front_refine/out":
+        "73893c14d58a8be5554125dbc3c0479fa4472c4ca17cb43440337f221723c65c",
 }
 
 
