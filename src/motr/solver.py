@@ -46,17 +46,17 @@ def spectral_norm(H: np.ndarray):
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Per-iteration max-type quadratic models: base values/gradients per
-    objective plus one shared Hessian; beta = 1 + ||H||. Every field has a
-    leading state axis, except in the one-state model of ``take(b)``."""
+    """Per-iteration max-type quadratic models of a batch of states: values
+    (B, q) and gradients (B, q, n) per objective, one Hessian (B, n, n) and
+    beta = 1 + ||H|| (B,) per state."""
 
     base_values: np.ndarray
     base_gradients: np.ndarray
     hessian: np.ndarray
-    beta: float | np.ndarray
+    beta: np.ndarray
 
     def take(self, index) -> "ModelSet":
-        """The models at ``index``; an int gives one state's model."""
+        """The models of the states at ``index``, an index array or a slice."""
         return ModelSet(self.base_values[index], self.base_gradients[index],
                         self.hessian[index], self.beta[index])
 
@@ -97,10 +97,10 @@ def build_model(sample: SampleBatch, hessian_mode: HessianMode,
                     hessian=H, beta=beta)
 
 
-def evaluate_model(model: ModelSet, d) -> float:
-    d = np.asarray(d, dtype=float)
-    linear = model.base_values + model.base_gradients @ d
-    return float(np.max(linear) + 0.5 * d @ (model.hessian @ d))
+def evaluate_model(model: ModelSet, d: np.ndarray) -> np.ndarray:
+    """Each state's model value (B,) at its step, a row of ``d`` (B, n)."""
+    linear = model.base_values + np.matvec(model.base_gradients, d)
+    return linear.max(axis=1) + 0.5 * np.vecdot(d, np.matvec(model.hessian, d))
 
 
 def cauchy_step(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
@@ -153,26 +153,27 @@ def cauchy_step(model: ModelSet, omega: np.ndarray, direction: np.ndarray,
     return alphas[rows, best][:, None] * direction, m0 - value[rows, best]
 
 
-def refine_step(model: ModelSet, d: np.ndarray, delta: float,
-                predicted_reduction: float, steps: int) -> tuple[np.ndarray, float]:
-    """Optional polish: up to ``steps`` projected model-descent moves inside
-    the ball, each kept only on strict model decrease."""
+def refine_step(model: ModelSet, d: np.ndarray, delta: np.ndarray,
+                predicted_reduction: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optional polish of each state's step, a row of ``d``: ``steps``
+    projected moves down its max-model inside its ball, from step length
+    delta/4 along the first most active objective's gradient; a move is kept
+    only on strict model decrease, else that state's step length halves."""
     m0 = evaluate_model(model, np.zeros_like(d))
     best = m0 - predicted_reduction
     t = delta / 4.0
+    rows = np.arange(len(d))
     for _ in range(steps):
-        linear = model.base_values + model.base_gradients @ d
-        active = int(np.argmax(linear))
-        g = model.base_gradients[active] + model.hessian @ d
-        cand = d - t * g
-        norm = np.linalg.norm(cand)
-        if norm > delta:
-            cand = cand * (delta / norm)
+        active = (model.base_values + np.matvec(model.base_gradients, d)).argmax(axis=1)
+        g = model.base_gradients[rows, active] + np.matvec(model.hessian, d)
+        cand = d - t[:, None] * g
+        norm = np.sqrt(np.vecdot(cand, cand))
+        over = norm > delta
+        cand[over] *= (delta[over] / norm[over])[:, None]
         val = evaluate_model(model, cand)
-        if val < best - 1e-14 * max(1.0, abs(best)):
-            d, best = cand, val
-        else:
-            t *= 0.5
+        keep = val < best - 1e-14 * np.maximum(1.0, np.abs(best))
+        d, best = np.where(keep[:, None], cand, d), np.where(keep, val, best)
+        t = np.where(keep, t, 0.5 * t)
     return d, m0 - best
 
 
@@ -320,9 +321,7 @@ def iterate_batch(batch: Batch, oracle: Oracle, config: SolverConfig,
                             combine=config.hessian_combine, oracle=oracle).take(at)
         d, pred = cauchy_step(model, marg.omega[at], marg.direction[at], deltas[at])
         if config.refine_steps:
-            for j, b in enumerate(act.tolist()):
-                d[j], pred[j] = refine_step(model.take(j), d[j], deltas[b], pred[j],
-                                            config.refine_steps)
+            d, pred = refine_step(model, d, deltas[at], pred, config.refine_steps)
         step[at], predicted[at], beta[at] = d, pred, model.beta
         guard = config.rho_guard * np.maximum(1.0, np.abs(phi_tilde[at]))
         undecided = pred > guard

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import PoisonedOracle
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motr import solver
@@ -38,6 +39,7 @@ from motr.solver import (
     compute_rho,
     evaluate_model,
     iterate_batch,
+    refine_step,
     run,
     run_batch,
     run_final,
@@ -55,10 +57,16 @@ def _batch(values, gradients, hessians=None, delta=1.0):
 
 def _cauchy(model, delta):
     """``cauchy_step`` of the one-state ``model`` along its subproblem
-    solution: that model and solution, the step and the predicted reduction."""
+    solution: that model, the solution, the step and the predicted reduction."""
     marg = solve_marginal_batch(model.base_gradients)
     d, pred = cauchy_step(model, marg.omega, marg.direction, np.array([delta]))
-    return model.take(0), marg.take(0), d[0], pred[0]
+    return model, marg.take(0), d[0], pred[0]
+
+
+def _along(model, steps):
+    """The values of the one-state ``model`` at each row of ``steps``, in
+    one stacked call."""
+    return evaluate_model(model.take(np.zeros(len(steps), dtype=int)), steps)
 
 
 def test_spectral_norm_diagonal():
@@ -84,18 +92,18 @@ def test_spectral_norm_matches_eigvalsh(seed, n, stack, kind):
 
 def test_build_model_first_order():
     s = _batch([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]])
-    m = build_model(s, HessianMode.ZERO).take(0)
-    assert m.beta == 1.0
-    assert not np.any(m.hessian)
-    np.testing.assert_array_equal(m.base_values, [162.0, 32.0])
-    np.testing.assert_array_equal(m.base_gradients, [[18.0, 18.0], [8.0, 8.0]])
+    m = build_model(s, HessianMode.ZERO)
+    np.testing.assert_array_equal(m.beta, [1.0])
+    assert m.hessian.shape == (1, 2, 2) and not np.any(m.hessian)
+    np.testing.assert_array_equal(m.base_values, [[162.0, 32.0]])
+    np.testing.assert_array_equal(m.base_gradients, [[[18.0, 18.0], [8.0, 8.0]]])
 
 
 def test_build_model_second_order_beta():
     H = np.stack([np.diag([2.0, 0.5]), np.diag([2.0, 0.5])])
     s = _batch([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], hessians=H)
-    m = build_model(s, HessianMode.SUBSAMPLED, weights=np.array([[0.5, 0.5]])).take(0)
-    assert m.beta == pytest.approx(3.0, rel=1e-7)
+    m = build_model(s, HessianMode.SUBSAMPLED, weights=np.array([[0.5, 0.5]]))
+    assert m.beta.shape == (1,) and m.beta[0] == pytest.approx(3.0, rel=1e-7)
 
 
 def test_build_model_requires_hessians_in_subsampled_mode():
@@ -121,11 +129,16 @@ def test_combine_hessians_modes():
 
 
 def test_evaluate_model_examples():
-    m = build_model(_batch([2.0], [[1.0, 0.0]]), HessianMode.ZERO).take(0)
-    assert evaluate_model(m, [0.0, 0.0]) == 2.0
-    assert evaluate_model(m, [1.0, 0.0]) == 3.0
-    m2 = build_model(_batch([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), HessianMode.ZERO).take(0)
-    assert evaluate_model(m2, [-1.0, -1.0]) == -1.0
+    m = build_model(_batch([2.0], [[1.0, 0.0]]), HessianMode.ZERO)
+    np.testing.assert_array_equal(_along(m, np.array([[0.0, 0.0], [1.0, 0.0]])), [2.0, 3.0])
+    m2 = build_model(_batch([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), HessianMode.ZERO)
+    np.testing.assert_array_equal(evaluate_model(m2, np.array([[-1.0, -1.0]])), [-1.0])
+    # One model as two states, each at its own step; the Hessian term counts.
+    H = np.stack([np.diag([2.0, 0.0])] * 2)
+    m3 = build_model(_batch([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], hessians=H),
+                     HessianMode.SUBSAMPLED, weights=np.array([[0.5, 0.5]])).take([0, 0])
+    np.testing.assert_array_equal(evaluate_model(m3, np.array([[1.0, 0.0], [-1.0, 3.0]])),
+                                  [3.0, 4.0])
 
 
 def test_cauchy_step_rejects_critical_point():
@@ -140,10 +153,10 @@ def test_cauchy_step_aligned_gradients():
     m, marg, d, pred = _cauchy(build_model(_batch([162.0, 32.0], [[18.0, 18.0], [8.0, 8.0]]),
                                            HessianMode.ZERO), 1.0)
     np.testing.assert_allclose(d, -np.ones(2) / np.sqrt(2.0), atol=1e-9)
-    assert pred >= 0.5 * marg.omega * min(1.0, marg.omega / m.beta) - 1e-12
+    assert pred >= 0.5 * marg.omega * min(1.0, marg.omega / m.beta[0]) - 1e-12
     grid = np.linspace(0.0, 1.0, 20001)
-    line = [evaluate_model(m, a * marg.direction) for a in grid]
-    assert evaluate_model(m, d) <= min(line) + 1e-9
+    line = _along(m, grid[:, None] * marg.direction)
+    assert evaluate_model(m, d[None])[0] <= line.min() + 1e-9
 
 
 def test_cauchy_step_q1_linear():
@@ -164,9 +177,104 @@ def test_cauchy_step_breakpoint_handling():
     m, marg, d, pred = _cauchy(build_model(_batch([1.0, 0.0], [[2.0, 0.0], [0.5, 0.1]]),
                                            HessianMode.ZERO), 5.0)
     grid = np.linspace(0.0, 5.0, 200001)
-    line = min(evaluate_model(m, a * marg.direction) for a in grid)
-    assert evaluate_model(m, d) <= line + 1e-8
-    assert pred >= 0.5 * marg.omega * min(5.0, marg.omega / m.beta) - 1e-12
+    line = _along(m, grid[:, None] * marg.direction).min()
+    assert evaluate_model(m, d[None])[0] <= line + 1e-8
+    assert pred >= 0.5 * marg.omega * min(5.0, marg.omega / m.beta[0]) - 1e-12
+
+
+
+def _evaluate_one(model, b, d):
+    """Reference: state b's model value at its step ``d`` (n,)."""
+    d = np.asarray(d, dtype=float)
+    linear = model.base_values[b] + model.base_gradients[b] @ d
+    return float(np.max(linear) + 0.5 * d @ (model.hessian[b] @ d))
+
+
+def _refine_one(model, b, d, delta, predicted_reduction, steps):
+    """Reference: the refine step of state b alone, one move at a time."""
+    m0 = _evaluate_one(model, b, np.zeros_like(d))
+    best = m0 - predicted_reduction
+    t = delta / 4.0
+    for _ in range(steps):
+        linear = model.base_values[b] + model.base_gradients[b] @ d
+        active = int(np.argmax(linear))
+        g = model.base_gradients[b][active] + model.hessian[b] @ d
+        cand = d - t * g
+        norm = np.linalg.norm(cand)
+        if norm > delta:
+            cand = cand * (delta / norm)
+        val = _evaluate_one(model, b, cand)
+        if val < best - 1e-14 * max(1.0, abs(best)):
+            d, best = cand, val
+        else:
+            t *= 0.5
+    return d, m0 - best
+
+
+# From the least positive float, the radius floor of a long run, up; at the
+# smallest radii no move clears the absolute decrease tolerance of 1e-14.
+_RADII = [5e-324, 1e-310, 1e-300, 1e-15, 1e-13, 1e-8, 0.5, 1.0, 7.0, 100.0]
+
+
+@st.composite
+def _refine_models(draw, radii):
+    """A ModelSet of up to 5 states with q in 1..3 objectives over n in 1..6
+    variables, each state's Hessian zero, PSD or indefinite, and a radius
+    (B,) per state drawn from ``radii``."""
+    q, n, B = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((B, n, n)) * 10.0 ** rng.uniform(-2, 1, size=(B, 1, 1))
+    kinds = draw(st.lists(st.sampled_from(["zero", "psd", "indefinite"]),
+                          min_size=B, max_size=B))
+    H = np.stack([{"zero": np.zeros((n, n)), "psd": a @ a.T, "indefinite": a + a.T}[kind]
+                  for a, kind in zip(A, kinds)])
+    model = ModelSet(rng.uniform(-10.0, 10.0, size=(B, q)), rng.standard_normal((B, q, n)),
+                     H, 1.0 + spectral_norm(H))
+    delta = np.array(draw(st.lists(st.sampled_from(radii), min_size=B, max_size=B)))
+    return model, delta, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_refine_models(_RADII), steps=st.integers(0, 5), zero_row=st.booleans())
+def test_refine_step_equals_the_one_state_reference_bit_for_bit(case, steps, zero_row):
+    model, delta, rng = case
+    B, n = model.hessian.shape[:2]
+    u = rng.standard_normal((B, n))
+    d = u / np.linalg.norm(u, axis=1, keepdims=True) * (delta * rng.uniform(0.0, 1.0, B))[:, None]
+    if zero_row:
+        # From d = 0 along a zero gradient: every candidate has norm 0.
+        d[0] = 0.0
+        model.base_gradients[0, model.base_values[0].argmax()] = 0.0
+    pred = np.array([_evaluate_one(model, b, np.zeros(n)) - _evaluate_one(model, b, d[b])
+                     for b in range(B)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_d, got_pred = refine_step(model, d, delta, pred, steps)
+        for b in range(B):
+            want_d, want_pred = _refine_one(model, b, d[b], delta[b], pred[b], steps)
+            assert got_d[b].tobytes() == want_d.tobytes()
+            assert got_pred[b].tobytes() == np.float64(want_pred).tobytes()
+        np.testing.assert_array_equal(
+            evaluate_model(model, d), [_evaluate_one(model, b, d[b]) for b in range(B)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_refine_models(_RADII), steps=st.integers(1, 5))
+def test_refine_step_stays_in_the_ball_and_below_the_cauchy_value(case, steps):
+    model, delta, _ = case
+    marg = solve_marginal_batch(model.base_gradients)
+    at = np.flatnonzero((marg.omega > 0) & marg.direction.any(axis=1))
+    assume(at.size)
+    model, delta = model.take(at), delta[at]
+    d, pred = cauchy_step(model, marg.omega[at], marg.direction[at], delta)
+    refined, refined_pred = refine_step(model, d, delta, pred, steps)
+    norms = np.linalg.norm(refined, axis=1)
+    assert (norms <= delta * (1.0 + 4.0 * np.finfo(float).eps)).all()
+    scale = (1.0 + np.abs(model.base_values).max(axis=1)
+             + np.abs(model.base_gradients).sum(axis=(1, 2)) * delta
+             + np.abs(model.hessian).sum(axis=(1, 2)) * delta * delta)
+    assert (evaluate_model(model, refined) <= evaluate_model(model, d) + 1e-12 * scale).all()
+    assert (refined_pred >= pred - 1e-12 * scale).all()
 
 
 def test_compute_rho():

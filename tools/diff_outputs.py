@@ -44,6 +44,8 @@ README_FRONTS = {
                                                   noise_bounded="true",
                                                   noise_shared_gradient="true",
                                                   noise_cap_f="0.6", noise_cap_g="0.6")),
+    "readme_front_refine3": ("front", dict(README, noise_sigma="0.5", front_rounds="8",
+                                           refine_steps="3")),
 }
 
 # Run in each child: the jobs (command, config, seed, output) come on stdin.
