@@ -8,8 +8,8 @@ import sys
 
 import numpy as np
 
-from .core import ConfigError, RngStream, load_config
-from .harness import emit, experiment_spec, run_experiment
+from .core import ConfigError, RngStream
+from .harness import emit, experiment_spec, load_config, run_experiment
 from .pareto import FrontConfig, export_archive_csv, run_front
 
 EXIT_OK = 0

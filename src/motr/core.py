@@ -1,14 +1,11 @@
-"""Shared domain types: oracle samples, solver configuration, RNG streams, config keys."""
+"""Shared domain types: oracle samples, solver configuration, RNG streams."""
 
 from __future__ import annotations
 
 import abc
 import enum
 import math
-import re
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -509,216 +506,6 @@ class SolverConfig:
 
     def with_(self, **kwargs) -> "SolverConfig":
         return replace(self, **kwargs)
-
-
-# Flat key-value (de)serialization of every config dataclass, driven by one
-# table. Keys are documented in the README; unknown keys are an error so
-# typos never pass silently. Value checks are left to the dataclasses.
-
-
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; a '#' at the start of a line or
-    after whitespace starts a comment, one inside a value is kept."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
-def _finite(s: str) -> float:
-    value = float(s)
-    if not math.isfinite(value):
-        raise ConfigError(f"not a finite number: {s!r}")
-    return value
-
-
-def _interval(s: str) -> tuple[float, float]:
-    lo, hi = s.split(":")
-    return _finite(lo), _finite(hi)
-
-
-# (parser, formatter) per value type; a formatted value parses back to itself.
-_FLOAT = (_finite, repr)
-_INT = (int, str)
-_STR = (str, str)
-_BOOL = (_parse_bool, lambda b: "true" if b else "false")
-_VECTOR = (lambda s: tuple(map(_finite, s.split(","))),
-           lambda v: ",".join(map(repr, v)))
-_BOX = (lambda s: tuple(map(_interval, s.split(","))),
-        lambda box: ",".join(f"{lo!r}:{hi!r}" for lo, hi in box))
-_MEMBER = attrgetter("value")       # formatter of an enum member; its class parses
-
-
-class ConfigKey(NamedTuple):
-    """One config key: the section (the dataclass) and the field it sets, the
-    parser of its text and the formatter that writes a field value back."""
-
-    key: str
-    section: str
-    attr: str
-    parse: Callable[[str], object]
-    format: Callable[[object], str]
-
-
-# Sections: solver -> SolverConfig, noise -> NoiseSpec, experiment ->
-# ExperimentSpec, front -> FrontConfig. The alpha keys together set one field.
-CONFIG_KEYS = {row.key: row for row in (
-    ConfigKey("delta0", "solver", "delta0", *_FLOAT),
-    ConfigKey("delta_max", "solver", "delta_max", *_FLOAT),
-    ConfigKey("gamma1", "solver", "gamma1", *_FLOAT),
-    ConfigKey("gamma2", "solver", "gamma2", *_FLOAT),
-    ConfigKey("eta1", "solver", "eta1", *_FLOAT),
-    ConfigKey("theta", "solver", "theta", *_FLOAT),
-    ConfigKey("alpha_kind", "solver", "alpha_schedule", *_STR),
-    ConfigKey("alpha_value", "solver", "alpha_schedule", *_FLOAT),
-    ConfigKey("alpha_offset", "solver", "alpha_schedule", *_INT),
-    ConfigKey("k_max", "solver", "k_max", *_INT),
-    ConfigKey("hessian_mode", "solver", "hessian_mode", HessianMode, _MEMBER),
-    ConfigKey("hessian_combine", "solver", "hessian_combine", HessianCombine, _MEMBER),
-    ConfigKey("rho_guard", "solver", "rho_guard", *_FLOAT),
-    ConfigKey("omega_tol", "solver", "omega_tol", *_FLOAT),
-    ConfigKey("marginal_tol", "solver", "marginal_tol", *_FLOAT),
-    ConfigKey("refine_steps", "solver", "refine_steps", *_INT),
-    ConfigKey("exact_metrics", "solver", "exact_metrics", *_BOOL),
-    ConfigKey("seed", "solver", "seed", *_INT),
-    ConfigKey("noise_sigma", "noise", "sigma", *_FLOAT),
-    ConfigKey("noise_bounded", "noise", "bounded", *_BOOL),
-    ConfigKey("noise_cap_f", "noise", "cap_f", *_FLOAT),
-    ConfigKey("noise_cap_g", "noise", "cap_g", *_FLOAT),
-    ConfigKey("noise_shared_gradient", "noise", "shared_gradient_noise", *_BOOL),
-    ConfigKey("problem", "experiment", "problem", *_STR),
-    ConfigKey("dataset_path", "experiment", "dataset_path", *_STR),
-    ConfigKey("dataset_format", "experiment", "dataset_format", DatasetFormat, _MEMBER),
-    ConfigKey("label_column", "experiment", "label_column", *_INT),
-    ConfigKey("sensitive_column", "experiment", "sensitive_column", *_INT),
-    ConfigKey("label_convention", "experiment", "label_convention", LabelConvention, _MEMBER),
-    ConfigKey("has_header", "experiment", "has_header", *_BOOL),
-    ConfigKey("keep_sensitive", "experiment", "keep_sensitive", *_BOOL),
-    ConfigKey("regularizer", "experiment", "regularizer", *_FLOAT),
-    ConfigKey("synthetic_samples", "experiment", "synthetic_samples", *_INT),
-    ConfigKey("synthetic_features", "experiment", "synthetic_features", *_INT),
-    ConfigKey("synthetic_seed", "experiment", "synthetic_seed", *_INT),
-    ConfigKey("constants_mode", "experiment", "constants_mode", ConstantsMode, _MEMBER),
-    ConfigKey("constant_value", "experiment", "constant_value", *_FLOAT),
-    ConfigKey("algorithm", "experiment", "algorithm", *_STR),
-    ConfigKey("x0", "experiment", "x0", *_VECTOR),
-    ConfigKey("num_simulations", "experiment", "num_simulations", *_INT),
-    ConfigKey("output_path", "experiment", "output_path", *_STR),
-    ConfigKey("output_format", "experiment", "output_format", *_STR),
-    ConfigKey("parallelism", "experiment", "parallelism", *_INT),
-    ConfigKey("smg_t0", "experiment", "smg_t0", *_FLOAT),
-    ConfigKey("smg_delta", "experiment", "smg_delta", *_FLOAT),
-    ConfigKey("front_n_p", "front", "n_p", *_INT),
-    ConfigKey("front_n_q", "front", "n_q", *_INT),
-    ConfigKey("front_n_r", "front", "n_r", *_INT),
-    ConfigKey("front_init_count", "front", "init_count", *_INT),
-    ConfigKey("front_init_box", "front", "init_box", *_BOX),
-    ConfigKey("front_perturb_scale", "front", "perturb_scale", *_FLOAT),
-    ConfigKey("front_rounds", "front", "rounds", *_INT),
-    ConfigKey("front_max_size", "front", "max_size", *_INT),
-    ConfigKey("front_weak", "front", "weak_dominance", *_BOOL),
-)}
-
-# alpha_kind picks the schedule and the one key it reads; the other is ignored.
-_ALPHA_KINDS = {"fixed": (FixedAlpha, "alpha_value", "value"),
-                "summable": (SummableToOneAlpha, "alpha_offset", "offset")}
-
-
-def _parse(row: ConfigKey, text: str):
-    try:
-        return row.parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"{row.key}: {exc}") from exc
-
-
-def _parse_alpha(mapping: dict[str, str]) -> AlphaSchedule:
-    kind = mapping.get("alpha_kind")
-    if kind is None:
-        raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
-    if kind not in _ALPHA_KINDS:
-        raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
-    cls, key, attr = _ALPHA_KINDS[kind]
-    if key not in mapping:
-        return cls()
-    return cls(**{attr: _parse(CONFIG_KEYS[key], mapping[key])})
-
-
-def _format_alpha(schedule: AlphaSchedule) -> dict[str, str]:
-    for kind, (cls, key, attr) in _ALPHA_KINDS.items():
-        if isinstance(schedule, cls):
-            return {"alpha_kind": kind, key: CONFIG_KEYS[key].format(getattr(schedule, attr))}
-
-
-def parse_config(mapping: dict[str, str]) -> dict[str, dict]:
-    """Keyword arguments of each section's dataclass (see ``CONFIG_KEYS``)
-    from flat string key-values."""
-    unknown = set(mapping) - set(CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sections: dict[str, dict] = {row.section: {} for row in CONFIG_KEYS.values()}
-    for key, text in mapping.items():
-        row = CONFIG_KEYS[key]
-        if row.attr != "alpha_schedule":
-            sections[row.section][row.attr] = _parse(row, text)
-    if any(CONFIG_KEYS[key].attr == "alpha_schedule" for key in mapping):
-        sections["solver"]["alpha_schedule"] = _parse_alpha(mapping)
-    return sections
-
-
-def format_config(section: str, obj) -> dict[str, str]:
-    """The key-values of ``section`` that parse back to ``obj``'s fields; a
-    field that is None has no key."""
-    out = {}
-    for row in CONFIG_KEYS.values():
-        if row.section == section and row.attr != "alpha_schedule":
-            value = getattr(obj, row.attr)
-            if value is not None:
-                out[row.key] = row.format(value)
-    if section == "solver":
-        out.update(_format_alpha(obj.alpha_schedule))
-    return out
-
-
-def load_config(path: str, sets: Iterable[str] = (), seed: int | None = None,
-                output: str | None = None) -> dict[str, dict]:
-    """``parse_config`` of a config file after the command-line overrides:
-    each ``KEY=VALUE`` of ``sets``, then the base seed and the output path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            mapping = parse_kv_text(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for item in sets:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        mapping[key.strip()] = value.strip()
-    if seed is not None:
-        mapping["seed"] = str(seed)
-    if output:
-        mapping["output_path"] = output
-    return parse_config(mapping)
 
 
 class Oracle(abc.ABC):

@@ -1,21 +1,29 @@
-"""Experiment harness: spec parsing, seeded multi-simulation execution,
-exact-metric instrumentation and CSV/JSON emission."""
+"""Experiment harness: the config schema, spec parsing, seeded multi-simulation
+execution, exact-metric instrumentation and CSV/JSON emission."""
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from types import UnionType
+from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import (
+    AlphaSchedule,
     ConfigError,
     ConstantsMode,
     DatasetFormat,
+    FixedAlpha,
     LabelConvention,
     Oracle,
     SolverConfig,
-    format_config,
+    SummableToOneAlpha,
 )
 # solve_marginal and run_final stay importable here: perfbench/tracer.py wraps
 # harness.solve_marginal and harness.run_final.
@@ -30,6 +38,7 @@ from .oracles import (
     load_dataset,
     make_synthetic_logistic,
 )
+from .pareto import FrontConfig
 from .solver import Batch, run_batch, run_final  # noqa: F401
 
 
@@ -86,6 +95,8 @@ class ExperimentSpec:
             raise ConfigError("smg_delta must be positive")
         if not self.constant_value > 0:
             raise ConfigError("constant_value must be positive")
+        if not self.regularizer >= 0:
+            raise ConfigError("regularizer must be >= 0")
         if self.synthetic_samples < 2:
             raise ConfigError("synthetic_samples must be >= 2 (one row per group)")
         if self.dimension not in (None, len(self.x0)):
@@ -130,9 +141,198 @@ class ExperimentSpec:
 
 
 def experiment_spec(sections: dict[str, dict]) -> ExperimentSpec:
-    """The ExperimentSpec of a parsed config (``core.parse_config``)."""
+    """The ExperimentSpec of a parsed config (``parse_config``)."""
     return ExperimentSpec(solver=SolverConfig(**sections["solver"]),
                           noise=NoiseSpec(**sections["noise"]), **sections["experiment"])
+
+
+# Flat key-value (de)serialization of the four section dataclasses. Keys are
+# documented in the README; unknown keys are an error so typos never pass
+# silently. Value checks are left to the dataclasses.
+
+
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def parse_kv_text(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; a '#' at the start of a line or
+    after whitespace starts a comment, one inside a value is kept."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+def _parse_bool(s: str) -> bool:
+    low = s.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"not a boolean: {s!r}")
+
+
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {s!r}")
+    return value
+
+
+def _interval(s: str) -> tuple[float, float]:
+    lo, hi = s.split(":")
+    return _finite(lo), _finite(hi)
+
+
+# (parser, formatter) per annotated field type; a formatted value parses
+# back to itself.
+_CODECS = {
+    float: (_finite, repr),
+    int: (int, str),
+    str: (str, str),
+    bool: (_parse_bool, lambda b: "true" if b else "false"),
+    tuple[float, ...]: (lambda s: tuple(map(_finite, s.split(","))),
+                        lambda v: ",".join(map(repr, v))),
+    tuple[tuple[float, float], ...]: (lambda s: tuple(map(_interval, s.split(","))),
+                                      lambda box: ",".join(f"{lo!r}:{hi!r}" for lo, hi in box)),
+}
+
+
+def _codec(tp) -> tuple[Callable[[str], object], Callable[[object], str]]:
+    """The (parser, formatter) of a field of type ``tp`` (``X | None`` is
+    X): an Enum's class parses and its members' value formats."""
+    if get_origin(tp) is UnionType:
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if isinstance(tp, enum.EnumMeta):
+        return tp, attrgetter("value")
+    return _CODECS[tp]
+
+
+class ConfigKey(NamedTuple):
+    """One config key: the section (the dataclass) and the field it sets, the
+    parser of its text and the formatter that writes a field value back."""
+
+    key: str
+    section: str
+    attr: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+# Each section's dataclass and the prefix of its keys.
+_SECTIONS = {"solver": (SolverConfig, ""), "noise": (NoiseSpec, "noise_"),
+             "experiment": (ExperimentSpec, ""), "front": (FrontConfig, "front_")}
+# The keys that are not prefix + field name.
+_RENAMED = {"shared_gradient_noise": "noise_shared_gradient", "weak_dominance": "front_weak"}
+# The alpha keys together set SolverConfig.alpha_schedule: alpha_kind picks
+# the schedule and the one key it reads; the other is ignored.
+_ALPHA_KINDS = {"fixed": (FixedAlpha, "alpha_value", "value"),
+                "summable": (SummableToOneAlpha, "alpha_offset", "offset")}
+
+
+def _section_keys(section: str, cls: type, prefix: str):
+    """One key per init field of a section, in field order; a field named
+    after a section is that section, and the alpha schedule has the alpha keys."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if not f.init or f.name in _SECTIONS:
+            continue
+        if f.name == "alpha_schedule":
+            yield ConfigKey("alpha_kind", section, f.name, *_codec(str))
+            for kind, key, attr in _ALPHA_KINDS.values():
+                yield ConfigKey(key, section, f.name, *_codec(get_type_hints(kind)[attr]))
+        else:
+            yield ConfigKey(_RENAMED.get(f.name, prefix + f.name), section, f.name,
+                            *_codec(hints[f.name]))
+
+
+CONFIG_KEYS = {row.key: row for section, (cls, prefix) in _SECTIONS.items()
+               for row in _section_keys(section, cls, prefix)}
+
+
+def _parse(row: ConfigKey, text: str):
+    try:
+        return row.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{row.key}: {exc}") from exc
+
+
+def _parse_alpha(mapping: dict[str, str]) -> AlphaSchedule:
+    kind = mapping.get("alpha_kind")
+    if kind is None:
+        raise ConfigError("alpha_value/alpha_offset given without alpha_kind")
+    if kind not in _ALPHA_KINDS:
+        raise ConfigError(f"bad alpha_kind: {kind!r} (expected 'fixed' or 'summable')")
+    cls, key, attr = _ALPHA_KINDS[kind]
+    if key not in mapping:
+        return cls()
+    return cls(**{attr: _parse(CONFIG_KEYS[key], mapping[key])})
+
+
+def _format_alpha(schedule: AlphaSchedule) -> dict[str, str]:
+    for kind, (cls, key, attr) in _ALPHA_KINDS.items():
+        if isinstance(schedule, cls):
+            return {"alpha_kind": kind, key: CONFIG_KEYS[key].format(getattr(schedule, attr))}
+
+
+def parse_config(mapping: dict[str, str]) -> dict[str, dict]:
+    """Keyword arguments of each section's dataclass (see ``CONFIG_KEYS``)
+    from flat string key-values."""
+    unknown = set(mapping) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    sections: dict[str, dict] = {row.section: {} for row in CONFIG_KEYS.values()}
+    for key, text in mapping.items():
+        row = CONFIG_KEYS[key]
+        if row.attr != "alpha_schedule":
+            sections[row.section][row.attr] = _parse(row, text)
+    if any(CONFIG_KEYS[key].attr == "alpha_schedule" for key in mapping):
+        sections["solver"]["alpha_schedule"] = _parse_alpha(mapping)
+    return sections
+
+
+def format_config(section: str, obj) -> dict[str, str]:
+    """The key-values of ``section`` that parse back to ``obj``'s fields; a
+    field that is None has no key."""
+    out = {}
+    for row in CONFIG_KEYS.values():
+        if row.section == section and row.attr != "alpha_schedule":
+            value = getattr(obj, row.attr)
+            if value is not None:
+                out[row.key] = row.format(value)
+    if section == "solver":
+        out.update(_format_alpha(obj.alpha_schedule))
+    return out
+
+
+def load_config(path: str, sets: Iterable[str] = (), seed: int | None = None,
+                output: str | None = None) -> dict[str, dict]:
+    """``parse_config`` of a config file after the command-line overrides:
+    each ``KEY=VALUE`` of ``sets``, then the base seed and the output path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            mapping = parse_kv_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for item in sets:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        mapping[key.strip()] = value.strip()
+    if seed is not None:
+        mapping["seed"] = str(seed)
+    if output:
+        mapping["output_path"] = output
+    return parse_config(mapping)
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[Batch, dict]:

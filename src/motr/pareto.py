@@ -240,7 +240,7 @@ def front_round(archive: list[ArchiveMember], oracle: Oracle,
 
     starts = np.repeat([m.x for m in candidates], front_config.n_p, axis=0)
     seeds = rng.integers(0, 2**62, size=len(starts)).tolist()
-    cfg = solver_config.with_(k_max=front_config.n_q, exact_metrics=False)
+    cfg = solver_config.with_(k_max=front_config.n_q)
     try:        # one restart per start, all advancing together
         batch = run_batch(oracle, cfg, starts, seeds, keep_history=False, smg=smg)
         ends, errors = batch.x, batch.errors

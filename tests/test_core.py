@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motr.core import (
-    CONFIG_KEYS,
     ConfigError,
     ConstantsMode,
     DatasetFormat,
@@ -25,11 +24,15 @@ from motr.core import (
     SummableToOneAlpha,
     alpha_at,
     as_decision_vector,
+)
+from motr.harness import (
+    CONFIG_KEYS,
+    ExperimentSpec,
+    experiment_spec,
     format_config,
     parse_config,
     parse_kv_text,
 )
-from motr.harness import ExperimentSpec, experiment_spec
 from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
 from motr.pareto import FrontConfig
 from motr.solver import run
@@ -166,6 +169,7 @@ def test_parse_kv_text_keeps_hash_inside_a_value():
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEGATIVE = st.floats(0.0, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _TEXT = st.text("abcXYZ0129._/-", min_size=1, max_size=12)   # survives a config line
 
@@ -195,7 +199,7 @@ def _experiment_specs(draw):
     n = {"synthetic": features, "dataset": draw(st.integers(1, 6))}.get(problem, 2)
     bounded = draw(st.booleans())
     caps = _POSITIVE if bounded else _FINITE
-    noise = NoiseSpec(sigma=draw(st.floats(0.0, allow_infinity=False)), bounded=bounded,
+    noise = NoiseSpec(sigma=draw(_NONNEGATIVE), bounded=bounded,
                       cap_f=draw(caps), cap_g=draw(caps),
                       shared_gradient_noise=draw(st.booleans()))
     return ExperimentSpec(
@@ -205,7 +209,7 @@ def _experiment_specs(draw):
         label_column=draw(st.integers()), sensitive_column=draw(st.integers()),
         label_convention=draw(st.sampled_from(LabelConvention)),
         has_header=draw(st.booleans()), keep_sensitive=draw(st.booleans()),
-        regularizer=draw(_FINITE), synthetic_samples=draw(st.integers(min_value=2)),
+        regularizer=draw(_NONNEGATIVE), synthetic_samples=draw(st.integers(min_value=2)),
         synthetic_features=features, synthetic_seed=draw(st.integers(0, 2**64 - 1)),
         constants_mode=draw(st.sampled_from(ConstantsMode)), constant_value=draw(_POSITIVE),
         algorithm=draw(st.sampled_from(["smop", "dmop", "smg"])),

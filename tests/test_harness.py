@@ -23,7 +23,6 @@ import motr
 from motr import harness
 from motr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from motr.core import (
-    CONFIG_KEYS,
     ConfigError,
     HessianMode,
     Oracle,
@@ -31,10 +30,16 @@ from motr.core import (
     SampleBatch,
     SolverConfig,
     alpha_at,
+)
+from motr.harness import (
+    CONFIG_KEYS,
+    ExperimentSpec,
+    emit,
+    experiment_spec,
     load_config,
     parse_config,
+    run_experiment,
 )
-from motr.harness import ExperimentSpec, emit, experiment_spec, run_experiment
 from motr.marginal import solve_marginal
 from motr.oracles import ExactOracle, NoiseSpec
 from motr.pareto import FrontConfig, export_archive_csv, front_round, init_front
@@ -431,7 +436,8 @@ def test_cli_validate_non_numeric_alpha(tmp_path, capsys):
     "noise_bounded = ture", "noise_shared_gradient = yess", "has_header = 2",
     "keep_sensitive = nope", "front_weak = ture", "smg_delta = -1", "smg_delta = 0",
     "theta = nan", "noise_sigma = nan", "rho_guard = nan", "smg_t0 = nan",
-    "constant_value = nan", "regularizer = nan", "front_perturb_scale = nan",
+    "constant_value = nan", "regularizer = nan", "regularizer = -1",
+    "front_perturb_scale = nan",
     "x0 = nan,1", "delta_max = inf", "front_init_box = 0:1,-inf:1",
     "constants_mode = banana", "dataset_format = xml", "label_convention = yesno",
     # Seeds are packed into uint64 stream keys.
@@ -759,6 +765,11 @@ def test_cli_front_writes_archive(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x_1,x_2,f_1,f_2"
     assert len(lines) >= 2
+    # output_format is a run key: the front writes the same CSV with json.
+    out_json = tmp_path / "f.json"
+    argv = ["front", cfg, "--set", "output_format=json", "--output", str(out_json)]
+    assert main(argv) == EXIT_OK
+    assert out_json.read_text() == out.read_text()
 
 
 def test_cli_front_honours_smg(tmp_path):
