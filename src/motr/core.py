@@ -18,33 +18,27 @@ class DimensionMismatchError(ValueError):
     """Input dimension does not match the problem declaration."""
 
 
-def as_decision_vector(x, n: int | None = None) -> np.ndarray:
-    """Validate and return a finite 1-D float64 decision vector."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"decision vector must be 1-D, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise DimensionMismatchError(f"expected dimension {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("decision vector contains NaN/Inf")
-    return v
-
-
 def as_decision_batch(X, n: int) -> np.ndarray:
     """Validate and return a finite (B, n) float64 stack of decision vectors."""
     V = np.asarray(X, dtype=float)
-    if V.ndim != 2 or V.shape[1] != n:
+    if V.ndim != 2:
         raise DimensionMismatchError(f"expected decision vectors of shape (B, {n}), got {V.shape}")
+    if V.shape[1] != n:
+        raise DimensionMismatchError(f"expected dimension {n}, got {V.shape[1]}")
     if not np.isfinite(V).all():
         raise ValueError("decision vector contains NaN/Inf")
     return V
 
 
-def sample_errors(values: np.ndarray, gradients: np.ndarray, delta: np.ndarray,
-                  sample_sizes: np.ndarray, cost: np.ndarray,
+def as_decision_vector(x, n: int) -> np.ndarray:
+    """``as_decision_batch`` of the one vector ``x``: a finite (n,) float64."""
+    return as_decision_batch(np.asarray(x, dtype=float)[None], n)[0]
+
+
+def sample_errors(values: np.ndarray, gradients: np.ndarray, sample_sizes: np.ndarray,
                   hessians: np.ndarray | None = None) -> dict[int, str]:
-    """Check a stack of B samples: values (B, q), gradients (B, q, n), delta
-    (B,), sample_sizes (B, q), cost (B,), hessians (B, q, n, n) or None.
+    """Check a stack of B samples: values (B, q), gradients (B, q, n),
+    sample_sizes (B, q), hessians (B, q, n, n) or None.
 
     A malformed stack raises ValueError. Otherwise each sample that fails a
     check maps to the message of its first failed check.
@@ -59,15 +53,13 @@ def sample_errors(values: np.ndarray, gradients: np.ndarray, delta: np.ndarray,
     # The common case, without per-sample bookkeeping: a sum is finite only
     # if every term is (one that overflows takes the slow path).
     if (hessians is None and math.isfinite(values.sum() + gradients.sum())
-            and delta.min(initial=math.inf) > 0 and cost.min(initial=0) >= 0
             and sample_sizes.min(initial=0) >= 0):
         return {}
     finite = np.isfinite(values).all(axis=1) & np.isfinite(gradients).all(axis=(1, 2))
     if hessians is not None:
         finite &= np.isfinite(hessians).all(axis=(1, 2, 3))
     checks = [(~finite, "objective sample contains NaN/Inf"),
-              (~(delta > 0), "delta must be positive"),
-              ((cost < 0) | (sample_sizes < 0).any(axis=1), "negative cost or sample size")]
+              ((sample_sizes < 0).any(axis=1), "negative sample size")]
     if hessians is not None:
         scale = np.maximum(1.0, np.abs(hessians).max(axis=(2, 3)))
         asym = np.abs(hessians - hessians.swapaxes(2, 3)).max(axis=(2, 3)) > 1e-12 * scale
@@ -84,18 +76,15 @@ class ObjectiveSample:
     """One oracle evaluation: approximate values, gradients, optional Hessians.
 
     ``hessians`` holds one symmetric matrix per objective (shape (q, n, n));
-    the solver combines them into the single model Hessian. ``delta`` records
-    the trust-region radius the accuracy was targeted at, ``sample_sizes`` the
-    per-objective subsample sizes (zero for analytic oracles) and ``cost`` the
-    scalar products consumed producing this sample. Checked by
-    ``sample_errors`` as a stack of one.
+    the solver combines them into the single model Hessian.
+    ``sample_sizes`` holds the per-objective subsample sizes (zero for
+    analytic oracles); their sum, ``cost``, is the scalar products consumed
+    producing this sample. Checked by ``sample_errors`` as a stack of one.
     """
 
     values: np.ndarray
     gradients: np.ndarray
-    delta: float
     sample_sizes: np.ndarray
-    cost: int
     hessians: np.ndarray | None = None
 
     def __post_init__(self):
@@ -109,11 +98,14 @@ class ObjectiveSample:
         if self.hessians is not None:
             H = np.asarray(self.hessians, dtype=float)
             object.__setattr__(self, "hessians", H)
-        errors = sample_errors(values[None], gradients[None], np.array([self.delta]),
-                               sizes[None], np.array([self.cost]),
+        errors = sample_errors(values[None], gradients[None], sizes[None],
                                None if H is None else H[None])
         if errors:
             raise ValueError(errors[0])
+
+    @property
+    def cost(self) -> int:
+        return int(self.sample_sizes.sum())
 
     @property
     def q(self) -> int:
@@ -128,46 +120,43 @@ class ObjectiveSample:
 class SampleBatch:
     """B oracle evaluations stacked along a leading axis, one per solver state.
 
-    Fields are those of ObjectiveSample with a leading batch axis; the stack
-    is checked once, by ``sample_errors``. A sample that fails a check does
-    not fail the batch: ``errors`` maps its index to a ValueError, and
-    ``sample(b)`` raises it.
+    Fields are those of ObjectiveSample with a leading batch axis, and
+    ``cost`` is (B,); the stack is checked once, by ``sample_errors``. A
+    sample that fails a check does not fail the batch: ``errors`` maps its
+    index to a ValueError, and ``sample(b)`` raises it.
     """
 
     values: np.ndarray
     gradients: np.ndarray
-    delta: np.ndarray
     sample_sizes: np.ndarray
-    cost: np.ndarray
     hessians: np.ndarray | None = None
     errors: dict[int, ValueError] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         fields = dict(values=np.asarray(self.values, dtype=float),
                       gradients=np.asarray(self.gradients, dtype=float),
-                      delta=np.asarray(self.delta, dtype=float),
-                      sample_sizes=np.asarray(self.sample_sizes, dtype=int),
-                      cost=np.asarray(self.cost, dtype=int))
+                      sample_sizes=np.asarray(self.sample_sizes, dtype=int))
         if self.hessians is not None:
             fields["hessians"] = np.asarray(self.hessians, dtype=float)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        found = sample_errors(self.values, self.gradients, self.delta,
-                              self.sample_sizes, self.cost, self.hessians)
+        found = sample_errors(self.values, self.gradients, self.sample_sizes, self.hessians)
         object.__setattr__(self, "errors", {b: ValueError(m) for b, m in found.items()})
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self.sample_sizes.sum(axis=1)
 
     def take(self, index: np.ndarray) -> "SampleBatch":
         """The samples at ``index`` (which must not name a failed one)."""
-        return SampleBatch(self.values[index], self.gradients[index], self.delta[index],
-                           self.sample_sizes[index], self.cost[index],
+        return SampleBatch(self.values[index], self.gradients[index], self.sample_sizes[index],
                            None if self.hessians is None else self.hessians[index])
 
     def sample(self, b: int) -> ObjectiveSample:
         if b in self.errors:
             raise self.errors[b]
         return ObjectiveSample(values=self.values[b], gradients=self.gradients[b],
-                               delta=float(self.delta[b]),
-                               sample_sizes=self.sample_sizes[b], cost=int(self.cost[b]),
+                               sample_sizes=self.sample_sizes[b],
                                hessians=None if self.hessians is None else self.hessians[b])
 
 
@@ -512,8 +501,9 @@ class Oracle(abc.ABC):
     """Vector-objective evaluation backend.
 
     Implementations declare the problem dimension ``n`` and objective count
-    ``q`` and implement ``evaluate_batch`` and optionally ``exact_evaluate_batch``;
-    ``evaluate`` and ``exact_evaluate`` are their one-point forms.
+    ``q`` and implement ``evaluate_batch`` and optionally ``exact_evaluate_batch``,
+    each checking its points with ``as_decision_batch``; ``evaluate`` and
+    ``exact_evaluate`` are their one-point forms.
     """
 
     n: int
@@ -533,15 +523,18 @@ class Oracle(abc.ABC):
 
     def evaluate(self, x, delta: float, alpha: float, rng: PhiloxStream,
                  need_hessians: bool = False) -> ObjectiveSample:
-        """The ObjectiveSample of ``evaluate_batch`` at the one point ``x``."""
-        x = as_decision_vector(x, self.n)
-        return self.evaluate_batch(x[None], np.array([delta], dtype=float), alpha, rng, _ROW,
+        """The ObjectiveSample of ``evaluate_batch`` at the one point ``x``,
+        whose radius ``delta`` must be positive."""
+        if not delta > 0:
+            raise ValueError("delta must be positive")
+        X = np.asarray(x, dtype=float)[None]
+        return self.evaluate_batch(X, np.array([delta], dtype=float), alpha, rng, _ROW,
                                    need_hessians).sample(0)
 
     def exact_evaluate(self, x, need_hessians: bool = False):
         """``exact_evaluate_batch`` at the one point ``x``: exact values,
         gradients and hessians (None unless ``need_hessians``)."""
-        f, g, h = self.exact_evaluate_batch(as_decision_vector(x, self.n)[None], need_hessians)
+        f, g, h = self.exact_evaluate_batch(np.asarray(x, dtype=float)[None], need_hessians)
         return f[0], g[0], None if h is None else h[0]
 
     def exact_evaluate_batch(self, X, need_hessians: bool = False):

@@ -136,7 +136,6 @@ def frank_wolfe(G: np.ndarray, tolerance: float = 1e-10) -> MarginalSolution:
     # M @ lam, so further iterations cannot certify a smaller residual.
     gap_floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(M).max()))
 
-    grad = M @ lam
     residual = np.inf
     for _ in range(10 * q * n + 1000):
         grad = M @ lam

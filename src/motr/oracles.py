@@ -207,15 +207,14 @@ class AnalyticOracle(Oracle):
         """Exact arrays of every state plus its radius-scaled noise: values
         get eps * delta^2 and gradients eps * delta."""
         f, g, h = self.problem.exact_batch(X, need_hessians)
-        deltas = np.asarray(deltas, dtype=float)
         B, q, n = g.shape
         if self.noise.sigma > 0:
+            deltas = np.asarray(deltas, dtype=float)
             eps_f, eps_g = draw_noise(self.noise, rngs, rows, q, n)
             f = f + eps_f * (deltas * deltas)[:, None]
             g = g + eps_g * deltas[:, None, None]
-        return SampleBatch(values=f, gradients=g, delta=deltas,
-                           sample_sizes=np.zeros((B, q), dtype=int),
-                           cost=np.zeros(B, dtype=int), hessians=h)
+        return SampleBatch(values=f, gradients=g, sample_sizes=np.zeros((B, q), dtype=int),
+                           hessians=h)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +469,7 @@ class FiniteSumOracle(Oracle):
                     if m < len(group) else None for m, group in zip(ms, self.problem.groups)]
                    for ms, b in zip(sizes.tolist(), rows.tolist())]
         f, g, H = self._evaluate(X, subsets, need_hessians)
-        return SampleBatch(values=f, gradients=g, delta=deltas, sample_sizes=sizes,
-                           cost=sizes.sum(axis=1), hessians=H)
+        return SampleBatch(values=f, gradients=g, sample_sizes=sizes, hessians=H)
 
 
 def required_sample_size(kind: str, bound_constant: float, delta: float,
@@ -542,8 +540,7 @@ def subsampled_evaluate(problem: FiniteSumProblem, x, delta: float, alpha: float
                                      x[None], np.array([lam]), mask, need_hessians))
         sizes.append(m)
     f, g, H = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
-    return ObjectiveSample(values=f, gradients=g, delta=delta, sample_sizes=sizes,
-                           cost=sum(sizes), hessians=H)
+    return ObjectiveSample(values=f, gradients=g, sample_sizes=sizes, hessians=H)
 
 
 class ExactOracle(Oracle):
@@ -569,10 +566,8 @@ class ExactOracle(Oracle):
 
     def evaluate_batch(self, X, deltas, alpha, rngs, rows, need_hessians=False):
         f, g, h = self.inner.exact_evaluate_batch(X, need_hessians)
-        B, sizes = f.shape[0], self.group_sizes()
-        return SampleBatch(values=f, gradients=g, delta=deltas,
-                           sample_sizes=np.tile(sizes, (B, 1)),
-                           cost=np.full(B, sizes.sum()), hessians=h)
+        return SampleBatch(values=f, gradients=g,
+                           sample_sizes=np.tile(self.group_sizes(), (f.shape[0], 1)), hessians=h)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .core import (
     SolverConfig,
     Streams,
     alpha_at,
-    as_decision_vector,
+    as_decision_batch,
 )
 # solve_marginal stays importable here: perfbench/tracer.py wraps solver.solve_marginal.
 from .marginal import solve_marginal, solve_marginal_batch  # noqa: F401
@@ -382,7 +382,7 @@ def run_batch(oracle: Oracle, config: SolverConfig, x0s, seeds,
     """
     if smg is not None and not (smg[0] > 0 and smg[1] > 0):
         raise ValueError("smg step size and radius must be positive")
-    X = np.array([as_decision_vector(x0, oracle.n) for x0 in x0s]).reshape(-1, oracle.n)
+    X = as_decision_batch(x0s, oracle.n).copy()
     B = len(X)
     batch = Batch(X, np.full(B, float(config.delta0 if smg is None else smg[1])),
                   np.zeros(B, dtype=int), np.zeros(B, dtype=int),

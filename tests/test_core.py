@@ -23,6 +23,7 @@ from motr.core import (
     SolverConfig,
     SummableToOneAlpha,
     alpha_at,
+    as_decision_batch,
     as_decision_vector,
 )
 from motr.harness import (
@@ -98,30 +99,47 @@ def test_scalar_representation_monotone():
 
 def test_as_decision_vector_validation():
     np.testing.assert_array_equal(as_decision_vector([1.0, 2.0], 2), [1.0, 2.0])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
         as_decision_vector([1.0, 2.0], 3)
     with pytest.raises(DimensionMismatchError):
-        as_decision_vector([[1.0]])
+        as_decision_vector([[1.0]], 1)
     with pytest.raises(ValueError):
-        as_decision_vector([np.nan, 1.0])
+        as_decision_vector([np.nan, 1.0], 2)
+
+
+def _raised(f, *args):
+    """The exception type ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3), n=st.integers(0, 3),
+       entries=st.lists(st.sampled_from([0.0, 1.5, -2.0, np.nan, np.inf, -np.inf]),
+                        min_size=27, max_size=27))
+def test_as_decision_vector_is_the_one_row_batch(shape, n, entries):
+    x = np.array(entries[:math.prod(shape)]).reshape(shape)
+    raised = _raised(as_decision_vector, x, n)
+    assert raised is _raised(as_decision_batch, [x], n)
+    if raised is None:
+        np.testing.assert_array_equal(as_decision_vector(x, n), as_decision_batch([x], n)[0])
 
 
 def test_objective_sample_validation():
     good = ObjectiveSample(values=[1.0, 2.0], gradients=[[1.0, 0.0], [0.0, 1.0]],
-                           delta=0.5, sample_sizes=[3, 4], cost=7)
-    assert good.q == 2 and good.n == 2
+                           sample_sizes=[3, 4])
+    assert good.q == 2 and good.n == 2 and good.cost == 7
     with pytest.raises(ValueError):
-        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0], [0.0, 1.0]],
-                        delta=0.5, sample_sizes=[1], cost=0)
+        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0], [0.0, 1.0]], sample_sizes=[1])
     with pytest.raises(ValueError):
-        ObjectiveSample(values=[np.inf], gradients=[[1.0]], delta=0.5,
-                        sample_sizes=[1], cost=0)
+        ObjectiveSample(values=[np.inf], gradients=[[1.0]], sample_sizes=[1])
+    with pytest.raises(ValueError, match="negative sample size"):
+        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0]], sample_sizes=[-1])
     with pytest.raises(ValueError):
-        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0]], delta=-1.0,
-                        sample_sizes=[1], cost=0)
-    with pytest.raises(ValueError):
-        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0]], delta=1.0,
-                        sample_sizes=[1], cost=0,
+        ObjectiveSample(values=[1.0], gradients=[[1.0, 0.0]], sample_sizes=[1],
                         hessians=[[[0.0, 1.0], [0.5, 0.0]]])
 
 

@@ -165,8 +165,7 @@ class _FixedGradients(Oracle):
         B = len(X)
         return SampleBatch(values=np.zeros((B, self.q)),
                            gradients=np.broadcast_to(self.G, (B, self.q, self.n)),
-                           delta=deltas, sample_sizes=np.zeros((B, self.q), dtype=int),
-                           cost=np.zeros(B, dtype=int))
+                           sample_sizes=np.zeros((B, self.q), dtype=int))
 
 
 def test_exact_oracle_rejects_an_oracle_without_exact_values():

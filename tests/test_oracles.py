@@ -541,7 +541,7 @@ def test_finite_sum_oracle_bit_identical_to_reference(seed, num_rows, num_featur
                                        need_hessians=need_h)
             np.testing.assert_array_equal(want.sample_sizes, oracle.group_sizes())
             _assert_same_sample(
-                ObjectiveSample(f, g, 1e-9, want.sample_sizes, want.cost, H), want)
+                ObjectiveSample(f, g, want.sample_sizes, H), want)
         np.testing.assert_equal(rng_oracle.state(), rng_ref.state())
     # Memoised full-batch arrays are shared between calls, so they are read-only.
     x = points[calls[-1][0]]
@@ -767,6 +767,15 @@ def test_exact_oracle_adapter():
     # An analytic oracle has no rows: a full evaluation costs nothing.
     analytic = ExactOracle(AnalyticOracle(AnalyticProblem("test1")))
     assert analytic.evaluate(np.zeros(2), 1.0, 0.5, rng).cost == 0
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_evaluate_rejects_a_radius_that_is_not_positive(delta):
+    synthetic = FiniteSumOracle(make_synthetic_logistic(40, 4, seed=5))
+    for oracle, n in ((AnalyticOracle(AnalyticProblem("test1"), NoiseSpec(sigma=0.1)), 2),
+                      (synthetic, 4), (ExactOracle(synthetic), 4)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            oracle.evaluate(np.zeros(n), delta, 0.5, RngStream(0).generator())
 
 
 def test_finite_sum_oracle_constants_modes():

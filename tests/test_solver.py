@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from motr import solver
 from motr.core import (
+    DimensionMismatchError,
     HessianCombine,
     HessianMode,
     SampleBatch,
@@ -47,11 +48,11 @@ from motr.solver import (
 )
 
 
-def _batch(values, gradients, hessians=None, delta=1.0):
+def _batch(values, gradients, hessians=None):
     """A SampleBatch of one state."""
     values = np.asarray(values, dtype=float)
-    return SampleBatch(values[None], np.asarray(gradients, dtype=float)[None], np.array([delta]),
-                       np.zeros((1, len(values)), dtype=int), np.zeros(1, dtype=int),
+    return SampleBatch(values[None], np.asarray(gradients, dtype=float)[None],
+                       np.zeros((1, len(values)), dtype=int),
                        None if hessians is None else np.asarray(hessians)[None])
 
 
@@ -695,3 +696,14 @@ def test_a_state_with_a_non_positive_radius_stops_and_the_others_go_on():
     for b, j in ((0, 0), (3, 1)):
         assert batch.errors[b] is None
         _assert_same_run(batch[b].x, batch[b].history, alone[j].x, alone[j].history)
+
+
+@pytest.mark.parametrize("x0s, error, message", [
+    ([[1.0, 2.0, 3.0]], DimensionMismatchError, "expected dimension 2, got 3"),
+    (np.zeros((1, 2, 2)), DimensionMismatchError, None),
+    ([[9.0, 9.0], [np.nan, 1.0]], ValueError, "NaN"),
+])
+def test_run_batch_checks_its_starts_as_one_stack(x0s, error, message):
+    oracle = AnalyticOracle(AnalyticProblem("test1"))
+    with pytest.raises(error, match=message):
+        run_batch(oracle, SolverConfig(k_max=1), x0s, [0] * len(x0s))

@@ -33,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.dont_write_bytecode = True      # importing from the trees writes nothing there
 
 README = {"problem": "test1", "noise_sigma": "0.1", "x0": "9,9", "k_max": "500",
@@ -113,23 +115,15 @@ def _rows(path: Path) -> list[dict]:
     return [{k: (None if v in ("", None) else float(v)) for k, v in row.items()} for row in rows]
 
 
-def hypervolume(points: list[tuple[float, float]], ref: tuple[float, float]) -> float:
-    """Area dominated by the points within the box below ``ref``."""
-    inside = sorted(p for p in points if p[0] < ref[0] and p[1] < ref[1])
-    area, best = 0.0, ref[1]
-    for f1, f2 in inside:
-        if f2 < best:
-            area += (ref[0] - f1) * (best - f2)
-            best = f2
-    return area
-
-
-def _archive(path: Path, ref) -> tuple[int, float]:
+def _archive(path: Path, hypervolume) -> tuple[int, float]:
+    """The member count of an archive CSV and ``hypervolume`` of its (f_1, f_2)."""
     rows = list(csv.DictReader(path.read_text().splitlines()))
-    return len(rows), hypervolume([(float(r["f_1"]), float(r["f_2"])) for r in rows], ref)
+    F = np.array([(float(r["f_1"]), float(r["f_2"])) for r in rows]).reshape(-1, 2)
+    return len(rows), hypervolume(F)
 
 
-def compare(name: str, command: str, seeds: list[int], old: Path, new: Path, ref) -> str:
+def compare(name: str, command: str, seeds: list[int], old: Path, new: Path,
+            hypervolume) -> str:
     same, first, flips, common = 0, None, 0, 0
     change: dict[str, list[float]] = {}
     finals = ([], [])
@@ -144,7 +138,7 @@ def compare(name: str, command: str, seeds: list[int], old: Path, new: Path, ref
             return f"{name}: exit codes {codes[0]} -> {codes[1]} at seed {seed}"
         if command == "front":
             for side, d in zip(fronts, (a, b)):
-                side.append(_archive(d / "out", ref))
+                side.append(_archive(d / "out", hypervolume))
             continue
         ra, rb = _rows(a / "out"), _rows(b / "out")
         for side, rows in zip(finals, (ra, rb)):
@@ -203,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds = list(range(int(lo), int(hi or lo) + 1))
     ref = tuple(float(v) for v in args.reference.split(","))
     table = configs(args.new.resolve())
+    checks = _module(args.new.resolve() / "perfbench" / "checks.py", "checks")
     names = args.configs.split(",") if args.configs else list(table)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -229,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             print("a tree's child process failed", file=sys.stderr)
             return 1
         for name in names:
-            print(compare(name, table[name][0], seeds, tmp / "old", tmp / "new", ref))
+            print(compare(name, table[name][0], seeds, tmp / "old", tmp / "new",
+                          lambda F: checks.hypervolume_2d(F, ref)))
     return 0
 
 
