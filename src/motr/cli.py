@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from .core import ConfigError, RngStream
-from .harness import emit, experiment_spec, load_config, run_experiment
-from .pareto import FrontConfig, export_archive_csv, run_front
+from .harness import emit, experiment_spec, load_config, run_experiment, write_table
+from .pareto import FrontConfig, run_front
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +63,12 @@ def main(argv: list[str] | None = None) -> int:
                 oracle = spec.build_oracle()
                 rng = RngStream(spec.solver.seed, stream_id=999).generator()
                 archive = run_front(oracle, front_cfg, spec.solver, rng, smg=spec.smg)
-                export_archive_csv(archive, spec.output_path)
+                # One row per member: x_1..x_n, f_1..f_q.
+                X, F = np.array([m.x for m in archive]), np.array([m.f for m in archive])
+                header = [f"x_{i + 1}" for i in range(oracle.n)]
+                header += [f"f_{i + 1}" for i in range(oracle.q)]
+                write_table(spec.output_path, spec.output_format, header,
+                            [(len(archive), [*X.T, *F.T])])
                 print(f"wrote {len(archive)} archive members to {spec.output_path}")
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

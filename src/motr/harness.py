@@ -376,7 +376,7 @@ _COLUMNS = {"k": "k", "omega_true": "omega_true", "phi_true": "phi_true",
 
 
 def _cells(column: np.ndarray):
-    """The CSV text of each cell of a 1-D trace column, lazily: an integer
+    """The CSV text of each cell of a 1-D column, lazily: an integer
     (a bool as 0 or 1), or the repr of a float, formatted once for each run
     of cells with the same bit pattern (so -0.0 stays apart from 0.0).
     omega_true and phi_true repeat for as long as a state stays put."""
@@ -391,27 +391,33 @@ def _cells(column: np.ndarray):
         yield text
 
 
-def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> None:
-    """Write the metric table of the batch's trace (simulation i is state i)
-    as CSV or JSON plus a sidecar summary file; a column the run did not
-    compute is empty (CSV) or null (JSON)."""
-    columns = [batch.trace.get(name) for name in _COLUMNS.values()]
-    if format == "csv":
-        with open(path, "w") as fh:
-            fh.write(",".join(["simulation", *_COLUMNS]) + "\n")
-            for sim, k in enumerate(batch.k.tolist()):
-                cells = [[""] * k if c is None else _cells(c[:k, sim]) for c in columns]
-                fh.writelines(f"{sim},{','.join(row)}\n" for row in zip(*cells))
-    elif format == "json":
-        rows = ((sim, *row) for sim, k in enumerate(batch.k.tolist())
-                for row in zip(*([None] * k if c is None else c[:k, sim].tolist()
-                                 for c in columns)))
-        payload = [dict(zip(["simulation", *_COLUMNS], row)) for row in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
+def write_table(path: str, format: str, header: list[str],
+                blocks: Iterable[tuple[int, list[np.ndarray | None]]]) -> None:
+    """Write a table as CSV (the header line, then one line per row, cells as
+    ``_cells`` formats them) or JSON (one list of row objects). ``blocks``
+    yields ``(rows, columns)``: per header name a 1-D column of ``rows`` cells,
+    or None for a column not computed (empty cells in CSV, null in JSON)."""
+    if format not in ("csv", "json"):
         raise ConfigError(f"bad output format {format!r}")
+    cells, empty = (_cells, "") if format == "csv" else (np.ndarray.tolist, None)
+    rows = (row for n, columns in blocks
+            for row in zip(*([empty] * n if c is None else cells(c) for c in columns)))
+    with open(path, "w") as fh:
+        if format == "csv":
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+
+def emit(batch: Batch, path: str, format: str, summary: dict | None = None) -> None:
+    """Write the metric table of the batch's trace (simulation i is state i),
+    one ``write_table`` block per simulation, plus a sidecar summary file."""
+    columns = [batch.trace.get(name) for name in _COLUMNS.values()]
+    blocks = ((k, [np.full(k, sim), *(None if c is None else c[:k, sim] for c in columns)])
+              for sim, k in enumerate(batch.k.tolist()))
+    write_table(path, format, ["simulation", *_COLUMNS], blocks)
     if summary is not None:
         with open(path + ".summary.json", "w") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)

@@ -481,11 +481,11 @@ def required_sample_size(kind: str, bound_constant: float, delta: float,
     The cap is decided in log space first, so radii small enough to overflow
     delta^-4 still return the group size.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if bound_constant <= 0:
+    if not bound_constant > 0:
         raise ValueError("bound_constant must be positive")
     if kind not in ("value", "gradient"):
         raise ValueError(f"bad kind {kind!r}")

@@ -262,16 +262,3 @@ def run_front(oracle: Oracle, front_config: FrontConfig,
         archive = front_round(archive, oracle, front_config, solver_config, rng, smg)
     return archive
 
-
-def export_archive_csv(archive: list[ArchiveMember], path: str) -> None:
-    """One row per member: x_1..x_n, f_1..f_q."""
-    if not archive:
-        raise ValueError("cannot export an empty archive")
-    n = archive[0].x.shape[0]
-    q = archive[0].f.shape[0]
-    header = [f"x_{i + 1}" for i in range(n)] + [f"f_{i + 1}" for i in range(q)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for m in archive:
-            row = [repr(float(v)) for v in m.x] + [repr(float(v)) for v in m.f]
-            fh.write(",".join(row) + "\n")

@@ -86,6 +86,12 @@ CONFIGS = {
                                  "k_max": "40", "num_simulations": "2", "seed": "10"}),
     "front_refine": ("front", {"problem": "test1", "noise_sigma": "0.1", "refine_steps": "3",
                                "front_rounds": "1", "seed": "11"}),
+    # n = 3 and output_format = json: the front's members as row objects.
+    "front_json": ("front", {"problem": "synthetic", "synthetic_features": "3",
+                             "synthetic_samples": "60", "x0": "0,0,0",
+                             "front_init_box": "-1:1,-1:1,-1:1", "front_init_count": "12",
+                             "front_n_q": "8", "front_rounds": "2", "output_format": "json",
+                             "seed": "12"}),
 }
 
 GOLDEN = {
@@ -151,6 +157,10 @@ GOLDEN = {
         "1811eef05c23417229b390953719e94a4b89748d0ce849634ad4beeeb3f0a7a7",
     "front_refine/out":
         "73893c14d58a8be5554125dbc3c0479fa4472c4ca17cb43440337f221723c65c",
+    "front_json/stdout":
+        "60ec607806dfbba3820cfdcc17e7bc7062f839249cc6990bb2393208d3287c4f",
+    "front_json/out":
+        "f373615f0eb742510d6bbf07214b0517727663fe3aa992aedb15d80b943138c7",
 }
 
 

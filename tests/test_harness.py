@@ -39,10 +39,11 @@ from motr.harness import (
     load_config,
     parse_config,
     run_experiment,
+    write_table,
 )
 from motr.marginal import solve_marginal
 from motr.oracles import ExactOracle, NoiseSpec
-from motr.pareto import FrontConfig, export_archive_csv, front_round, init_front
+from motr.pareto import FrontConfig, front_round, init_front
 from motr.solver import Batch, IterationRecord, run_batch
 
 
@@ -356,6 +357,69 @@ def test_emit_writes_the_records_of_every_state(format, exact_metrics, smg, size
         emit(batch, path, format)
         with open(path) as fh:
             assert fh.read() == _reference_emit(batch, format)
+
+
+@st.composite
+def _tables(draw):
+    """A header and blocks of float (-0.0, subnormals, nan and inf among
+    them, each drawn from a small pool so bit patterns repeat; some strided),
+    int, bool and None columns; blocks may have no rows."""
+    header = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True),
+                           min_size=1, max_size=5, unique=True))
+    pool = draw(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=4))
+    pool += [-0.0, 0.0, 5e-324, -2.5e-310]
+    cells = {"float": st.sampled_from(pool), "int": st.integers(-2**63, 2**63 - 1),
+             "bool": st.booleans()}
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(st.integers(0, 6))
+        columns = []
+        for _ in header:
+            kind = draw(st.sampled_from(["float", "int", "bool", None]))
+            if kind is None:
+                columns.append(None)
+                continue
+            column = np.array(draw(st.lists(cells[kind], min_size=rows, max_size=rows)),
+                              dtype={"float": float, "int": np.int64, "bool": bool}[kind])
+            if kind == "float" and draw(st.booleans()):
+                column = np.column_stack([column, column])[:, 0]
+            columns.append(column)
+        blocks.append((rows, columns))
+    return header, blocks
+
+
+def _reference_cell(column, i) -> str:
+    if column is None:
+        return ""
+    value = column[i].item()
+    return repr(value) if isinstance(value, float) else str(int(value))
+
+
+def _json_repr(rows):
+    """The rows with each value as its repr, so that -0.0, nan and the type
+    of every value take part in ==."""
+    return [{name: repr(value) for name, value in row.items()} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_write_table_matches_a_per_cell_reference(table):
+    header, blocks = table
+    want_csv = ",".join(header) + "\n" + "".join(
+        ",".join(_reference_cell(c, i) for c in columns) + "\n"
+        for n, columns in blocks for i in range(n))
+    want_json = [{name: None if c is None else c[i].item() for name, c in zip(header, columns)}
+                 for n, columns in blocks for i in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        write_table(path, "csv", header, iter(blocks))
+        with open(path) as fh:
+            assert fh.read() == want_csv
+        write_table(path, "json", header, iter(blocks))
+        with open(path) as fh:
+            text = fh.read()
+    assert text.endswith("]\n")
+    assert _json_repr(json.loads(text)) == _json_repr(want_json)
 
 
 def test_parallel_and_serial_runs_match():
@@ -764,11 +828,15 @@ def test_cli_front_writes_archive(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x_1,x_2,f_1,f_2"
     assert len(lines) >= 2
-    # output_format is a run key: the front writes the same CSV with json.
+    # With output_format = json the same members are one list of objects.
     out_json = tmp_path / "f.json"
     argv = ["front", cfg, "--set", "output_format=json", "--output", str(out_json)]
     assert main(argv) == EXIT_OK
-    assert out_json.read_text() == out.read_text()
+    members = json.loads(out_json.read_text())
+    header = lines[0].split(",")
+    assert all(sorted(m) == sorted(header) for m in members)
+    assert [[m[name] for name in header] for m in members] == \
+        [[float(v) for v in line.split(",")] for line in lines[1:]]
 
 
 def test_cli_front_honours_smg(tmp_path):
@@ -790,7 +858,9 @@ def test_cli_front_honours_smg(tmp_path):
     rng = RngStream(spec.solver.seed, stream_id=999).generator()
     archive = front_round(init_front(front_cfg, oracle, rng), oracle, front_cfg,
                           spec.solver, rng, smg=(0.3, spec.solver.delta0))
-    export_archive_csv(archive, str(tmp_path / "direct.csv"))
+    X, F = np.array([m.x for m in archive]), np.array([m.f for m in archive])
+    write_table(str(tmp_path / "direct.csv"), "csv", ["x_1", "x_2", "f_1", "f_2"],
+                [(len(archive), [*X.T, *F.T])])
     assert (tmp_path / "direct.csv").read_bytes() == outs["smg"].read_bytes()
 
 

@@ -349,6 +349,24 @@ def test_required_sample_size_validation():
         required_sample_size("curvature", 1.0, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("kind", ["value", "gradient"])
+@pytest.mark.parametrize("group_size", [None, 100])
+def test_required_sample_size_rejects_nan(kind, group_size):
+    # A NaN radius or constant is not positive: it used to reach math.ceil
+    # and fail with "cannot convert float NaN to integer".
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        required_sample_size(kind, 1.0, math.nan, 0.5, group_size)
+    with pytest.raises(ValueError, match="^bound_constant must be positive$"):
+        required_sample_size(kind, math.nan, 0.5, 0.5, group_size)
+
+
+def test_finite_sum_evaluate_batch_rejects_a_nan_radius():
+    oracle = FiniteSumOracle(make_synthetic_logistic(40, 4, seed=5))
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        oracle.evaluate_batch(np.zeros((2, 4)), np.array([0.5, math.nan]), 0.5,
+                              Streams([(0, 0), (1, 0)]), np.arange(2))
+
+
 def test_bound_constants_formulas():
     F, G = analytic_bound_constants(1.0, np.array([0.1, 0.1]), np.zeros(3))
     np.testing.assert_allclose(F, 1.0 + math.log(2.0))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import motr
 from motr import pareto
 from motr.core import ConfigError, RngStream, SolverConfig
-from motr.harness import ExperimentSpec, run_experiment
+from motr.harness import ExperimentSpec, run_experiment, write_table
 from motr.oracles import AnalyticOracle, AnalyticProblem, NoiseSpec
 from motr.solver import run_final
 from motr.pareto import (
@@ -25,7 +25,6 @@ from motr.pareto import (
     _dedup,
     _thin,
     dominance_filter,
-    export_archive_csv,
     front_round,
     init_front,
     run_front,
@@ -412,12 +411,13 @@ def test_run_front_reaches_tradeoff_points():
     assert interior >= 3
 
 
-def test_export_archive_csv(tmp_path):
-    members = _members([(1, 2), (3, 4)])
+def test_write_table_writes_archive_members(tmp_path):
+    # The table motr front writes: one row per member, x_1..x_n, f_1..f_q.
+    members = _members([(1, 2.5), (3, -0.0)])
+    X, F = np.array([m.x for m in members]), np.array([m.f for m in members])
+    header = ["x_1", "x_2", "f_1", "f_2"]
     path = tmp_path / "front.csv"
-    export_archive_csv(members, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x_1,x_2,f_1,f_2"
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        export_archive_csv([], str(path))
+    write_table(str(path), "csv", header, [(len(members), [*X.T, *F.T])])
+    assert path.read_text() == "x_1,x_2,f_1,f_2\n0.0,0.0,1.0,2.5\n1.0,0.0,3.0,-0.0\n"
+    write_table(str(path), "csv", header, [(0, [*X[:0].T, *F[:0].T])])
+    assert path.read_text() == "x_1,x_2,f_1,f_2\n"

@@ -106,7 +106,8 @@ def _text(directory: Path, name: str) -> str | None:
 
 
 def _rows(path: Path) -> list[dict]:
-    """The metric rows of a run output, CSV or JSON, values as floats or None."""
+    """The rows of a run output or a front archive, CSV or JSON, values as
+    floats or None."""
     text = path.read_text()
     if text.startswith("["):
         rows = json.loads(text)
@@ -116,9 +117,9 @@ def _rows(path: Path) -> list[dict]:
 
 
 def _archive(path: Path, hypervolume) -> tuple[int, float]:
-    """The member count of an archive CSV and ``hypervolume`` of its (f_1, f_2)."""
-    rows = list(csv.DictReader(path.read_text().splitlines()))
-    F = np.array([(float(r["f_1"]), float(r["f_2"])) for r in rows]).reshape(-1, 2)
+    """The member count of an archive and ``hypervolume`` of its (f_1, f_2)."""
+    rows = _rows(path)
+    F = np.array([(r["f_1"], r["f_2"]) for r in rows]).reshape(-1, 2)
     return len(rows), hypervolume(F)
 
 
